@@ -35,13 +35,11 @@ from .estimators import (
     expected_biased,
     h_value,
 )
-from .ostree import OrderStatTree
 from .target_index import DoubleTargetIndex, SingleTargetIndex
 from .sensitivity import (
     SmoothSensInstance,
     build_instance,
     global_sensitivity,
-    joint_kth_distance,
     local_sensitivity,
     smooth_sensitivity,
     smooth_sensitivity_biased,
@@ -51,7 +49,6 @@ from .sensitivity import (
 from .protocol import (
     Mechanism,
     RunReport,
-    communication_report,
     run_baseline,
     run_two_step,
 )

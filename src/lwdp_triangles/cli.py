@@ -16,7 +16,7 @@ from .experiments import (
 )
 from .graph import enumerate_triangles, exact_below_threshold_count
 from .mechanisms import PrivacyBudget, RandomSource
-from .protocol import Mechanism, communication_report, release_step1, run_baseline, run_two_step
+from .protocol import Mechanism, release_step1, run_baseline, run_two_step
 from .sensitivity import (
     build_instance,
     global_sensitivity,
@@ -90,7 +90,7 @@ def _cmd_count(args) -> int:
         )
         rel = abs(exact - report.estimate) / exact if exact else float("nan")
         print(f"trial {trial}: estimate={report.estimate:.6f} rel_error={rel:.6g}")
-    tallies = communication_report(report)
+    tallies = report.tallies
     print(
         f"communication: uploads1={tallies.uploads_step1} "
         f"downloads={tallies.downloads} uploads2={tallies.uploads_step2}"
@@ -109,7 +109,7 @@ def _cmd_baseline(args) -> int:
         report = run_baseline(graph, args.lam, args.eps, rng, triangles=triangles)
         rel = abs(exact - report.estimate) / exact if exact else float("nan")
         print(f"trial {trial}: estimate={report.estimate:.6f} rel_error={rel:.6g}")
-    tallies = communication_report(report)
+    tallies = report.tallies
     print(
         f"communication: uploads1={tallies.uploads_step1} "
         f"downloads={tallies.downloads} uploads2={tallies.uploads_step2}"

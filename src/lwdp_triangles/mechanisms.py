@@ -33,8 +33,12 @@ class PrivacyBudget:
         if total is None:
             total = self.epsilon_1 + self.epsilon_2
             object.__setattr__(self, "epsilon_total", total)
+        if not all(math.isfinite(e) for e in (self.epsilon_1, self.epsilon_2, total)):
+            raise ValueError("privacy budgets must be finite")
         if self.epsilon_1 <= 0 or self.epsilon_2 <= 0 or total <= 0:
             raise ValueError("privacy budgets must be strictly positive")
+        if math.exp(-self.epsilon_1) == 0.0:
+            raise ValueError(f"epsilon_1 = {self.epsilon_1} makes p = e^(-epsilon_1) underflow to 0")
         if self.epsilon_1 + self.epsilon_2 > total + 1e-12:
             raise ValueError("epsilon_1 + epsilon_2 exceeds the total budget")
 

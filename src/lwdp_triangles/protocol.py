@@ -92,6 +92,17 @@ class NodeStep2View:
     received_noisy: dict[Edge, int]
 
 
+def _integral_threshold(lam) -> int:
+    # A fractional threshold silently breaks the estimators' boundary cases.
+    try:
+        value = int(lam)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != lam:
+        raise ValueError(f"lam must be an integer threshold, got {lam!r}")
+    return value
+
+
 def release_step1(
     graph: WeightedGraph,
     epsilon_1: float,
@@ -172,6 +183,7 @@ def run_two_step(
     """
     if not isinstance(budget, PrivacyBudget):
         raise ValueError("budget must be a PrivacyBudget")
+    lam = _integral_threshold(lam)
     if rng is None:
         rng = RandomSource(0)
     if triangles is None:
@@ -252,6 +264,7 @@ def run_baseline(
     """Non-interactive baseline: privatize all weights once, count on the noisy graph."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    lam = _integral_threshold(lam)
     if rng is None:
         rng = RandomSource(0)
     if triangles is None:
@@ -275,8 +288,3 @@ def run_baseline(
         tallies=CommunicationTallies(uploads1, 0, 0),
         budget_ledger=ledger,
     )
-
-
-def communication_report(run: RunReport) -> CommunicationTallies:
-    """Transmitted-value tallies of a completed run (values, not bits)."""
-    return run.tallies

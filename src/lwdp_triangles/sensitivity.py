@@ -2,11 +2,12 @@
 
 The smooth computation reformulates sensitivity-at-distance as shifting the
 per-triangle partial sums c_j onto a moving integer target t at l1 cost,
-discounted by e^{-beta |z|}.  For the biased estimator only counts on the
-target matter (two order-statistic trees track distances as the target
-sweeps); for the unbiased estimator the values adjacent to the target
-contribute differently from the values on it, handled through the
-double-target and single-target distance indexes.
+discounted by e^{-beta |z|}.  Both estimators sweep t over one edge's sorted
+sums with the sorted-array distance indexes of ``target_index`` and share one
+outer-extension step.  For the biased estimator only counts on the target
+matter (a single-target index); for the unbiased estimator the values
+adjacent to the target contribute differently from the values on it, handled
+through a double-target and a single-target index over the same array.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target in an exact pruning radius and exhausts all shift counts
@@ -23,7 +24,6 @@ from typing import Mapping, Sequence
 from .assignment import Assignment, InstanceTooLargeError
 from .estimators import EstimatorKind, estimator_step_bound, unbiased_correction
 from .graph import Triangle, WeightedGraph, canonical_edge
-from .ostree import OrderStatTree
 from .target_index import DoubleTargetIndex, SingleTargetIndex
 
 Edge = tuple[int, int]
@@ -151,39 +151,7 @@ def local_sensitivity(inst: SmoothSensInstance) -> float:
     return best
 
 
-# -- joint order statistics over two distance trees ---------------------------
-
-
-def joint_kth_distance(left: OrderStatTree, right: OrderStatTree, k: int) -> tuple[int, int]:
-    """k-th smallest distance over two distance trees, with a minimizing split.
-
-    Returns (distance, l) where l distances come from ``left`` and k - l
-    from ``right``; d(k) = min_l max(left.select(l), right.select(k-l)) with
-    the select(0) = 0 sentinel resolving the boundary splits.  Binary search
-    over l, O(log^2) tree operations total.
-    """
-    if not (1 <= k <= left.size + right.size):
-        raise IndexError(f"k = {k} out of range for {left.size}+{right.size} distances")
-    lo = max(0, k - right.size)
-    hi = min(k, left.size)
-    a, b = lo, hi
-    while a < b:
-        mid = (a + b) // 2
-        if left.select(mid) >= right.select(k - mid):
-            b = mid
-        else:
-            a = mid + 1
-    best: tuple[int, int] | None = None
-    for l in (a - 1, a):
-        if lo <= l <= hi:
-            cand = max(left.select(l), right.select(k - l))
-            if best is None or cand < best[0]:
-                best = (cand, l)
-    assert best is not None
-    return best
-
-
-# -- smooth sensitivity, biased estimator -------------------------------------
+# -- outer extension, shared by both estimators --------------------------------
 
 
 def _anchor_discount(t: int, thetas: tuple[int, int], beta: float) -> float:
@@ -191,76 +159,23 @@ def _anchor_discount(t: int, thetas: tuple[int, int], beta: float) -> float:
     return math.exp(-beta * min(abs(t - thetas[0]), abs(t - thetas[1])))
 
 
-def _biased_edge_best(c_sorted: list[int], thetas: tuple[int, int], beta: float) -> float:
-    # Sweep targets in nondecreasing order.  left holds values <= t, right
-    # the rest; both are order-stat trees so counts and the merged distance
-    # stream around the target cost O(log) per step.  The best shift count
-    # at a target is anchor-independent, so one sweep serves both step signs.
-    targets = sorted(set(c_sorted).union(thetas))
-    left = OrderStatTree()
-    right = OrderStatTree(c_sorted)
-    best = 0.0
-    for t in targets:
-        while right.size and right.min() <= t:
-            v = right.min()
-            right.remove(v)
-            left.insert(v)
-        s_left = left.size
-        s_right = right.size
-        on_target = left.count(t)
-        discount = _anchor_discount(t, thetas, beta)
-        k = on_target
-        cost = 0
-        if k:
-            best = max(best, k * discount)
-        below = s_left - on_target
-        i_left = i_right = 1
-        while i_left <= below or i_right <= s_right:
-            d_l = t - left.select(below - i_left + 1) if i_left <= below else None
-            d_r = right.select(i_right) - t if i_right <= s_right else None
-            if d_r is None or (d_l is not None and d_l <= d_r):
-                d = d_l
-                i_left += 1
-            else:
-                d = d_r
-                i_right += 1
-            # selection rule: growing k to k+1 helps iff k/(k+1) < e^{-beta d};
-            # the ratio is increasing and d nondecreasing, so stop at first failure.
-            if k and not (k / (k + 1) < math.exp(-beta * d)):
-                break
-            k += 1
-            cost += d
-            best = max(best, k * math.exp(-beta * cost) * discount)
-    return best
-
-
-def smooth_sensitivity_biased(inst: SmoothSensInstance) -> float:
-    """beta-smooth sensitivity of the biased local count, O(d^2 polylog d)."""
-    if inst.kind is not EstimatorKind.BIASED:
-        raise ValueError("instance is not for the biased estimator")
-    best = 0.0
-    for view in inst.edges:
-        if not view.partial_sums:
-            continue
-        c = sorted(view.partial_sums)
-        best = max(best, _biased_edge_best(c, _anchor_targets(view, inst.lam), inst.beta))
-    return best
-
-
-# -- smooth sensitivity, unbiased estimator ------------------------------------
-
-
 def _extend_over_outer(idx, near: int, base: int, gain: float, beta: float) -> float:
-    # Shift outer values toward the target while the count-ratio rule keeps
-    # improving; kth_distance/sum_k_distances already fold in the unit-cost
-    # shifts of the near set, so the exponent comes straight off the index.
+    # The ``near`` closest values are already counted in ``base``; shift the
+    # rest onto the target, closest first, while the count-ratio rule keeps
+    # improving: growing k to k+1 helps iff k/(k+1) < e^{-beta d}, the ratio
+    # increases and d never decreases, so stop at the first failure.
+    # kth_distance/sum_k_distances fold in every value closer than the next
+    # one, so the exponent comes straight off the index.
     outer = idx.size - near
     if outer <= 0:
         return 0.0
-    # the first step already fails if even the closest conceivable outer
-    # value cannot satisfy the count-ratio rule, so skip the index probes
-    if base > 0 and base / (base + 1) >= math.exp(-beta * idx.min_outer_distance):
-        return 0.0
+    # The first step already fails if even the closest conceivable next
+    # value cannot satisfy the rule, so skip the index probes.  Values at
+    # distance 1 are still ahead when the caller has not counted them.
+    if base > 0:
+        d = 1 if near < idx.near_count else idx.min_outer_distance
+        if base / (base + 1) >= math.exp(-beta * d):
+            return 0.0
     best = 0.0
     k = 0
     while k < outer:
@@ -271,6 +186,39 @@ def _extend_over_outer(idx, near: int, base: int, gain: float, beta: float) -> f
         total = idx.sum_k_distances(near + k)
         best = max(best, gain * (base + k) * math.exp(-beta * total))
     return best
+
+
+# -- smooth sensitivity, biased estimator -------------------------------------
+
+
+def smooth_sensitivity_biased(inst: SmoothSensInstance) -> float:
+    """beta-smooth sensitivity of the biased local count, O(d^2 polylog d).
+
+    Only values on the target count, and the best shift count at a target is
+    anchor-independent, so each edge sweeps the targets {c_j} plus the two
+    initial targets once, scoring both anchors per target.
+    """
+    if inst.kind is not EstimatorKind.BIASED:
+        raise ValueError("instance is not for the biased estimator")
+    beta = inst.beta
+    best = 0.0
+    for view in inst.edges:
+        if not view.partial_sums:
+            continue
+        c = sorted(view.partial_sums)
+        thetas = _anchor_targets(view, inst.lam)
+        idx = SingleTargetIndex(c, c[0])
+        for t in sorted(set(c).union(thetas)):
+            idx.update_target(t)
+            on_target = idx.zero_count
+            cand = max(float(on_target), _extend_over_outer(idx, on_target, on_target, 1.0, beta))
+            v = cand * _anchor_discount(t, thetas, beta)
+            if v > best:
+                best = v
+    return best
+
+
+# -- smooth sensitivity, unbiased estimator ------------------------------------
 
 
 def _unbiased_edge_best(

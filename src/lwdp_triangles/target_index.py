@@ -78,6 +78,11 @@ class _TargetIndexBase:
         return self._r1 - self._r0
 
     @property
+    def near_count(self) -> int:
+        """Points at t-1, t or t+1: zero_count + unit_count in both variants."""
+        return self._r1 - self._l0
+
+    @property
     def outer_left(self) -> int:
         return self._l0
 

@@ -164,6 +164,22 @@ def test_budget_validation():
         PrivacyBudget(1.5, 1.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (1.0, 1.0, math.nan),
+     (1.0, 1.0, math.inf)],
+)
+def test_budget_rejects_non_finite_epsilon(args):
+    with pytest.raises(ValueError, match="finite"):
+        PrivacyBudget(*args)
+
+
+def test_budget_rejects_epsilon_1_whose_p_underflows():
+    assert PrivacyBudget(700.0, 1.0).p > 0.0
+    with pytest.raises(ValueError, match="underflow"):
+        PrivacyBudget(800.0, 1.0)
+
+
 def test_random_source_streams_are_keyed():
     rs = RandomSource(42)
     a = rs.node_stream(1, 1).random(4)

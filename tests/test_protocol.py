@@ -20,7 +20,6 @@ from lwdp_triangles.graph import triangle_weight
 from lwdp_triangles.protocol import (
     Mechanism,
     NodeStep2View,
-    communication_report,
     node_step2_count,
     release_step1,
     _make_view,
@@ -70,7 +69,7 @@ def test_communication_tallies_k4():
     g = complete_graph(4)
     rep = run_two_step(g, 4, PrivacyBudget(1.0, 1.0), EstimatorKind.BIASED,
                        Mechanism.GLOBAL_LAPLACE, RandomSource(0))
-    t = communication_report(rep)
+    t = rep.tallies
     assert (t.uploads_step1, t.downloads, t.uploads_step2) == (12, 4, 4)
 
 
@@ -173,6 +172,21 @@ def test_invalid_budget_is_configuration_error():
         run_two_step(g, 1, "not a budget", EstimatorKind.BIASED, Mechanism.SMOOTH)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         run_baseline(g, 1, -1.0)
+
+
+def test_fractional_threshold_is_rejected():
+    rnd = random.Random(12)
+    g = random_graph(rnd, 12, 0.6, 0, 4)
+    budget = PrivacyBudget(1.0, 1.0)
+    for lam in (7.5, math.nan, math.inf, "7"):
+        with pytest.raises(ValueError, match="integer threshold"):
+            run_two_step(g, lam, budget, EstimatorKind.UNBIASED, Mechanism.SMOOTH, RandomSource(1))
+        with pytest.raises(ValueError, match="integer threshold"):
+            run_baseline(g, lam, 2.0, RandomSource(1))
+    # an integral float is the same threshold
+    as_float = run_two_step(g, 7.0, budget, EstimatorKind.UNBIASED, Mechanism.SMOOTH, RandomSource(1))
+    as_int = run_two_step(g, 7, budget, EstimatorKind.UNBIASED, Mechanism.SMOOTH, RandomSource(1))
+    assert as_float.estimate == as_int.estimate and as_float.lam == 7
 
 
 def test_biased_mean_matches_closed_form_expectation():

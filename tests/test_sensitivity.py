@@ -7,14 +7,12 @@ import pytest
 from lwdp_triangles import WeightedGraph, enumerate_triangles
 from lwdp_triangles.assignment import InstanceTooLargeError, assignment_from_choices
 from lwdp_triangles.estimators import EstimatorKind, unbiased_correction
-from lwdp_triangles.ostree import OrderStatTree
 from lwdp_triangles.sensitivity import (
     EdgeLocalView,
     SmoothSensInstance,
     build_instance,
     global_sensitivity,
     instance_from_parts,
-    joint_kth_distance,
     local_sensitivity,
     smooth_sensitivity,
     smooth_sensitivity_biased,
@@ -66,33 +64,6 @@ def test_global_sensitivity_requires_p_for_unbiased():
     g, a = star_of_triangles(2)
     with pytest.raises(ValueError):
         global_sensitivity(0, a, g, EstimatorKind.UNBIASED)
-
-
-# -- joint k-th distance over two trees ---------------------------------------
-
-
-def test_joint_kth_spec_examples():
-    assert joint_kth_distance(OrderStatTree([1, 3]), OrderStatTree([2]), 2) == (2, 1)
-    assert joint_kth_distance(OrderStatTree([]), OrderStatTree([4]), 1)[0] == 4
-    assert joint_kth_distance(OrderStatTree([1]), OrderStatTree([1]), 2)[0] == 1
-
-
-def test_joint_kth_matches_merge_sort():
-    rnd = random.Random(61)
-    for _ in range(400):
-        nl, nr = rnd.randint(0, 32), rnd.randint(0, 32)
-        if nl + nr == 0:
-            continue
-        left = [rnd.randint(0, 40) for _ in range(nl)]
-        right = [rnd.randint(0, 40) for _ in range(nr)]
-        lt, rt = OrderStatTree(left), OrderStatTree(right)
-        merged = sorted(left + right)
-        for k in range(1, nl + nr + 1):
-            d, l = joint_kth_distance(lt, rt, k)
-            assert d == merged[k - 1]
-            assert max(0, k - nr) <= l <= min(k, nl)
-    with pytest.raises(IndexError):
-        joint_kth_distance(OrderStatTree([1]), OrderStatTree([2]), 3)
 
 
 # -- smooth sensitivity: worked examples --------------------------------------
@@ -264,7 +235,7 @@ def test_fast_matches_oracle_adversarial_parameters():
     # clustered values, extreme smoothing, and extreme correction factors
     rnd = random.Random(5150)
     for i in range(200):
-        beta = rnd.choice((0.05, 0.5, 2.5, 5.0))
+        beta = rnd.choice((0.01, 0.05, 0.5, 2.5, 5.0))
         if i % 2:
             p = rnd.choice((0.05, 0.5, 0.9))
             inst = random_local_instance(
