@@ -20,7 +20,6 @@ from .assignment import (
 from .mechanisms import (
     PrivacyBudget,
     RandomSource,
-    SmoothNoiseConfig,
     dlap_cdf,
     dlap_pmf,
     dlap_sample,
@@ -30,7 +29,6 @@ from .mechanisms import (
 )
 from .estimators import (
     EstimatorKind,
-    biased_indicator,
     closed_form_moments,
     expected_biased,
     h_value,

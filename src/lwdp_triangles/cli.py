@@ -48,10 +48,10 @@ def _cmd_sensitivity(args) -> int:
     kind = EstimatorKind(args.estimator)
     triangles = enumerate_triangles(graph)
     assignment = greedy_assign(graph, triangles)
-    release, _ = release_step1(graph, args.eps1, RandomSource(args.seed))
+    symmetric, _ = release_step1(graph, args.eps1, RandomSource(args.seed))
     p = None if kind is EstimatorKind.BIASED else PrivacyBudget(args.eps1, 1.0).p
     inst = build_instance(
-        graph, assignment, release.symmetric, args.node, args.lam, args.beta, kind, p=p
+        graph, assignment, symmetric, args.node, args.lam, args.beta, kind, p=p
     )
     gs = global_sensitivity(args.node, assignment, graph, kind, p=p)
     fast = smooth_sensitivity(inst)
@@ -72,6 +72,22 @@ def _budget_from_args(args) -> PrivacyBudget:
     return PrivacyBudget.even_split(args.eps)
 
 
+def _print_trials(args, graph, triangles, run) -> int:
+    """Print the exact count, then ``run(rng)``'s estimate for each seeded trial."""
+    exact = exact_below_threshold_count(graph, args.lam, triangles)
+    print(f"f_exact: {exact}")
+    for trial in range(args.trials):
+        report = run(RandomSource(args.seed).subsource(trial))
+        rel = abs(exact - report.estimate) / exact if exact else float("nan")
+        print(f"trial {trial}: estimate={report.estimate:.6f} rel_error={rel:.6g}")
+    tallies = report.tallies
+    print(
+        f"communication: uploads1={tallies.uploads_step1} "
+        f"downloads={tallies.downloads} uploads2={tallies.uploads_step2}"
+    )
+    return 0
+
+
 def _cmd_count(args) -> int:
     graph = parse_edge_list(args.graph)
     budget = _budget_from_args(args)
@@ -79,42 +95,18 @@ def _cmd_count(args) -> int:
     mechanism = Mechanism(args.mechanism)
     triangles = enumerate_triangles(graph)
     assignment = greedy_assign(graph, triangles)
-    exact = exact_below_threshold_count(graph, args.lam, triangles)
-    print(f"f_exact: {exact}")
-    report = None
-    for trial in range(args.trials):
-        rng = RandomSource(args.seed).subsource(trial)
-        report = run_two_step(
-            graph, args.lam, budget, kind, mechanism, rng,
-            triangles=triangles, assignment=assignment,
-        )
-        rel = abs(exact - report.estimate) / exact if exact else float("nan")
-        print(f"trial {trial}: estimate={report.estimate:.6f} rel_error={rel:.6g}")
-    tallies = report.tallies
-    print(
-        f"communication: uploads1={tallies.uploads_step1} "
-        f"downloads={tallies.downloads} uploads2={tallies.uploads_step2}"
-    )
-    return 0
+    return _print_trials(args, graph, triangles, lambda rng: run_two_step(
+        graph, args.lam, budget, kind, mechanism, rng,
+        triangles=triangles, assignment=assignment,
+    ))
 
 
 def _cmd_baseline(args) -> int:
     graph = parse_edge_list(args.graph)
     triangles = enumerate_triangles(graph)
-    exact = exact_below_threshold_count(graph, args.lam, triangles)
-    print(f"f_exact: {exact}")
-    report = None
-    for trial in range(args.trials):
-        rng = RandomSource(args.seed).subsource(trial)
-        report = run_baseline(graph, args.lam, args.eps, rng, triangles=triangles)
-        rel = abs(exact - report.estimate) / exact if exact else float("nan")
-        print(f"trial {trial}: estimate={report.estimate:.6f} rel_error={rel:.6g}")
-    tallies = report.tallies
-    print(
-        f"communication: uploads1={tallies.uploads_step1} "
-        f"downloads={tallies.downloads} uploads2={tallies.uploads_step2}"
-    )
-    return 0
+    return _print_trials(args, graph, triangles, lambda rng: run_baseline(
+        graph, args.lam, args.eps, rng, triangles=triangles
+    ))
 
 
 def _cmd_experiment(args) -> int:
@@ -139,6 +131,13 @@ def _cmd_experiment(args) -> int:
         handle.write(csv_text)
     print(f"wrote {args.out} ({len(report.rows)} rows)")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=[k.value for k in EstimatorKind], required=True)
     p.add_argument("--mechanism", choices=[m.value for m in Mechanism], required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("baseline", help="run the non-interactive baseline")
@@ -181,14 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("experiment", help="sweep an axis and write a CSV error table")
     p.add_argument("--graph", required=True)
     p.add_argument("--sweep", choices=["eps", "lambda", "size"], required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--methods", default=None, help="comma-separated subset of methods")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=2.0)

@@ -31,17 +31,12 @@ def unbiased_correction(p: float) -> float:
     return p / (1.0 - p) ** 2
 
 
-def biased_indicator(w_vu: int, w_vx: int, w_prime_ux: int, lam: int) -> int:
-    """1{w_vu + w_vx + w'_ux < lam}, evaluated by the responsible node."""
-    return 1 if w_vu + w_vx + w_prime_ux < lam else 0
-
-
 def h_value(m: int, lam: int, p: float) -> float:
     """Unbiased-estimator response for a noisy triangle weight m.
 
     Piecewise in m: 0 above lam, -x at lam, 1+x at lam-1, and 1 below,
-    with x = p/(1-p)^2.  At p = 0 (noise-free debug mode) this collapses
-    to the exact indicator.
+    with x = p/(1-p)^2.  At p = 0 (the epsilon_1 -> infinity limit) this
+    collapses to the exact indicator.
     """
     x = unbiased_correction(p)
     if m > lam:

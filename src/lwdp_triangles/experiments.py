@@ -219,12 +219,9 @@ def method_column(method: str) -> str:
     return method.replace("-", "_") + "_l2_rel"
 
 
-def _run_method(method, graph, lam, epsilon, rng, triangles, assignment, zero_noise):
+def _run_method(method, graph, lam, epsilon, rng, triangles, assignment):
     if method == "baseline":
-        report = run_baseline(
-            graph, lam, epsilon, rng, triangles=triangles, _zero_noise=zero_noise
-        )
-        return report.estimate
+        return run_baseline(graph, lam, epsilon, rng, triangles=triangles).estimate
     mechanism = Mechanism.GLOBAL_LAPLACE if method.startswith("global") else Mechanism.SMOOTH
     kind = EstimatorKind.UNBIASED if method.endswith("unbiased") else EstimatorKind.BIASED
     report = run_two_step(
@@ -236,14 +233,11 @@ def _run_method(method, graph, lam, epsilon, rng, triangles, assignment, zero_no
         rng,
         triangles=triangles,
         assignment=assignment,
-        _zero_noise=zero_noise,
     )
     return report.estimate
 
 
-def run_sweep(
-    cfg: ExperimentConfig, graph: WeightedGraph, *, _zero_noise: bool = False
-) -> ErrorReport:
+def run_sweep(cfg: ExperimentConfig, graph: WeightedGraph) -> ErrorReport:
     """Mean relative error per (axis value, method) over paired-seed trials.
 
     The topology-dependent work (triangle enumeration, assignment, exact
@@ -274,7 +268,7 @@ def run_sweep(
         for trial in range(cfg.trials):
             rng = RandomSource(cfg.seed).subsource(axis_idx, trial)
             for m in cfg.methods:
-                est = _run_method(m, g, lam, epsilon, rng, triangles, assignment, _zero_noise)
+                est = _run_method(m, g, lam, epsilon, rng, triangles, assignment)
                 if not flagged:
                     sums[m] += abs(exact - est) / exact
         mean_errors = {

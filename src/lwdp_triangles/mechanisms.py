@@ -15,6 +15,21 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
+# Exponent of the admissible 1/(1+|z|^gamma) smooth-sensitivity noise: 4 is the
+# smallest even exponent with a closed-form variance, and there Var[Z] = 1.
+SMOOTH_NOISE_GAMMA = 4.0
+
+
+def check_dlap_epsilon(epsilon: float) -> None:
+    """Reject a DLap budget that is not finite, not positive, or whose
+    p = e^{-epsilon} underflows to 0."""
+    if not math.isfinite(epsilon):
+        raise ValueError(f"privacy budgets must be finite, got epsilon = {epsilon}")
+    if epsilon <= 0:
+        raise ValueError(f"privacy budgets must be strictly positive, got epsilon = {epsilon}")
+    if math.exp(-epsilon) == 0.0:
+        raise ValueError(f"epsilon = {epsilon} makes p = e^(-epsilon) underflow to 0")
+
 
 @dataclass(frozen=True)
 class PrivacyBudget:
@@ -33,12 +48,11 @@ class PrivacyBudget:
         if total is None:
             total = self.epsilon_1 + self.epsilon_2
             object.__setattr__(self, "epsilon_total", total)
-        if not all(math.isfinite(e) for e in (self.epsilon_1, self.epsilon_2, total)):
+        check_dlap_epsilon(self.epsilon_1)
+        if not (math.isfinite(self.epsilon_2) and math.isfinite(total)):
             raise ValueError("privacy budgets must be finite")
-        if self.epsilon_1 <= 0 or self.epsilon_2 <= 0 or total <= 0:
+        if self.epsilon_2 <= 0 or total <= 0:
             raise ValueError("privacy budgets must be strictly positive")
-        if math.exp(-self.epsilon_1) == 0.0:
-            raise ValueError(f"epsilon_1 = {self.epsilon_1} makes p = e^(-epsilon_1) underflow to 0")
         if self.epsilon_1 + self.epsilon_2 > total + 1e-12:
             raise ValueError("epsilon_1 + epsilon_2 exceeds the total budget")
 
@@ -46,6 +60,17 @@ class PrivacyBudget:
     def p(self) -> float:
         """Geometric-mechanism parameter e^{-epsilon_1}."""
         return math.exp(-self.epsilon_1)
+
+    @property
+    def beta(self) -> float:
+        """Smoothing parameter epsilon_2 / (2*(gamma-1)) of the step-2 release."""
+        return self.epsilon_2 / (2.0 * (SMOOTH_NOISE_GAMMA - 1.0))
+
+    @property
+    def smooth_noise_scale(self) -> float:
+        """Release noise multiplier 2*(gamma-1)^((gamma-1)/gamma) / epsilon_2."""
+        g = SMOOTH_NOISE_GAMMA
+        return 2.0 * (g - 1.0) ** ((g - 1.0) / g) / self.epsilon_2
 
     @classmethod
     def even_split(cls, epsilon_total: float) -> "PrivacyBudget":
@@ -73,34 +98,6 @@ class RandomSource:
 
     def subsource(self, *key: int) -> "RandomSource":
         return RandomSource(self.seed, self.prefix + tuple(int(k) for k in key))
-
-
-@dataclass(frozen=True)
-class SmoothNoiseConfig:
-    """Heavy-tailed noise with density proportional to 1/(1+|z|^gamma).
-
-    Only gamma = 4 is supported: it is the smallest even exponent with a
-    known closed-form variance, and there Var[Z] = 1.
-    """
-
-    gamma: float = 4.0
-
-    def __post_init__(self):
-        if self.gamma != 4.0:
-            raise ValueError("only gamma = 4 is supported (Var[Z] has no closed form otherwise)")
-
-    def scale_multiplier(self, epsilon_2: float) -> float:
-        """Release noise multiplier 2*(gamma-1)^((gamma-1)/gamma) / epsilon_2."""
-        if epsilon_2 <= 0:
-            raise ValueError("epsilon_2 must be positive")
-        g = self.gamma
-        return 2.0 * (g - 1.0) ** ((g - 1.0) / g) / epsilon_2
-
-    def beta(self, epsilon_2: float) -> float:
-        """Smoothing parameter epsilon_2 / (2*(gamma-1))."""
-        if epsilon_2 <= 0:
-            raise ValueError("epsilon_2 must be positive")
-        return epsilon_2 / (2.0 * (self.gamma - 1.0))
 
 
 # -- discrete Laplace (geometric mechanism) --------------------------------
@@ -178,10 +175,8 @@ def _smooth_noise_inverse_cdf(u: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def smooth_noise_sample(cfg: SmoothNoiseConfig, rng: np.random.Generator, size: int | None = None):
-    """Draw(s) of Z via inverse-CDF bisection to ~1e-12; Var[Z] = 1 for gamma = 4."""
-    if cfg.gamma != 4.0:
-        raise ValueError("only gamma = 4 is supported")
+def smooth_noise_sample(rng: np.random.Generator, size: int | None = None):
+    """Draw(s) of Z via inverse-CDF bisection to ~1e-12; Var[Z] = 1."""
     n = 1 if size is None else int(size)
     u = rng.random(n)
     while np.any(u == 0.0):  # measure-zero guard for the open interval (0,1)
@@ -193,19 +188,9 @@ def smooth_noise_sample(cfg: SmoothNoiseConfig, rng: np.random.Generator, size: 
     return z
 
 
-def privatize_weight_vector(
-    weights, epsilon_1: float, rng: np.random.Generator, *, _zero_noise: bool = False
-) -> list[int]:
-    """Step-1 release: add iid DLap(e^{-epsilon_1}) noise to every entry.
-
-    ``_zero_noise`` is a debug-only identity mode (equivalent to the p -> 0
-    limit of the mechanism) used by end-to-end identity tests; it is not
-    reachable from the CLI or any privacy-facing entry point.
-    """
-    if epsilon_1 <= 0:
-        raise ValueError("epsilon_1 must be positive")
+def privatize_weight_vector(weights, epsilon_1: float, rng: np.random.Generator) -> list[int]:
+    """Step-1 release: add iid DLap(e^{-epsilon_1}) noise to every entry."""
+    check_dlap_epsilon(epsilon_1)
     values = [int(w) for w in weights]
-    if _zero_noise or not values:
-        return values
     noise = dlap_sample(math.exp(-epsilon_1), rng, size=len(values))
     return [w + int(z) for w, z in zip(values, noise)]

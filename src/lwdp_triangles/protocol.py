@@ -19,7 +19,7 @@ from .graph import Triangle, WeightedGraph, canonical_edge, enumerate_triangles,
 from .mechanisms import (
     PrivacyBudget,
     RandomSource,
-    SmoothNoiseConfig,
+    check_dlap_epsilon,
     laplace_sample,
     privatize_weight_vector,
     smooth_noise_sample,
@@ -40,14 +40,6 @@ STEP2_ROUND = 2
 class Mechanism(str, enum.Enum):
     GLOBAL_LAPLACE = "global"
     SMOOTH = "smooth"
-
-
-@dataclass(frozen=True)
-class NoisyRelease:
-    """Per-node released vectors and the symmetrized public weight map."""
-
-    vectors: dict[int, dict[Edge, int]]
-    symmetric: dict[Edge, int]
 
 
 @dataclass(frozen=True)
@@ -104,31 +96,26 @@ def _integral_threshold(lam) -> int:
 
 
 def release_step1(
-    graph: WeightedGraph,
-    epsilon_1: float,
-    rng: RandomSource,
-    *,
-    _zero_noise: bool = False,
-) -> tuple[NoisyRelease, int]:
+    graph: WeightedGraph, epsilon_1: float, rng: RandomSource
+) -> tuple[dict[Edge, int], int]:
     """Every node privatizes its incident-weight vector; the server symmetrizes.
 
     The tie-break keeps the release of the lower-id endpoint for every edge.
-    Returns the release and the number of uploaded values (sum of degrees).
+    Returns the public noisy weight map, keyed by canonical edge in sorted
+    order, and the number of uploaded values (sum of degrees).
     """
-    vectors: dict[int, dict[Edge, int]] = {}
+    symmetric: dict[Edge, int] = {}
     uploads = 0
     for v in range(graph.node_count):
         neighbors = graph.neighbors(v)
         noisy = privatize_weight_vector(
-            graph.incident_weight_vector(v),
-            epsilon_1,
-            rng.node_stream(v, STEP1_ROUND),
-            _zero_noise=_zero_noise,
+            graph.incident_weight_vector(v), epsilon_1, rng.node_stream(v, STEP1_ROUND)
         )
-        vectors[v] = {canonical_edge(v, u): w for u, w in zip(neighbors, noisy)}
+        for u, w in zip(neighbors, noisy):
+            if v < u:
+                symmetric[(v, u)] = w
         uploads += len(neighbors)
-    symmetric = {edge: vectors[edge[0]][edge] for edge in graph.edges()}
-    return NoisyRelease(vectors, symmetric), uploads
+    return symmetric, uploads
 
 
 def node_step2_count(view: NodeStep2View, lam: int, kind: EstimatorKind, p: float) -> float:
@@ -147,13 +134,13 @@ def node_step2_count(view: NodeStep2View, lam: int, kind: EstimatorKind, p: floa
 
 
 def _make_view(
-    graph: WeightedGraph, assignment: Assignment, release: NoisyRelease, node: int
+    graph: WeightedGraph, assignment: Assignment, symmetric: dict[Edge, int], node: int
 ) -> NodeStep2View:
     assigned = assignment.triangles_of(node)
     received = {}
     for t in assigned:
         edge = t.opposite_edge(node)
-        received[edge] = release.symmetric[edge]
+        received[edge] = symmetric[edge]
     incident = {
         canonical_edge(node, u): graph.weight(node, u) for u in graph.neighbors(node)
     }
@@ -170,16 +157,11 @@ def run_two_step(
     *,
     triangles: Sequence[Triangle] | None = None,
     assignment: Assignment | None = None,
-    noise_config: SmoothNoiseConfig = SmoothNoiseConfig(),
-    _zero_noise: bool = False,
 ) -> RunReport:
     """One full protocol execution; deterministic under a fixed master seed.
 
     ``triangles``/``assignment`` may be precomputed (they depend only on the
-    public topology) to amortize repeated trials.  ``_zero_noise`` is the
-    debug identity mode: all noise draws become zero and the estimator
-    correction degenerates accordingly (p -> 0), so the output equals the
-    exact count; it is not exposed by any privacy-facing interface.
+    public topology) to amortize repeated trials.
     """
     if not isinstance(budget, PrivacyBudget):
         raise ValueError("budget must be a PrivacyBudget")
@@ -191,23 +173,23 @@ def run_two_step(
     if assignment is None:
         assignment = greedy_assign(graph, triangles)
 
-    release, uploads1 = release_step1(graph, budget.epsilon_1, rng, _zero_noise=_zero_noise)
-    p_effective = 0.0 if _zero_noise else budget.p
-    beta = noise_config.beta(budget.epsilon_2)
-    scale_mult = noise_config.scale_multiplier(budget.epsilon_2)
+    symmetric, uploads1 = release_step1(graph, budget.epsilon_1, rng)
+    p = budget.p
+    beta = budget.beta
+    scale_mult = budget.smooth_noise_scale
 
     downloads = 0
     uploads2 = 0
     per_node: dict[int, float] = {}
     ledger: dict[int, tuple[BudgetEntry, ...]] = {}
     for v in range(graph.node_count):
-        view = _make_view(graph, assignment, release, v)
+        view = _make_view(graph, assignment, symmetric, v)
         downloads += len(view.assigned)  # one noisy weight per assigned triangle
-        f_v = node_step2_count(view, lam, kind, p_effective)
+        f_v = node_step2_count(view, lam, kind, p)
         if mechanism is Mechanism.GLOBAL_LAPLACE:
-            sens = global_sensitivity(v, assignment, graph, kind, p=budget.p)
+            sens = global_sensitivity(v, assignment, graph, kind, p=p)
             noise = 0.0
-            if sens > 0.0 and not _zero_noise:
+            if sens > 0.0:
                 noise = float(
                     laplace_sample(sens / budget.epsilon_2, rng.node_stream(v, STEP2_ROUND))
                 )
@@ -221,17 +203,15 @@ def run_two_step(
                 lam,
                 beta,
                 kind,
-                p=p_effective,
+                p=p,
             )
             if kind is EstimatorKind.BIASED:
                 sens = smooth_sensitivity_biased(inst)
             else:
                 sens = smooth_sensitivity_unbiased(inst)
             noise = 0.0
-            if sens > 0.0 and not _zero_noise:
-                noise = scale_mult * sens * smooth_noise_sample(
-                    noise_config, rng.node_stream(v, STEP2_ROUND)
-                )
+            if sens > 0.0:
+                noise = scale_mult * sens * smooth_noise_sample(rng.node_stream(v, STEP2_ROUND))
             query = "smooth"
         per_node[v] = f_v + noise
         uploads2 += 1
@@ -259,18 +239,15 @@ def run_baseline(
     rng: RandomSource | None = None,
     *,
     triangles: Sequence[Triangle] | None = None,
-    _zero_noise: bool = False,
 ) -> RunReport:
     """Non-interactive baseline: privatize all weights once, count on the noisy graph."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_dlap_epsilon(epsilon)
     lam = _integral_threshold(lam)
     if rng is None:
         rng = RandomSource(0)
     if triangles is None:
         triangles = enumerate_triangles(graph)
-    release, uploads1 = release_step1(graph, epsilon, rng, _zero_noise=_zero_noise)
-    w_prime = release.symmetric
+    w_prime, uploads1 = release_step1(graph, epsilon, rng)
     count = 0
     for t in triangles:
         total = sum(w_prime[e] for e in t.edges())

@@ -88,3 +88,16 @@ def test_count_accepts_budget_split(graph_file, capsys):
     ])
     assert rc == 0
     assert "trial 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["count", "--eps", "2.0", "--estimator", "biased", "--mechanism", "global"],
+    ["baseline", "--eps", "1.0"],
+])
+def test_zero_trials_is_a_usage_error(graph_file, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--graph", graph_file, "--lambda", "6", "--trials", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err
+    assert "f_exact" not in captured.out

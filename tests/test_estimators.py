@@ -5,7 +5,6 @@ import pytest
 
 from lwdp_triangles.estimators import (
     EstimatorKind,
-    biased_indicator,
     closed_form_moments,
     covariance_biased,
     estimate,
@@ -25,9 +24,9 @@ PS = (math.exp(-0.5), math.exp(-1.0), math.exp(-2.0))
 
 
 def test_biased_indicator():
-    assert biased_indicator(1, 2, 0, 4) == 1
-    assert biased_indicator(1, 2, 1, 4) == 0  # strict at the threshold
-    assert biased_indicator(-3, -3, -3, 0) == 1
+    assert estimate(EstimatorKind.BIASED, 1 + 2 + 0, 4, 0.5) == 1.0
+    assert estimate(EstimatorKind.BIASED, 1 + 2 + 1, 4, 0.5) == 0.0  # strict at the threshold
+    assert estimate(EstimatorKind.BIASED, -3 - 3 - 3, 0, 0.5) == 1.0
 
 
 def test_h_value_cases():
@@ -36,7 +35,7 @@ def test_h_value_cases():
     assert h_value(lam, lam, 0.5) == pytest.approx(-2.0)
     assert h_value(lam - 1, lam, 0.5) == pytest.approx(3.0)
     assert h_value(lam - 5, lam, 0.5) == 1.0
-    # p = 0 collapses h to the exact indicator (noise-free identity mode)
+    # p = 0 (the epsilon_1 -> infinity limit) collapses h to the exact indicator
     for m in range(lam - 3, lam + 3):
         assert h_value(m, lam, 0.0) == float(m < lam)
 

@@ -3,7 +3,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lwdp_triangles import WeightedGraph, enumerate_triangles
+from lwdp_triangles import (
+    EstimatorKind,
+    PrivacyBudget,
+    RandomSource,
+    WeightedGraph,
+    enumerate_triangles,
+    exact_below_threshold_count,
+    run_baseline,
+    run_two_step,
+    triangle_weight,
+)
 from lwdp_triangles.experiments import (
     EdgeListParseError,
     ExperimentConfig,
@@ -18,6 +28,7 @@ from lwdp_triangles.experiments import (
     sample_induced_subgraph,
     write_edge_list,
 )
+from lwdp_triangles.protocol import Mechanism
 
 
 def test_parse_single_edge(tmp_path):
@@ -130,14 +141,32 @@ def test_default_lambda_is_90th_percentile_rule():
     assert default_lambda([]) == 1
 
 
-def test_run_sweep_zero_noise_has_zero_errors():
+def test_run_sweep_mean_errors_equal_direct_paired_runs():
     g = generate_synthetic(12, 0.6, seed=1)
-    cfg = ExperimentConfig(axis="eps", values=(1.0, 2.0), trials=2, seed=3)
-    report = run_sweep(cfg, g, _zero_noise=True)
-    for row in report.rows:
+    cfg = ExperimentConfig(axis="eps", values=(2.0, 1.0), trials=2, seed=3)
+    report = run_sweep(cfg, g)
+    tris = enumerate_triangles(g)
+    lam = default_lambda([triangle_weight(g, t) for t in tris])
+    exact = exact_below_threshold_count(g, lam, tris)
+    assert exact > 0
+    # rows come in sorted axis order, and trial t at row i replays
+    # RandomSource(seed).subsource(i, t) for every method
+    assert [row.x for row in report.rows] == [1.0, 2.0]
+    for axis_idx, row in enumerate(report.rows):
         assert not row.flagged
         for m in METHODS:
-            assert row.mean_errors[m] == 0.0
+            total = 0.0
+            for trial in range(cfg.trials):
+                rng = RandomSource(cfg.seed).subsource(axis_idx, trial)
+                if m == "baseline":
+                    est = run_baseline(g, lam, row.x, rng).estimate
+                else:
+                    mech = Mechanism.GLOBAL_LAPLACE if m.startswith("global") else Mechanism.SMOOTH
+                    kind = EstimatorKind.UNBIASED if m.endswith("unbiased") else EstimatorKind.BIASED
+                    budget = PrivacyBudget.even_split(row.x)
+                    est = run_two_step(g, lam, budget, kind, mech, rng).estimate
+                total += abs(exact - est) / exact
+            assert row.mean_errors[m] == total / cfg.trials
 
 
 def test_run_sweep_csv_schema_and_determinism():

@@ -8,7 +8,6 @@ from scipy import integrate
 from lwdp_triangles.mechanisms import (
     PrivacyBudget,
     RandomSource,
-    SmoothNoiseConfig,
     dlap_cdf,
     dlap_pmf,
     dlap_sample,
@@ -113,8 +112,7 @@ def test_smooth_noise_cdf_matches_quadrature():
 
 
 def test_smooth_noise_sample_moments():
-    cfg = SmoothNoiseConfig()
-    draws = smooth_noise_sample(cfg, RandomSource(777).stream(2), size=1_000_000)
+    draws = smooth_noise_sample(RandomSource(777).stream(2), size=1_000_000)
     assert float(np.var(draws)) == pytest.approx(1.0, rel=0.05)
     assert abs(float(np.mean(draws))) < 0.01
     # Pr[|Z| <= 1] against the quadrature oracle, within 3 standard errors
@@ -124,16 +122,10 @@ def test_smooth_noise_sample_moments():
     assert abs(phat - target) <= 3 * se
 
 
-def test_smooth_noise_rejects_other_gamma():
-    with pytest.raises(ValueError):
-        SmoothNoiseConfig(gamma=3.0)
-
-
 def test_smooth_noise_config_derived_quantities():
-    cfg = SmoothNoiseConfig()
-    assert cfg.scale_multiplier(1.0) == pytest.approx(2 * 3 ** 0.75)
-    assert cfg.beta(1.0) == pytest.approx(1 / 6)
-    assert cfg.beta(2.0) == pytest.approx(1 / 3)
+    assert PrivacyBudget(1.0, 1.0).smooth_noise_scale == pytest.approx(2 * 3 ** 0.75)
+    assert PrivacyBudget(1.0, 1.0).beta == pytest.approx(1 / 6)
+    assert PrivacyBudget(1.0, 2.0).beta == pytest.approx(1 / 3)
 
 
 def test_privatize_weight_vector():
@@ -142,7 +134,8 @@ def test_privatize_weight_vector():
     noisy = privatize_weight_vector(w, 1.0, rng)
     assert len(noisy) == len(w)
     assert all(isinstance(v, int) for v in noisy)
-    assert privatize_weight_vector(w, 1.0, rng, _zero_noise=True) == w
+    # e^{-700} > 0 but 1 - e^{-700} == 1.0, so every DLap draw is exactly 0
+    assert privatize_weight_vector(w, 700.0, rng) == w
     # per-entry empirical mean recovers the true weight
     acc = np.zeros(len(w))
     trials = 4000

@@ -1,3 +1,4 @@
+import inspect
 import math
 import statistics
 
@@ -16,8 +17,11 @@ from lwdp_triangles import (
     run_two_step,
 )
 from lwdp_triangles.estimators import expected_biased
+from lwdp_triangles.experiments import run_sweep
 from lwdp_triangles.graph import triangle_weight
+from lwdp_triangles.mechanisms import privatize_weight_vector
 from lwdp_triangles.protocol import (
+    STEP1_ROUND,
     Mechanism,
     NodeStep2View,
     node_step2_count,
@@ -30,39 +34,42 @@ from conftest import complete_graph, random_graph
 import random
 
 
-def test_zero_noise_identity_all_methods():
+def test_large_budget_identity_all_methods():
     rnd = random.Random(2)
     # weights land exactly on the boundary values too
     g = random_graph(rnd, 18, 0.5, 0, 2)
     tris = enumerate_triangles(g)
     lam = 3
     exact = exact_below_threshold_count(g, lam, tris)
-    budget = PrivacyBudget(1.0, 1.0)
+    # epsilon_1 = 700 makes every DLap draw exactly 0; epsilon_2 = 1e300 makes
+    # the step-2 noise far smaller than 1e-12
+    budget = PrivacyBudget(700.0, 1e300)
     for kind in EstimatorKind:
         for mech in Mechanism:
-            rep = run_two_step(g, lam, budget, kind, mech, RandomSource(4), _zero_noise=True)
+            rep = run_two_step(g, lam, budget, kind, mech, RandomSource(4))
             assert rep.estimate == pytest.approx(float(exact), abs=1e-12)
-    base = run_baseline(g, lam, 2.0, RandomSource(4), _zero_noise=True)
+    base = run_baseline(g, lam, 700.0, RandomSource(4))
     assert base.estimate == float(exact)
 
 
 def test_symmetrization_tie_break():
     g = WeightedGraph(2, [(0, 1, 5)])
-    release, uploads = release_step1(g, 1.0, RandomSource(11))
+    noisy, uploads = release_step1(g, 1.0, RandomSource(11))
     assert uploads == 2
     # the public weight is the release of the lower-id endpoint
-    assert release.symmetric[(0, 1)] == release.vectors[0][(0, 1)]
+    own = privatize_weight_vector([5], 1.0, RandomSource(11).node_stream(0, STEP1_ROUND))
+    assert noisy[(0, 1)] == own[0]
 
 
 def test_release_covers_every_edge_and_pairs_across_methods():
     rnd = random.Random(3)
     g = random_graph(rnd, 14, 0.5, -3, 3)
-    release, _ = release_step1(g, 1.0, RandomSource(6))
-    assert set(release.symmetric) == set(g.edges())
+    noisy, _ = release_step1(g, 1.0, RandomSource(6))
+    assert set(noisy) == set(g.edges())
     # identical seed and budget give identical step-1 noise, whichever
     # mechanism consumes it afterwards (paired-seed isolation)
     again, _ = release_step1(g, 1.0, RandomSource(6))
-    assert release.symmetric == again.symmetric and release.vectors == again.vectors
+    assert noisy == again
 
 
 def test_communication_tallies_k4():
@@ -135,9 +142,9 @@ def test_step2_isolation_from_other_nodes():
     rnd = random.Random(6)
     g = random_graph(rnd, 12, 0.6, -2, 2)
     assignment = greedy_assign(g)
-    release, _ = release_step1(g, 1.0, RandomSource(8))
+    noisy, _ = release_step1(g, 1.0, RandomSource(8))
     lam, p = 1, math.exp(-1.0)
-    views = {v: _make_view(g, assignment, release, v) for v in range(g.node_count)}
+    views = {v: _make_view(g, assignment, noisy, v) for v in range(g.node_count)}
     before = {v: node_step2_count(views[v], lam, EstimatorKind.UNBIASED, p) for v in views}
     # tamper every other node's private inputs; node 0's count must not move
     changed = 0
@@ -157,21 +164,33 @@ def test_step2_isolation_from_other_nodes():
     assert changed > 0  # the tampering itself is observable somewhere
 
 
-def test_baseline_zero_noise_and_unreachable_threshold():
+def test_baseline_large_budget_identity_and_unreachable_threshold():
     g = complete_graph(4, weight=0)
     for seed in range(5):
         rep = run_baseline(g, 10**9, 2.0, RandomSource(seed))
         assert rep.estimate == 4.0
-    zero = run_baseline(g, 1, 1.0, RandomSource(0), _zero_noise=True)
-    assert zero.estimate == float(zero.exact_count) == 4.0
+    exact = run_baseline(g, 1, 700.0, RandomSource(0))
+    assert exact.estimate == float(exact.exact_count) == 4.0
 
 
 def test_invalid_budget_is_configuration_error():
     g = complete_graph(4)
     with pytest.raises(ValueError):
         run_two_step(g, 1, "not a budget", EstimatorKind.BIASED, Mechanism.SMOOTH)  # type: ignore[arg-type]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly positive"):
         run_baseline(g, 1, -1.0)
+    for epsilon in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            run_baseline(g, 1, epsilon)
+    with pytest.raises(ValueError, match="underflow"):
+        run_baseline(g, 1, 800.0)
+
+
+def test_privacy_facing_signatures_have_no_private_parameters():
+    # debug-only switches do not belong in privacy-facing signatures
+    for fn in (run_two_step, run_baseline, release_step1, privatize_weight_vector, run_sweep):
+        private = [name for name in inspect.signature(fn).parameters if name.startswith("_")]
+        assert private == [], f"{fn.__name__} takes {private}"
 
 
 def test_fractional_threshold_is_rejected():

@@ -206,26 +206,26 @@ def test_local_sensitivity_matches_raw_estimator_differences():
     for trial in range(25):
         g = random_graph(rnd, rnd.randint(5, 11), 0.6, -4, 4)
         assignment = greedy_assign(g)
-        release, _ = release_step1(g, 1.0, RandomSource(trial))
+        noisy, _ = release_step1(g, 1.0, RandomSource(trial))
         lam = rnd.randint(-3, 6)
         for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, math.exp(-1))):
             for v in range(g.node_count):
                 inst = build_instance(
-                    g, assignment, release.symmetric, v, lam, 0.5, kind, p=p
+                    g, assignment, noisy, v, lam, 0.5, kind, p=p
                 )
                 base_w = {
                     canonical_edge(v, u): g.weight(v, u) for u in g.neighbors(v)
                 }
                 assigned = assignment.triangles_of(v)
                 p_eff = 0.0 if p is None else p
-                f0 = raw_local_count(g, assigned, v, base_w, release.symmetric, lam, kind, p_eff)
+                f0 = raw_local_count(g, assigned, v, base_w, noisy, lam, kind, p_eff)
                 worst = 0.0
                 for edge in base_w:
                     for sign in (1, -1):
                         bumped = dict(base_w)
                         bumped[edge] += sign
                         f1 = raw_local_count(
-                            g, assigned, v, bumped, release.symmetric, lam, kind, p_eff
+                            g, assigned, v, bumped, noisy, lam, kind, p_eff
                         )
                         worst = max(worst, abs(f1 - f0))
                 assert local_sensitivity(inst) == pytest.approx(worst, abs=1e-9)
