@@ -33,7 +33,6 @@ from .estimators import (
     expected_biased,
     h_value,
 )
-from .target_index import DoubleTargetIndex, SingleTargetIndex
 from .sensitivity import (
     SmoothSensInstance,
     build_instance,

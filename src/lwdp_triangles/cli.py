@@ -15,7 +15,7 @@ from .experiments import (
     run_sweep,
 )
 from .graph import enumerate_triangles, exact_below_threshold_count
-from .mechanisms import PrivacyBudget, RandomSource
+from .mechanisms import PrivacyBudget, RandomSource, check_dlap_epsilon
 from .protocol import Mechanism, release_step1, run_baseline, run_two_step
 from .sensitivity import (
     build_instance,
@@ -40,7 +40,17 @@ def _cmd_assign(args) -> int:
     return 0
 
 
+def _usage_checked(args, check, value):
+    """``check(value)``, reporting a ValueError as a usage error (exit 2)
+    before the command prints anything."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def _cmd_sensitivity(args) -> int:
+    _usage_checked(args, check_dlap_epsilon, args.eps1)
     graph = parse_edge_list(args.graph)
     if not (0 <= args.node < graph.node_count):
         print(f"node {args.node} out of range", file=sys.stderr)
@@ -53,7 +63,7 @@ def _cmd_sensitivity(args) -> int:
     inst = build_instance(
         graph, assignment, symmetric, args.node, args.lam, args.beta, kind, p=p
     )
-    gs = global_sensitivity(args.node, assignment, graph, kind, p=p)
+    gs = global_sensitivity(args.node, assignment, kind, p=p)
     fast = smooth_sensitivity(inst)
     print(f"assigned_triangles: {len(assignment.triangles_of(args.node))}")
     print(f"global_sensitivity: {gs:.12g}")
@@ -67,7 +77,7 @@ def _cmd_sensitivity(args) -> int:
 def _budget_from_args(args) -> PrivacyBudget:
     if args.eps1 is not None or args.eps2 is not None:
         if args.eps1 is None or args.eps2 is None:
-            raise SystemExit("--eps1 and --eps2 must be given together")
+            raise ValueError("--eps1 and --eps2 must be given together")
         return PrivacyBudget(args.eps1, args.eps2, args.eps)
     return PrivacyBudget.even_split(args.eps)
 
@@ -89,8 +99,8 @@ def _print_trials(args, graph, triangles, run) -> int:
 
 
 def _cmd_count(args) -> int:
+    budget = _usage_checked(args, _budget_from_args, args)
     graph = parse_edge_list(args.graph)
-    budget = _budget_from_args(args)
     kind = EstimatorKind(args.estimator)
     mechanism = Mechanism(args.mechanism)
     triangles = enumerate_triangles(graph)
@@ -102,6 +112,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    _usage_checked(args, check_dlap_epsilon, args.eps)
     graph = parse_edge_list(args.graph)
     triangles = enumerate_triangles(graph)
     return _print_trials(args, graph, triangles, lambda rng: run_baseline(
@@ -161,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps1", type=float, default=1.0, help="step-1 budget for the noisy release")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true", help="also run the brute-force oracle")
-    p.set_defaults(func=_cmd_sensitivity)
+    p.set_defaults(func=_cmd_sensitivity, parser=p)
 
     p = sub.add_parser("count", help="run the two-step protocol")
     p.add_argument("--graph", required=True)
@@ -173,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", choices=[m.value for m in Mechanism], required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=1)
-    p.set_defaults(func=_cmd_count)
+    p.set_defaults(func=_cmd_count, parser=p)
 
     p = sub.add_parser("baseline", help="run the non-interactive baseline")
     p.add_argument("--graph", required=True)
@@ -181,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=1)
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(func=_cmd_baseline, parser=p)
 
     p = sub.add_parser("experiment", help="sweep an axis and write a CSV error table")
     p.add_argument("--graph", required=True)

@@ -12,7 +12,24 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class GraphStructureError(ValueError):
-    """Raised for self-loops, duplicate edges, or references to missing edges."""
+    """Raised for self-loops, duplicate edges, non-integral weights, or
+    references to missing edges."""
+
+
+def integral(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int if it is integral-valued (3.0 gives 3), else ``error``.
+
+    Truncating instead would silently change the data: a weight of 2.7
+    would be stored as 2, and a fractional threshold breaks the estimators'
+    boundary cases.
+    """
+    try:
+        result = int(value)
+    except (TypeError, ValueError, OverflowError):
+        result = None
+    if result is None or result != value:
+        raise error(f"expected an integer {what}, got {value!r}")
+    return result
 
 
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
@@ -83,7 +100,7 @@ class WeightedGraph:
             key = canonical_edge(u, v)
             if key in weights:
                 raise GraphStructureError(f"duplicate edge {key}")
-            weights[key] = int(w)
+            weights[key] = integral(w, f"weight on edge {key}", GraphStructureError)
             adj[u].append(v)
             adj[v].append(u)
         self._weights = weights

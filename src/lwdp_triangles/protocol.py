@@ -15,7 +15,14 @@ from typing import Sequence
 
 from .assignment import Assignment, greedy_assign
 from .estimators import EstimatorKind, estimate
-from .graph import Triangle, WeightedGraph, canonical_edge, enumerate_triangles, exact_below_threshold_count
+from .graph import (
+    Triangle,
+    WeightedGraph,
+    canonical_edge,
+    enumerate_triangles,
+    exact_below_threshold_count,
+    integral,
+)
 from .mechanisms import (
     PrivacyBudget,
     RandomSource,
@@ -82,17 +89,6 @@ class NodeStep2View:
     incident_weights: dict[Edge, int]
     assigned: tuple[Triangle, ...]
     received_noisy: dict[Edge, int]
-
-
-def _integral_threshold(lam) -> int:
-    # A fractional threshold silently breaks the estimators' boundary cases.
-    try:
-        value = int(lam)
-    except (TypeError, ValueError, OverflowError):
-        value = None
-    if value is None or value != lam:
-        raise ValueError(f"lam must be an integer threshold, got {lam!r}")
-    return value
 
 
 def release_step1(
@@ -165,7 +161,7 @@ def run_two_step(
     """
     if not isinstance(budget, PrivacyBudget):
         raise ValueError("budget must be a PrivacyBudget")
-    lam = _integral_threshold(lam)
+    lam = integral(lam, "threshold lam")
     if rng is None:
         rng = RandomSource(0)
     if triangles is None:
@@ -187,7 +183,7 @@ def run_two_step(
         downloads += len(view.assigned)  # one noisy weight per assigned triangle
         f_v = node_step2_count(view, lam, kind, p)
         if mechanism is Mechanism.GLOBAL_LAPLACE:
-            sens = global_sensitivity(v, assignment, graph, kind, p=p)
+            sens = global_sensitivity(v, assignment, kind, p=p)
             noise = 0.0
             if sens > 0.0:
                 noise = float(
@@ -242,7 +238,7 @@ def run_baseline(
 ) -> RunReport:
     """Non-interactive baseline: privatize all weights once, count on the noisy graph."""
     check_dlap_epsilon(epsilon)
-    lam = _integral_threshold(lam)
+    lam = integral(lam, "threshold lam")
     if rng is None:
         rng = RandomSource(0)
     if triangles is None:

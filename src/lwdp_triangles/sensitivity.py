@@ -3,11 +3,13 @@
 The smooth computation reformulates sensitivity-at-distance as shifting the
 per-triangle partial sums c_j onto a moving integer target t at l1 cost,
 discounted by e^{-beta |z|}.  Both estimators sweep t over one edge's sorted
-sums with the sorted-array distance indexes of ``target_index`` and share one
-outer-extension step.  For the biased estimator only counts on the target
-matter (a single-target index); for the unbiased estimator the values
-adjacent to the target contribute differently from the values on it, handled
-through a double-target and a single-target index over the same array.
+sums c.  Per target, bisects over c give the values at t-1, t and t+1 in
+O(log d), and one outward walk shifts the remaining values onto the target,
+nearest first, in O(1) per step.  Every walked value is at distance >= 1,
+so the count-ratio rule k/(k+1) < e^{-beta * distance} ends the walk within
+about 1/beta steps.  For the biased estimator only values on the target
+matter; for the unbiased estimator the values adjacent to the target
+contribute differently from the values on it.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target in an exact pruning radius and exhausts all shift counts
@@ -18,13 +20,13 @@ algorithmic machinery.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .assignment import Assignment, InstanceTooLargeError
 from .estimators import EstimatorKind, estimator_step_bound, unbiased_correction
 from .graph import Triangle, WeightedGraph, canonical_edge
-from .target_index import DoubleTargetIndex, SingleTargetIndex
 
 Edge = tuple[int, int]
 
@@ -35,7 +37,6 @@ Edge = tuple[int, int]
 def global_sensitivity(
     node: int,
     assignment: Assignment,
-    graph: WeightedGraph,
     kind: EstimatorKind,
     p: float | None = None,
 ) -> float:
@@ -159,32 +160,32 @@ def _anchor_discount(t: int, thetas: tuple[int, int], beta: float) -> float:
     return math.exp(-beta * min(abs(t - thetas[0]), abs(t - thetas[1])))
 
 
-def _extend_over_outer(idx, near: int, base: int, gain: float, beta: float) -> float:
-    # The ``near`` closest values are already counted in ``base``; shift the
-    # rest onto the target, closest first, while the count-ratio rule keeps
+def _extend_over_outer(
+    c: list[int], lo: int, hi: int, t: int, shift: int, base: int, cost: int,
+    gain: float, beta: float,
+) -> float:
+    # c[lo:hi] is already counted in ``base`` at total distance ``cost``; walk
+    # outward over the rest, nearest value first, shifting each onto the
+    # target at distance |v - t| - shift, while the count-ratio rule keeps
     # improving: growing k to k+1 helps iff k/(k+1) < e^{-beta d}, the ratio
     # increases and d never decreases, so stop at the first failure.
-    # kth_distance/sum_k_distances fold in every value closer than the next
-    # one, so the exponent comes straight off the index.
-    outer = idx.size - near
-    if outer <= 0:
-        return 0.0
-    # The first step already fails if even the closest conceivable next
-    # value cannot satisfy the rule, so skip the index probes.  Values at
-    # distance 1 are still ahead when the caller has not counted them.
-    if base > 0:
-        d = 1 if near < idx.near_count else idx.min_outer_distance
-        if base / (base + 1) >= math.exp(-beta * d):
-            return 0.0
     best = 0.0
-    k = 0
-    while k < outer:
-        d = idx.kth_distance(near + k + 1)
-        if not ((base + k) / (base + k + 1) < math.exp(-beta * d)):
+    i, j, n = lo - 1, hi, len(c)
+    k = base
+    while True:
+        if i >= 0 and (j == n or t - c[i] <= c[j] - t):
+            d = t - c[i] - shift
+            i -= 1
+        elif j < n:
+            d = c[j] - t - shift
+            j += 1
+        else:
+            break
+        if not (k / (k + 1) < math.exp(-beta * d)):
             break
         k += 1
-        total = idx.sum_k_distances(near + k)
-        best = max(best, gain * (base + k) * math.exp(-beta * total))
+        cost += d
+        best = max(best, gain * k * math.exp(-beta * cost))
     return best
 
 
@@ -192,11 +193,12 @@ def _extend_over_outer(idx, near: int, base: int, gain: float, beta: float) -> f
 
 
 def smooth_sensitivity_biased(inst: SmoothSensInstance) -> float:
-    """beta-smooth sensitivity of the biased local count, O(d^2 polylog d).
+    """beta-smooth sensitivity of the biased local count.
 
     Only values on the target count, and the best shift count at a target is
-    anchor-independent, so each edge sweeps the targets {c_j} plus the two
-    initial targets once, scoring both anchors per target.
+    anchor-independent, so each edge scores the targets {c_j} plus the two
+    initial targets once, both anchors per target.  A target costs two
+    O(log d) bisects plus an outward walk of about 1/beta steps at most.
     """
     if inst.kind is not EstimatorKind.BIASED:
         raise ValueError("instance is not for the biased estimator")
@@ -207,11 +209,12 @@ def smooth_sensitivity_biased(inst: SmoothSensInstance) -> float:
             continue
         c = sorted(view.partial_sums)
         thetas = _anchor_targets(view, inst.lam)
-        idx = SingleTargetIndex(c, c[0])
         for t in sorted(set(c).union(thetas)):
-            idx.update_target(t)
-            on_target = idx.zero_count
-            cand = max(float(on_target), _extend_over_outer(idx, on_target, on_target, 1.0, beta))
+            lo = bisect_left(c, t)
+            hi = bisect_right(c, t)
+            on_target = hi - lo
+            walk = _extend_over_outer(c, lo, hi, t, 0, on_target, 0, 1.0, beta)
+            cand = max(float(on_target), walk)
             v = cand * _anchor_discount(t, thetas, beta)
             if v > best:
                 best = v
@@ -221,80 +224,67 @@ def smooth_sensitivity_biased(inst: SmoothSensInstance) -> float:
 # -- smooth sensitivity, unbiased estimator ------------------------------------
 
 
-def _unbiased_edge_best(
-    pos_idx: DoubleTargetIndex,
-    neg_idx: SingleTargetIndex,
-    targets: Sequence[int],
-    thetas: tuple[int, int],
-    x: float,
-    beta: float,
-) -> float:
-    big = 1.0 + 2.0 * x
-    slope = 1.0 + 3.0 * x
-    inv_beta = 1.0 / beta
-    exp = math.exp
-    best = 0.0
-    for t in targets:
-        discount = _anchor_discount(t, thetas, beta)
-        pos_idx.update_target(t)
-        neg_idx.adopt_regions(pos_idx)  # same array, same boundaries
-        adjacent = pos_idx.on_low + pos_idx.on_high
-        on_target = pos_idx.on_target
-        near = adjacent + on_target
-        cand = 0.0
-        # positive contribution: adjacent values give +x, on-target -1-2x
-        a0 = adjacent * x - on_target * big
-        stat = inv_beta - a0 / slope
-        for k in (0, on_target, min(max(math.floor(stat), 0), on_target),
-                  min(max(math.ceil(stat), 0), on_target)):
-            v = (a0 + slope * k) * exp(-beta * k)
-            if v > cand:
-                cand = v
-        v = _extend_over_outer(pos_idx, near, near, x, beta)
-        if v > cand:
-            cand = v
-        # negative contribution: on-target values give +1+2x, adjacent -x
-        a1 = big * on_target - x * adjacent
-        stat = inv_beta - a1 / slope
-        for k in (0, adjacent, min(max(math.floor(stat), 0), adjacent),
-                  min(max(math.ceil(stat), 0), adjacent)):
-            v = (a1 + slope * k) * exp(-beta * k)
-            if v > cand:
-                cand = v
-        v = _extend_over_outer(neg_idx, near, near, big, beta)
-        if v > cand:
-            cand = v
-        v = cand * discount
-        if v > best:
-            best = v
-    return best
-
-
 def smooth_sensitivity_unbiased(inst: SmoothSensInstance) -> float:
-    """beta-smooth sensitivity of the unbiased local count, O(d^2 log^2 d).
+    """beta-smooth sensitivity of the unbiased local count.
 
-    Both step signs reduce to the same two target-sweep problems (positive
-    and negative sum contribution) with the initial target shifted by one;
-    the best shift counts at a target are anchor-independent, so each edge
-    runs one sweep over the candidate targets {c_j - 1, c_j, c_j + 1} plus
-    the two initial targets, scoring both anchors per target.
+    Both step signs reduce to the same two target problems (positive and
+    negative sum contribution) with the initial target shifted by one; the
+    best shift counts at a target are anchor-independent, so each edge
+    scores the candidate targets {c_j - 1, c_j, c_j + 1} plus the two
+    initial targets once, both anchors per target.  A target costs four
+    O(log d) bisects, closed-form stationary points for the values at t-1,
+    t and t+1, and two outward walks of about 1/beta steps at most.  Outside
+    [t-1, t+1] the distance to the pair {t-1, t+1} is the distance to t
+    minus one, so both walks run over the same values.
     """
     if inst.kind is not EstimatorKind.UNBIASED:
         raise ValueError("instance is not for the unbiased estimator")
     x = unbiased_correction(inst.p)
+    beta = inst.beta
+    big = 1.0 + 2.0 * x
+    slope = 1.0 + 3.0 * x
+    inv_beta = 1.0 / beta
+    exp = math.exp
     best = 0.0
     for view in inst.edges:
         if not view.partial_sums:
             continue
         c = sorted(view.partial_sums)
         thetas = _anchor_targets(view, inst.lam)
-        targets = sorted({v + d for v in c for d in (-1, 0, 1)}.union(thetas))
-        pos_idx = DoubleTargetIndex(c, c[0])
-        neg_idx = SingleTargetIndex(c, c[0])
-        best = max(
-            best,
-            _unbiased_edge_best(pos_idx, neg_idx, targets, thetas, x, inst.beta),
-        )
+        for t in sorted({v + d for v in c for d in (-1, 0, 1)}.union(thetas)):
+            l0 = bisect_left(c, t - 1)
+            l1 = bisect_right(c, t - 1)
+            r0 = bisect_left(c, t + 1)
+            r1 = bisect_right(c, t + 1)
+            adjacent = (l1 - l0) + (r1 - r0)
+            on_target = r0 - l1
+            near = r1 - l0
+            cand = 0.0
+            # positive contribution: adjacent values give +x, on-target -1-2x
+            a0 = adjacent * x - on_target * big
+            stat = inv_beta - a0 / slope
+            for k in (0, on_target, min(max(math.floor(stat), 0), on_target),
+                      min(max(math.ceil(stat), 0), on_target)):
+                v = (a0 + slope * k) * exp(-beta * k)
+                if v > cand:
+                    cand = v
+            v = _extend_over_outer(c, l0, r1, t, 1, near, on_target, x, beta)
+            if v > cand:
+                cand = v
+            # negative contribution: on-target values give +1+2x, adjacent -x
+            a1 = big * on_target - x * adjacent
+            stat = inv_beta - a1 / slope
+            for k in (0, adjacent, min(max(math.floor(stat), 0), adjacent),
+                      min(max(math.ceil(stat), 0), adjacent)):
+                v = (a1 + slope * k) * exp(-beta * k)
+                if v > cand:
+                    cand = v
+            v = _extend_over_outer(c, l0, r1, t, 0, near, adjacent, big, beta)
+            if v > cand:
+                cand = v
+            v = cand * _anchor_discount(t, thetas, beta)
+            if v > best:
+                best = v
     return best
 
 

@@ -55,13 +55,13 @@ def test_criterion_1_smooth_sensitivity_oracle_equivalence():
         fast = smooth_sensitivity_biased(inst)
         oracle = smooth_sensitivity_bruteforce(inst)
         worst = max(worst, abs(fast - oracle) / max(abs(oracle), 1e-12))
-        matched += math.isclose(fast, oracle, rel_tol=1e-9, abs_tol=1e-12)
+        matched += math.isclose(fast, oracle, rel_tol=1e-12, abs_tol=1e-12)
     for i in range(500):
         inst = random_local_instance(rnd, EstimatorKind.UNBIASED, p=PS[i % 3])
         fast = smooth_sensitivity_unbiased(inst)
         oracle = smooth_sensitivity_bruteforce(inst)
         worst = max(worst, abs(fast - oracle) / max(abs(oracle), 1e-12))
-        matched += math.isclose(fast, oracle, rel_tol=1e-9, abs_tol=1e-12)
+        matched += math.isclose(fast, oracle, rel_tol=1e-12, abs_tol=1e-12)
     elapsed = time.time() - t0
     ok = matched == 1000 and elapsed < 60.0
     record(1, "smooth-sensitivity oracle equivalence", ok,

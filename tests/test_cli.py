@@ -101,3 +101,21 @@ def test_zero_trials_is_a_usage_error(graph_file, command, capsys):
     captured = capsys.readouterr()
     assert "--trials" in captured.err
     assert "f_exact" not in captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["count", "--eps", "nan", "--estimator", "unbiased", "--mechanism", "smooth"],
+    ["count", "--eps", "2.0", "--eps1", "0.5", "--estimator", "biased", "--mechanism", "global"],
+    ["count", "--eps", "2.0", "--eps1", "1.5", "--eps2", "1.5",
+     "--estimator", "biased", "--mechanism", "global"],
+    ["sensitivity", "--eps1", "nan", "--node", "0", "--beta", "0.25", "--estimator", "biased"],
+    ["baseline", "--eps", "800"],
+    ["baseline", "--eps", "inf"],
+])
+def test_invalid_budget_is_a_usage_error(graph_file, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--graph", graph_file, "--lambda", "6"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"lwdp-triangles {command[0]}: error:" in captured.err

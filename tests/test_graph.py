@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from lwdp_triangles import (
@@ -98,6 +100,16 @@ def test_structure_validation():
         WeightedGraph(3, [(0, 1, 1), (1, 0, 2)])
     with pytest.raises(GraphStructureError):
         WeightedGraph(2, [(0, 5, 1)])
+
+
+def test_non_integral_weight_is_rejected():
+    for w in (2.7, -0.5, math.nan, math.inf, "3", None):
+        with pytest.raises(GraphStructureError, match="integer weight"):
+            WeightedGraph(3, [(0, 1, w), (0, 2, 1), (1, 2, 1)])
+    # an integral float or numpy integer is the same weight, stored as an int
+    g = WeightedGraph(3, [(0, 1, 3.0), (0, 2, np.int64(-2)), (1, 2, 1)])
+    assert g.edge_weights() == {(0, 1): 3, (0, 2): -2, (1, 2): 1}
+    assert all(type(w) is int for w in g.edge_weights().values())
 
 
 def test_degree_table_consistent():
