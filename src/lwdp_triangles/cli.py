@@ -40,11 +40,11 @@ def _cmd_assign(args) -> int:
     return 0
 
 
-def _usage_checked(args, check, value):
-    """``check(value)``, reporting a ValueError as a usage error (exit 2)
-    before the command prints anything."""
+def _usage_checked(args, check, *values, **options):
+    """``check(*values, **options)``, reporting a ValueError as a usage
+    error (exit 2) before the command prints anything."""
     try:
-        return check(value)
+        return check(*values, **options)
     except ValueError as exc:
         args.parser.error(str(exc))
 
@@ -60,8 +60,9 @@ def _cmd_sensitivity(args) -> int:
     assignment = greedy_assign(graph, triangles)
     symmetric, _ = release_step1(graph, args.eps1, RandomSource(args.seed))
     p = None if kind is EstimatorKind.BIASED else PrivacyBudget(args.eps1, 1.0).p
-    inst = build_instance(
-        graph, assignment, symmetric, args.node, args.lam, args.beta, kind, p=p
+    inst = _usage_checked(
+        args, build_instance,
+        graph, assignment, symmetric, args.node, args.lam, args.beta, kind, p=p,
     )
     gs = global_sensitivity(args.node, assignment, kind, p=p)
     fast = smooth_sensitivity(inst)
@@ -120,14 +121,19 @@ def _cmd_baseline(args) -> int:
     ))
 
 
-def _cmd_experiment(args) -> int:
-    graph = parse_edge_list(args.graph)
+def _experiment_config(args) -> ExperimentConfig:
     if args.sweep == "eps":
         values = tuple(float(v) for v in args.values.split(","))
+        epsilons = values
     else:
         values = tuple(int(v) for v in args.values.split(","))
+        epsilons = (args.eps,)
+    # the baseline spends each epsilon whole, the two-step methods half each
+    for epsilon in epsilons:
+        check_dlap_epsilon(epsilon)
+        PrivacyBudget.even_split(epsilon)
     methods = tuple(args.methods.split(",")) if args.methods else METHODS
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         axis=args.sweep,
         values=values,
         trials=args.trials,
@@ -136,6 +142,11 @@ def _cmd_experiment(args) -> int:
         epsilon=args.eps,
         lam=args.lam,
     )
+
+
+def _cmd_experiment(args) -> int:
+    cfg = _usage_checked(args, _experiment_config, args)
+    graph = parse_edge_list(args.graph)
     report = run_sweep(cfg, graph)
     csv_text = report.to_csv()
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=2.0)
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_experiment, parser=p)
 
     return parser
 

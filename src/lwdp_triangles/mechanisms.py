@@ -3,13 +3,16 @@
 All samplers draw from explicit ``numpy.random.Generator`` streams.  The
 protocol derives one independent substream per (node, round) pair from a
 single master seed, so runs are bit-identical under a fixed seed and
-per-node work never contends on a shared generator.
+per-node work never contends on a shared generator.  The smooth-noise
+sampler takes one stream per draw: every node's uniform still comes from
+its own substream, and one batched inverse CDF serves all of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -175,17 +178,23 @@ def _smooth_noise_inverse_cdf(u: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def smooth_noise_sample(rng: np.random.Generator, size: int | None = None):
-    """Draw(s) of Z via inverse-CDF bisection to ~1e-12; Var[Z] = 1."""
-    n = 1 if size is None else int(size)
-    u = rng.random(n)
-    while np.any(u == 0.0):  # measure-zero guard for the open interval (0,1)
-        redo = u == 0.0
-        u[redo] = rng.random(int(np.count_nonzero(redo)))
-    z = _smooth_noise_inverse_cdf(u)
-    if size is None:
-        return float(z[0])
-    return z
+def smooth_noise_sample(rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One draw of Z from each stream, in order; Var[Z] = 1.
+
+    Each stream gives one uniform in (0, 1), redrawn from the same stream
+    on the measure-zero event u == 0.  One inverse-CDF bisection to ~1e-12
+    then turns all uniforms into draws, so a caller batching many streams
+    pays for about one bisection.  Sequential scalar draws equal
+    ``rng.random(n)`` bit for bit, so one stream passed n times gives the
+    uniforms of ``rng.random(n)``.
+    """
+    u = np.empty(len(rngs))
+    for i, rng in enumerate(rngs):
+        x = rng.random()
+        while x == 0.0:  # measure-zero guard for the open interval (0,1)
+            x = rng.random()
+        u[i] = x
+    return _smooth_noise_inverse_cdf(u)
 
 
 def privatize_weight_vector(weights, epsilon_1: float, rng: np.random.Generator) -> list[int]:

@@ -5,6 +5,14 @@ substreams keyed by (node, round), message tallies model the three
 communication flows (vector uploads, noisy-weight downloads, count uploads),
 and a node's step-2 computation is confined to a ``NodeStep2View`` so the
 information-flow contract is enforced structurally.
+
+Step 2 runs in two passes.  The local pass builds every node's view, its
+count f'_v and its sensitivity S_v; with the smooth mechanism a node with
+S_v > 0 hands over its own step-2 substream.  The release pass then draws
+one uniform from each of those streams, in node order, and turns them all
+into noise with one batched inverse CDF.  Each release is still
+f'_v + scale * S_v * Z_v with Z_v from the node's own substream, so the
+result is the same as drawing node by node.
 """
 
 from __future__ import annotations
@@ -178,6 +186,10 @@ def run_two_step(
     uploads2 = 0
     per_node: dict[int, float] = {}
     ledger: dict[int, tuple[BudgetEntry, ...]] = {}
+    # smooth mechanism: (node, S_v) and the node's own step-2 stream for each
+    # node with S_v > 0, turned into noise by one batched draw after the loop
+    drawing: list[tuple[int, float]] = []
+    streams = []
     for v in range(graph.node_count):
         view = _make_view(graph, assignment, symmetric, v)
         downloads += len(view.assigned)  # one noisy weight per assigned triangle
@@ -205,9 +217,10 @@ def run_two_step(
                 sens = smooth_sensitivity_biased(inst)
             else:
                 sens = smooth_sensitivity_unbiased(inst)
-            noise = 0.0
+            noise = 0.0  # added in the release pass below
             if sens > 0.0:
-                noise = scale_mult * sens * smooth_noise_sample(rng.node_stream(v, STEP2_ROUND))
+                drawing.append((v, sens))
+                streams.append(rng.node_stream(v, STEP2_ROUND))
             query = "smooth"
         per_node[v] = f_v + noise
         uploads2 += 1
@@ -215,6 +228,9 @@ def run_two_step(
             BudgetEntry("dlap", budget.epsilon_1),
             BudgetEntry(query, budget.epsilon_2),
         )
+    if mechanism is Mechanism.SMOOTH:
+        for (v, sens), z in zip(drawing, smooth_noise_sample(streams)):
+            per_node[v] += scale_mult * sens * float(z)
 
     estimate_total = sum(per_node.values())
     exact = exact_below_threshold_count(graph, lam, triangles)

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .assignment import Assignment, InstanceTooLargeError
 from .estimators import EstimatorKind, estimator_step_bound, unbiased_correction
-from .graph import Triangle, WeightedGraph, canonical_edge
+from .graph import Triangle, WeightedGraph, canonical_edge, integral
 
 Edge = tuple[int, int]
 
@@ -81,8 +81,9 @@ class SmoothSensInstance:
     edges: tuple[EdgeLocalView, ...]
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        object.__setattr__(self, "lam", integral(self.lam, "threshold lam"))
         if self.kind is EstimatorKind.UNBIASED and not (
             self.p is not None and 0.0 <= self.p < 1.0
         ):

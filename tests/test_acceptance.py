@@ -152,7 +152,7 @@ def test_criterion_5_mechanism_correctness():
             ratio = dlap_pmf(i, p) / dlap_pmf(i - 1, p)
             if not (math.exp(-eps) * (1 - 1e-12) <= ratio <= math.exp(eps) * (1 + 1e-12)):
                 ratio_ok = False
-    draws = smooth_noise_sample(RandomSource(31337).stream(0), size=1_000_000)
+    draws = smooth_noise_sample([RandomSource(31337).stream(0)] * 1_000_000)
     var = float(np.var(draws))
     var_ok = abs(var - 1.0) <= 0.05
     ok = ratio_ok and var_ok

@@ -119,3 +119,25 @@ def test_invalid_budget_is_a_usage_error(graph_file, command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"lwdp-triangles {command[0]}: error:" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["experiment", "--sweep", "eps", "--values", "nan"],
+    ["experiment", "--sweep", "eps", "--values", "1.0,800"],
+    ["experiment", "--sweep", "eps", "--values", "5e-324"],  # the even split underflows to 0
+    ["experiment", "--sweep", "lambda", "--values", "4,6", "--eps", "-1"],
+    ["experiment", "--sweep", "eps", "--values", "1.0", "--methods", "bogus"],
+    ["sensitivity", "--beta", "-1", "--node", "0", "--estimator", "biased", "--lambda", "6"],
+    ["sensitivity", "--beta", "nan", "--node", "0", "--estimator", "biased", "--lambda", "6"],
+])
+def test_invalid_library_argument_is_a_usage_error(graph_file, tmp_path, command, capsys):
+    out_path = tmp_path / "sweep.csv"
+    if command[0] == "experiment":
+        command = command + ["--trials", "1", "--out", str(out_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--graph", graph_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"lwdp-triangles {command[0]}: error:" in captured.err
+    assert not out_path.exists()

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from lwdp_triangles.mechanisms import (
+    _smooth_noise_inverse_cdf,
     PrivacyBudget,
     RandomSource,
     dlap_cdf,
@@ -112,7 +113,8 @@ def test_smooth_noise_cdf_matches_quadrature():
 
 
 def test_smooth_noise_sample_moments():
-    draws = smooth_noise_sample(RandomSource(777).stream(2), size=1_000_000)
+    # one stream repeated: its sequential draws equal rng.random(1_000_000)
+    draws = smooth_noise_sample([RandomSource(777).stream(2)] * 1_000_000)
     assert float(np.var(draws)) == pytest.approx(1.0, rel=0.05)
     assert abs(float(np.mean(draws))) < 0.01
     # Pr[|Z| <= 1] against the quadrature oracle, within 3 standard errors
@@ -120,6 +122,23 @@ def test_smooth_noise_sample_moments():
     phat = float(np.mean(np.abs(draws) <= 1.0))
     se = math.sqrt(target * (1 - target) / draws.size)
     assert abs(phat - target) <= 3 * se
+
+
+def test_smooth_noise_batched_quantile_equals_one_at_a_time():
+    u = np.array([1e-300, 1e-12, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -53, 0.25, 0.999])
+    batched = _smooth_noise_inverse_cdf(u)
+    for x, z in zip(u, batched):
+        assert float(z).hex() == float(_smooth_noise_inverse_cdf(np.array([x]))[0]).hex()
+
+
+def test_smooth_noise_sample_draws_one_uniform_per_stream_in_order():
+    source = RandomSource(5)
+    batched = smooth_noise_sample([source.stream(v, 2) for v in range(9)])
+    assert batched.shape == (9,)
+    for v, z in enumerate(batched):
+        alone = smooth_noise_sample([source.stream(v, 2)])
+        assert float(z).hex() == float(alone[0]).hex()
+    assert smooth_noise_sample([]).shape == (0,)
 
 
 def test_smooth_noise_config_derived_quantities():

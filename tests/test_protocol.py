@@ -19,15 +19,17 @@ from lwdp_triangles import (
 from lwdp_triangles.estimators import expected_biased
 from lwdp_triangles.experiments import run_sweep
 from lwdp_triangles.graph import triangle_weight
-from lwdp_triangles.mechanisms import privatize_weight_vector
+from lwdp_triangles.mechanisms import privatize_weight_vector, smooth_noise_sample
 from lwdp_triangles.protocol import (
     STEP1_ROUND,
+    STEP2_ROUND,
     Mechanism,
     NodeStep2View,
     node_step2_count,
     release_step1,
     _make_view,
 )
+from lwdp_triangles.sensitivity import instance_from_parts, smooth_sensitivity
 
 from conftest import complete_graph, random_graph
 
@@ -138,6 +140,34 @@ def test_same_seed_reproduces_run():
     assert a.estimate != c.estimate
 
 
+# float.hex of seeded estimates on one fixed graph, recorded before the step-2
+# release was batched: any change in RNG use or float order shows up here
+_GOLDEN_TWO_STEP = {
+    ("biased", "global", 3): "0x1.1e7f67f3e016ep+6",
+    ("biased", "global", 4): "0x1.17693b0b3d2a5p+6",
+    ("biased", "smooth", 3): "0x1.0a610bde06250p+6",
+    ("biased", "smooth", 4): "0x1.134bdd41efed7p+6",
+    ("unbiased", "global", 3): "0x1.10aeed02b70dap+6",
+    ("unbiased", "global", 4): "0x1.cce735c4d933ap+5",
+    ("unbiased", "smooth", 3): "0x1.af09ee763c4f0p+5",
+    ("unbiased", "smooth", 4): "0x1.b585404088d9dp+5",
+}
+_GOLDEN_BASELINE = {
+    3: "0x1.1400000000000p+6",
+    4: "0x1.1c00000000000p+6",
+}
+
+
+def test_seeded_estimates_match_recorded_hex():
+    g = random_graph(random.Random(20), 20, 0.5, -1, 4)
+    budget = PrivacyBudget(1.0, 1.5)
+    for (kind, mech, seed), expected in _GOLDEN_TWO_STEP.items():
+        rep = run_two_step(g, 5, budget, EstimatorKind(kind), Mechanism(mech), RandomSource(seed))
+        assert rep.estimate.hex() == expected, (kind, mech, seed)
+    for seed, expected in _GOLDEN_BASELINE.items():
+        assert run_baseline(g, 5, 2.5, RandomSource(seed)).estimate.hex() == expected, seed
+
+
 def test_step2_isolation_from_other_nodes():
     rnd = random.Random(6)
     g = random_graph(rnd, 12, 0.6, -2, 2)
@@ -162,6 +192,37 @@ def test_step2_isolation_from_other_nodes():
     after0 = node_step2_count(views[0], lam, EstimatorKind.UNBIASED, p)
     assert after0 == before[0]
     assert changed > 0  # the tampering itself is observable somewhere
+
+
+def test_smooth_release_per_node_matches_one_node_at_a_time():
+    # the batched step-2 release must equal each node drawing its own noise
+    # from its own substream, one node at a time
+    rnd = random.Random(6)
+    g = random_graph(rnd, 12, 0.6, -2, 2)
+    tris = enumerate_triangles(g)
+    assignment = greedy_assign(g, tris)
+    budget = PrivacyBudget(1.0, 1.0)
+    lam = 1
+    for kind in EstimatorKind:
+        rng = RandomSource(8)
+        rep = run_two_step(g, lam, budget, kind, Mechanism.SMOOTH, rng,
+                           triangles=tris, assignment=assignment)
+        noisy, _ = release_step1(g, budget.epsilon_1, rng)
+        silent = 0
+        for v in range(g.node_count):
+            view = _make_view(g, assignment, noisy, v)
+            f_v = node_step2_count(view, lam, kind, budget.p)
+            inst = instance_from_parts(v, view.incident_weights, view.assigned,
+                                       view.received_noisy, lam, budget.beta, kind, p=budget.p)
+            sens = smooth_sensitivity(inst)
+            if sens == 0.0:
+                silent += 1
+                assert rep.per_node_release[v].hex() == f_v.hex()
+                continue
+            z = smooth_noise_sample([rng.node_stream(v, STEP2_ROUND)])[0]
+            expected = f_v + budget.smooth_noise_scale * sens * float(z)
+            assert rep.per_node_release[v].hex() == expected.hex(), (kind, v)
+        assert 0 < silent < g.node_count
 
 
 def test_baseline_large_budget_identity_and_unreachable_threshold():

@@ -293,6 +293,19 @@ def test_instance_validation():
         SmoothSensInstance(0, 0, 0.5, EstimatorKind.UNBIASED, None, ())
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_instance_rejects_non_finite_beta(beta):
+    # a NaN beta used to pass and give a smooth sensitivity of 0, hence no noise
+    with pytest.raises(ValueError, match="beta"):
+        SmoothSensInstance(0, 0, beta, EstimatorKind.BIASED, None, ())
+
+
+def test_instance_rejects_fractional_threshold():
+    with pytest.raises(ValueError, match="integer threshold"):
+        SmoothSensInstance(0, 7.5, 0.5, EstimatorKind.BIASED, None, ())
+    assert SmoothSensInstance(0, 7.0, 0.5, EstimatorKind.BIASED, None, ()).lam == 7
+
+
 # -- runtime envelope -----------------------------------------------------------
 
 
