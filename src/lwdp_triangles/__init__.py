@@ -38,10 +38,9 @@ from .sensitivity import (
     build_instance,
     global_sensitivity,
     local_sensitivity,
+    smooth_sensitivities,
     smooth_sensitivity,
-    smooth_sensitivity_biased,
     smooth_sensitivity_bruteforce,
-    smooth_sensitivity_unbiased,
 )
 from .protocol import (
     Mechanism,

@@ -1,9 +1,10 @@
 """Weighted-graph container, triangle enumeration, and the exact below-threshold count.
 
 The graph topology is public and immutable after construction.  Edge weights
-are 64-bit signed integers; negative weights are first-class.  Node ids are
-dense integers in [0, n); ingestion-side relabeling for sparse external ids
-lives in :mod:`lwdp_triangles.experiments`.
+are integers of magnitude at most ``MAX_ABS_WEIGHT`` (2^31), so sums of a few
+weights and their noise stay far inside int64; negative weights are
+first-class.  Node ids are dense integers in [0, n); ingestion-side
+relabeling for sparse external ids lives in :mod:`lwdp_triangles.experiments`.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
+MAX_ABS_WEIGHT = 2**31
+
+
 class GraphStructureError(ValueError):
-    """Raised for self-loops, duplicate edges, non-integral weights, or
-    references to missing edges."""
+    """Raised for self-loops, duplicate edges, non-integral or out-of-range
+    weights, or references to missing edges."""
 
 
 def integral(value, what: str, error: type[ValueError] = ValueError) -> int:
@@ -100,7 +104,12 @@ class WeightedGraph:
             key = canonical_edge(u, v)
             if key in weights:
                 raise GraphStructureError(f"duplicate edge {key}")
-            weights[key] = integral(w, f"weight on edge {key}", GraphStructureError)
+            w = integral(w, f"weight on edge {key}", GraphStructureError)
+            if abs(w) > MAX_ABS_WEIGHT:
+                raise GraphStructureError(
+                    f"weight {w} on edge {key} exceeds the bound |w| <= 2^31"
+                )
+            weights[key] = w
             adj[u].append(v)
             adj[v].append(u)
         self._weights = weights

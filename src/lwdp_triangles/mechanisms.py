@@ -25,13 +25,16 @@ SMOOTH_NOISE_GAMMA = 4.0
 
 def check_dlap_epsilon(epsilon: float) -> None:
     """Reject a DLap budget that is not finite, not positive, or whose
-    p = e^{-epsilon} underflows to 0."""
+    p = e^{-epsilon} underflows to 0 or rounds to 1."""
     if not math.isfinite(epsilon):
         raise ValueError(f"privacy budgets must be finite, got epsilon = {epsilon}")
     if epsilon <= 0:
         raise ValueError(f"privacy budgets must be strictly positive, got epsilon = {epsilon}")
-    if math.exp(-epsilon) == 0.0:
+    p = math.exp(-epsilon)
+    if p == 0.0:
         raise ValueError(f"epsilon = {epsilon} makes p = e^(-epsilon) underflow to 0")
+    if p == 1.0:
+        raise ValueError(f"epsilon = {epsilon} makes p = e^(-epsilon) round to 1")
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,11 @@ class PrivacyBudget:
             raise ValueError("privacy budgets must be strictly positive")
         if self.epsilon_1 + self.epsilon_2 > total + 1e-12:
             raise ValueError("epsilon_1 + epsilon_2 exceeds the total budget")
+        if not (math.isfinite(self.smooth_noise_scale) and self.beta > 0.0):
+            raise ValueError(
+                f"epsilon_2 = {self.epsilon_2} is too small: the step-2 noise scale "
+                "overflows or the smoothing parameter beta underflows"
+            )
 
     @property
     def p(self) -> float:

@@ -7,10 +7,12 @@ and a node's step-2 computation is confined to a ``NodeStep2View`` so the
 information-flow contract is enforced structurally.
 
 Step 2 runs in two passes.  The local pass builds every node's view, its
-count f'_v and its sensitivity S_v; with the smooth mechanism a node with
-S_v > 0 hands over its own step-2 substream.  The release pass then draws
-one uniform from each of those streams, in node order, and turns them all
-into noise with one batched inverse CDF.  Each release is still
+count f'_v and its sensitivity S_v; with the smooth mechanism the S_v of
+consecutive nodes are computed together by ``smooth_sensitivities`` (each
+from its own instance only) once their partial sums fill a batch, and a
+node with S_v > 0 hands over its own step-2 substream.  The release pass
+then draws one uniform from each of those streams, in node order, and turns
+them all into noise with one batched inverse CDF.  Each release is still
 f'_v + scale * S_v * Z_v with Z_v from the node's own substream, so the
 result is the same as drawing node by node.
 """
@@ -20,6 +22,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .assignment import Assignment, greedy_assign
 from .estimators import EstimatorKind, estimate
@@ -40,16 +44,23 @@ from .mechanisms import (
     smooth_noise_sample,
 )
 from .sensitivity import (
+    SmoothSensInstance,
     global_sensitivity,
     instance_from_parts,
-    smooth_sensitivity_biased,
-    smooth_sensitivity_unbiased,
+    smooth_sensitivities,
 )
 
 Edge = tuple[int, int]
 
 STEP1_ROUND = 1
 STEP2_ROUND = 2
+
+# The smooth sensitivities of pending nodes are computed together once their
+# partial sums plus two initial targets per edge reach this many.  A batch's
+# working memory grows with its candidate targets, which both of these seed,
+# and the count bounds it on sparse graphs (about one sum per edge) as well
+# as on dense ones (many sums per edge).
+SENSITIVITY_FLUSH_SIZE = 2048
 
 
 class Mechanism(str, enum.Enum):
@@ -78,6 +89,9 @@ class RunReport:
     per_node_release: dict[int, float]
     tallies: CommunicationTallies
     budget_ledger: dict[int, tuple[BudgetEntry, ...]]
+    # indexed by node: S_v under the smooth mechanism, GS_v under Laplace
+    # noise; empty for the baseline, which has no step 2
+    per_node_sensitivity: np.ndarray
 
     def spent(self, node: int) -> float:
         return sum(entry.epsilon for entry in self.budget_ledger.get(node, ()))
@@ -185,17 +199,23 @@ def run_two_step(
     downloads = 0
     uploads2 = 0
     per_node: dict[int, float] = {}
+    per_node_sens = np.zeros(graph.node_count)
     ledger: dict[int, tuple[BudgetEntry, ...]] = {}
-    # smooth mechanism: (node, S_v) and the node's own step-2 stream for each
-    # node with S_v > 0, turned into noise by one batched draw after the loop
+    # smooth mechanism: instances wait in ``pending`` until they fill a
+    # batch; then (node, S_v) and the node's own step-2 stream are kept
+    # for each node with S_v > 0, turned into noise by one draw after the loop
+    pending: list[SmoothSensInstance] = []
+    pending_size = 0
     drawing: list[tuple[int, float]] = []
     streams = []
+    last = graph.node_count - 1
     for v in range(graph.node_count):
         view = _make_view(graph, assignment, symmetric, v)
         downloads += len(view.assigned)  # one noisy weight per assigned triangle
         f_v = node_step2_count(view, lam, kind, p)
         if mechanism is Mechanism.GLOBAL_LAPLACE:
             sens = global_sensitivity(v, assignment, kind, p=p)
+            per_node_sens[v] = sens
             noise = 0.0
             if sens > 0.0:
                 noise = float(
@@ -213,14 +233,18 @@ def run_two_step(
                 kind,
                 p=p,
             )
-            if kind is EstimatorKind.BIASED:
-                sens = smooth_sensitivity_biased(inst)
-            else:
-                sens = smooth_sensitivity_unbiased(inst)
+            if inst.edges:  # S_v stays 0 for a node without partial sums
+                pending.append(inst)
+                # two partial sums per triangle, two initial targets per edge
+                pending_size += 2 * len(view.assigned) + 2 * len(inst.edges)
+            if pending and (pending_size >= SENSITIVITY_FLUSH_SIZE or v == last):
+                for inst, sens in zip(pending, smooth_sensitivities(pending).tolist()):
+                    per_node_sens[inst.node] = sens
+                    if sens > 0.0:
+                        drawing.append((inst.node, sens))
+                        streams.append(rng.node_stream(inst.node, STEP2_ROUND))
+                pending, pending_size = [], 0
             noise = 0.0  # added in the release pass below
-            if sens > 0.0:
-                drawing.append((v, sens))
-                streams.append(rng.node_stream(v, STEP2_ROUND))
             query = "smooth"
         per_node[v] = f_v + noise
         uploads2 += 1
@@ -241,6 +265,7 @@ def run_two_step(
         per_node_release=per_node,
         tallies=CommunicationTallies(uploads1, downloads, uploads2),
         budget_ledger=ledger,
+        per_node_sensitivity=per_node_sens,
     )
 
 
@@ -276,4 +301,5 @@ def run_baseline(
         per_node_release={},
         tallies=CommunicationTallies(uploads1, 0, 0),
         budget_ledger=ledger,
+        per_node_sensitivity=np.zeros(0),
     )

@@ -2,14 +2,23 @@
 
 The smooth computation reformulates sensitivity-at-distance as shifting the
 per-triangle partial sums c_j onto a moving integer target t at l1 cost,
-discounted by e^{-beta |z|}.  Both estimators sweep t over one edge's sorted
-sums c.  Per target, bisects over c give the values at t-1, t and t+1 in
-O(log d), and one outward walk shifts the remaining values onto the target,
-nearest first, in O(1) per step.  Every walked value is at distance >= 1,
-so the count-ratio rule k/(k+1) < e^{-beta * distance} ends the walk within
-about 1/beta steps.  For the biased estimator only values on the target
-matter; for the unbiased estimator the values adjacent to the target
-contribute differently from the values on it.
+discounted by e^{-beta |z|}.  Both estimators score t over the candidate
+targets of one edge's sums c (c itself, for the unbiased estimator also
+c-1 and c+1, plus the two initial targets).  At a target, the counts of
+values at t-1, t and t+1 fix the best shift counts near t, and one outward
+walk shifts the remaining values onto the target, nearest first.  Every
+walked value is at distance >= 1, so the count-ratio rule
+k/(k+1) < e^{-beta * distance} ends the walk within about 1/beta steps.  For
+the biased estimator only values on the target matter; for the unbiased
+estimator the values adjacent to the target contribute differently from the
+values on it.
+
+``smooth_sensitivities`` scores many instances in one NumPy pass: every
+(instance, edge) is a segment of one sorted int64 key array, searchsorted
+gives the counts at every candidate target, and the walks run as masked
+rounds.  Every e^{-beta n} is ``math.exp`` of an integer n, so the values are
+bit-identical to a per-target scalar evaluation.  ``smooth_sensitivity``
+is the one-instance form.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target in an exact pruning radius and exhausts all shift counts
@@ -20,9 +29,11 @@ algorithmic machinery.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .assignment import Assignment, InstanceTooLargeError
 from .estimators import EstimatorKind, estimator_step_bound, unbiased_correction
@@ -153,146 +164,201 @@ def local_sensitivity(inst: SmoothSensInstance) -> float:
     return best
 
 
-# -- outer extension, shared by both estimators --------------------------------
+# -- smooth sensitivity, batched over instances --------------------------------
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+# Shift costs below this read e^{-beta n} from a table; larger ones (values
+# far from their target) are evaluated one at a time.
+_EXP_TABLE_SIZE = 1 << 16
 
 
-def _anchor_discount(t: int, thetas: tuple[int, int], beta: float) -> float:
-    # e^{-beta |z_i|} for the better of the two step signs at this target
-    return math.exp(-beta * min(abs(t - thetas[0]), abs(t - thetas[1])))
+class _NegExp:
+    """``math.exp(-beta * n)`` for arrays of non-negative integers n, bit for bit.
 
-
-def _extend_over_outer(
-    c: list[int], lo: int, hi: int, t: int, shift: int, base: int, cost: int,
-    gain: float, beta: float,
-) -> float:
-    # c[lo:hi] is already counted in ``base`` at total distance ``cost``; walk
-    # outward over the rest, nearest value first, shifting each onto the
-    # target at distance |v - t| - shift, while the count-ratio rule keeps
-    # improving: growing k to k+1 helps iff k/(k+1) < e^{-beta d}, the ratio
-    # increases and d never decreases, so stop at the first failure.
-    best = 0.0
-    i, j, n = lo - 1, hi, len(c)
-    k = base
-    while True:
-        if i >= 0 and (j == n or t - c[i] <= c[j] - t):
-            d = t - c[i] - shift
-            i -= 1
-        elif j < n:
-            d = c[j] - t - shift
-            j += 1
-        else:
-            break
-        if not (k / (k + 1) < math.exp(-beta * d)):
-            break
-        k += 1
-        cost += d
-        best = max(best, gain * k * math.exp(-beta * cost))
-    return best
-
-
-# -- smooth sensitivity, biased estimator -------------------------------------
-
-
-def smooth_sensitivity_biased(inst: SmoothSensInstance) -> float:
-    """beta-smooth sensitivity of the biased local count.
-
-    Only values on the target count, and the best shift count at a target is
-    anchor-independent, so each edge scores the targets {c_j} plus the two
-    initial targets once, both anchors per target.  A target costs two
-    O(log d) bisects plus an outward walk of about 1/beta steps at most.
+    ``np.exp`` may differ from ``math.exp`` in the last bit, so the values
+    come from a table of ``math.exp`` results that grows on demand.
     """
-    if inst.kind is not EstimatorKind.BIASED:
-        raise ValueError("instance is not for the biased estimator")
-    beta = inst.beta
-    best = 0.0
-    for view in inst.edges:
-        if not view.partial_sums:
-            continue
-        c = sorted(view.partial_sums)
-        thetas = _anchor_targets(view, inst.lam)
-        for t in sorted(set(c).union(thetas)):
-            lo = bisect_left(c, t)
-            hi = bisect_right(c, t)
-            on_target = hi - lo
-            walk = _extend_over_outer(c, lo, hi, t, 0, on_target, 0, 1.0, beta)
-            cand = max(float(on_target), walk)
-            v = cand * _anchor_discount(t, thetas, beta)
-            if v > best:
-                best = v
+
+    def __init__(self, beta: float):
+        self.beta = beta
+        self.table = np.ones(1)
+
+    def __call__(self, n: np.ndarray) -> np.ndarray:
+        top = int(n.max(initial=0))
+        size = len(self.table)
+        if size <= top and size < _EXP_TABLE_SIZE:
+            size = min(max(top + 1, 2 * size), _EXP_TABLE_SIZE)
+            self.table = np.array([math.exp(-self.beta * i) for i in range(size)])
+        if top < size:
+            return self.table[n]
+        out = np.empty(n.shape)
+        small = n < size
+        out[small] = self.table[n[small]]
+        out[~small] = [math.exp(-self.beta * int(i)) for i in n[~small]]
+        return out
+
+
+def _outer_walk(keys, t, lo, hi, start, end, shift, k, cost, gain, neg_exp):
+    # Per target t, keys[lo:hi] is already counted in k at total distance
+    # cost; walk outward over the rest of the target's segment, nearest value
+    # first (the left one on a tie), shifting each onto the target at
+    # distance |v - t| - shift, while the count-ratio rule keeps improving:
+    # growing k to k+1 helps iff k/(k+1) < e^{-beta d}, the ratio increases
+    # and d never decreases, so a target stops at its first failure.  One
+    # round takes one step of every target still walking.
+    best = np.zeros(len(t))
+    live = np.arange(len(t))
+    i, j = lo - 1, hi
+    last = len(keys) - 1
+    while live.size:
+        left = i >= start
+        right = j < end
+        dl = t - keys[np.maximum(i, 0)]
+        dr = keys[np.minimum(j, last)] - t
+        go_left = left & (~right | (dl <= dr))
+        d = np.where(go_left, dl, dr) - shift
+        has = left | right
+        d[~has] = 0
+        keep = np.flatnonzero(has & (k / (k + 1) < neg_exp(d)))
+        live, t, start, end, go_left = live[keep], t[keep], start[keep], end[keep], go_left[keep]
+        k = k[keep] + 1
+        cost = cost[keep] + d[keep]
+        best[live] = np.maximum(best[live], gain * k * neg_exp(cost))
+        i = i[keep] - go_left
+        j = j[keep] + ~go_left
     return best
 
 
-# -- smooth sensitivity, unbiased estimator ------------------------------------
+def _stationary_best(a, n, slope, inv_beta, neg_exp):
+    # Best (a + slope*k) e^{-beta k} over shift counts k in [0, n]: the ends
+    # and the two integers around the stationary point 1/beta - a/slope.
+    stat = inv_beta - a / slope
+    best = None
+    for k in (np.zeros_like(n), n, np.floor(stat), np.ceil(stat)):
+        k = np.clip(k, 0, n).astype(np.int64)
+        v = (a + slope * k) * neg_exp(k)
+        best = v if best is None else np.maximum(best, v, out=best)
+    return best
 
 
-def smooth_sensitivity_unbiased(inst: SmoothSensInstance) -> float:
-    """beta-smooth sensitivity of the unbiased local count.
+def _segment_maxima(keys, bounds, anchors, span, kind, beta, x, neg_exp):
+    # ``keys`` holds seg * span + (c - offset of seg) for every partial sum c,
+    # sorted, so each segment's sums are contiguous and ascending between
+    # ``bounds``; ``anchors`` is the key of each segment's initial target for
+    # a +1 step (the one for a -1 step is one above).  Returns the best
+    # discounted score of every segment over its candidate targets.
+    if kind is EstimatorKind.BIASED:
+        t = np.concatenate((keys, anchors, anchors + 1))
+    else:
+        t = np.concatenate((keys - 1, keys, keys + 1, anchors, anchors + 1))
+    t.sort()
+    t = t[np.concatenate(([True], t[1:] != t[:-1]))]
+    seg = t // span
+    start, end = bounds[seg], bounds[seg + 1]
+    theta = anchors[seg]
+    discount = neg_exp(np.minimum(np.abs(t - theta), np.abs(t - theta - 1)))
+    if kind is EstimatorKind.BIASED:
+        lo = np.searchsorted(keys, t, "left")
+        hi = np.searchsorted(keys, t, "right")
+        on_target = hi - lo
+        walk = _outer_walk(
+            keys, t, lo, hi, start, end, 0, on_target, np.zeros_like(t), 1.0, neg_exp
+        )
+        cand = np.maximum(on_target, walk)
+    else:
+        l0 = np.searchsorted(keys, t - 1, "left")
+        l1 = np.searchsorted(keys, t - 1, "right")
+        r0 = np.searchsorted(keys, t + 1, "left")
+        r1 = np.searchsorted(keys, t + 1, "right")
+        adjacent = (l1 - l0) + (r1 - r0)
+        on_target = r0 - l1
+        near = r1 - l0
+        big = 1.0 + 2.0 * x
+        slope = 1.0 + 3.0 * x
+        inv_beta = 1.0 / beta
+        # positive contribution: adjacent values give +x, on-target -1-2x
+        a0 = adjacent * x - on_target * big
+        cand = np.maximum(
+            _stationary_best(a0, on_target, slope, inv_beta, neg_exp),
+            _outer_walk(keys, t, l0, r1, start, end, 1, near, on_target, x, neg_exp),
+        )
+        # negative contribution: on-target values give +1+2x, adjacent -x
+        a1 = big * on_target - x * adjacent
+        cand = np.maximum(cand, _stationary_best(a1, adjacent, slope, inv_beta, neg_exp))
+        cand = np.maximum(
+            cand, _outer_walk(keys, t, l0, r1, start, end, 0, near, adjacent, big, neg_exp)
+        )
+    first = np.searchsorted(seg, np.arange(len(anchors)))
+    return np.maximum.reduceat(cand * discount, first)
 
-    Both step signs reduce to the same two target problems (positive and
-    negative sum contribution) with the initial target shifted by one; the
-    best shift counts at a target are anchor-independent, so each edge
-    scores the candidate targets {c_j - 1, c_j, c_j + 1} plus the two
-    initial targets once, both anchors per target.  A target costs four
-    O(log d) bisects, closed-form stationary points for the values at t-1,
-    t and t+1, and two outward walks of about 1/beta steps at most.  Outside
-    [t-1, t+1] the distance to the pair {t-1, t+1} is the distance to t
-    minus one, so both walks run over the same values.
+
+def smooth_sensitivities(instances: Sequence[SmoothSensInstance]) -> np.ndarray:
+    """beta-smooth sensitivity of every instance, in one segmented pass.
+
+    Every (instance, edge) with partial sums is a segment.  Instances that
+    share estimator, beta and p are scored together: their sums become one
+    sorted int64 key array, searchsorted gives the counts at and next to
+    every candidate target, and the outward walks run as masked rounds.
+    Each instance's value depends on its own segments only and equals
+    ``smooth_sensitivity`` on that instance alone, bit for bit.
     """
-    if inst.kind is not EstimatorKind.UNBIASED:
-        raise ValueError("instance is not for the unbiased estimator")
-    x = unbiased_correction(inst.p)
-    beta = inst.beta
-    big = 1.0 + 2.0 * x
-    slope = 1.0 + 3.0 * x
-    inv_beta = 1.0 / beta
-    exp = math.exp
-    best = 0.0
-    for view in inst.edges:
-        if not view.partial_sums:
+    out = np.zeros(len(instances))
+    groups: dict[tuple, list[int]] = {}
+    for i, inst in enumerate(instances):
+        x = unbiased_correction(inst.p) if inst.kind is EstimatorKind.UNBIASED else 0.0
+        groups.setdefault((inst.kind, inst.beta, x), []).append(i)
+    for (kind, beta, x), members in groups.items():
+        owners, anchors, sums = [], [], []
+        for i in members:
+            inst = instances[i]
+            for view in inst.edges:
+                if view.partial_sums:
+                    owners.append(i)
+                    anchors.append(_anchor_targets(view, inst.lam)[0])
+                    sums.append(view.partial_sums)
+        if not owners:
             continue
-        c = sorted(view.partial_sums)
-        thetas = _anchor_targets(view, inst.lam)
-        for t in sorted({v + d for v in c for d in (-1, 0, 1)}.union(thetas)):
-            l0 = bisect_left(c, t - 1)
-            l1 = bisect_right(c, t - 1)
-            r0 = bisect_left(c, t + 1)
-            r1 = bisect_right(c, t + 1)
-            adjacent = (l1 - l0) + (r1 - r0)
-            on_target = r0 - l1
-            near = r1 - l0
-            cand = 0.0
-            # positive contribution: adjacent values give +x, on-target -1-2x
-            a0 = adjacent * x - on_target * big
-            stat = inv_beta - a0 / slope
-            for k in (0, on_target, min(max(math.floor(stat), 0), on_target),
-                      min(max(math.ceil(stat), 0), on_target)):
-                v = (a0 + slope * k) * exp(-beta * k)
-                if v > cand:
-                    cand = v
-            v = _extend_over_outer(c, l0, r1, t, 1, near, on_target, x, beta)
-            if v > cand:
-                cand = v
-            # negative contribution: on-target values give +1+2x, adjacent -x
-            a1 = big * on_target - x * adjacent
-            stat = inv_beta - a1 / slope
-            for k in (0, adjacent, min(max(math.floor(stat), 0), adjacent),
-                      min(max(math.ceil(stat), 0), adjacent)):
-                v = (a1 + slope * k) * exp(-beta * k)
-                if v > cand:
-                    cand = v
-            v = _extend_over_outer(c, l0, r1, t, 0, near, adjacent, big, beta)
-            if v > cand:
-                cand = v
-            v = cand * _anchor_discount(t, thetas, beta)
-            if v > best:
-                best = v
-    return best
+        lengths = np.fromiter(map(len, sums), np.int64, len(sums))
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        try:
+            flat = np.fromiter(chain.from_iterable(sums), np.int64, int(bounds[-1]))
+            anchors = np.array(anchors, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("partial sums and thresholds must fit in int64") from None
+        # Each segment is offset by its own low end, so only the widest
+        # segment, not the spread between segments, sets the key span.
+        low = np.minimum(np.minimum.reduceat(flat, bounds[:-1]), anchors)
+        high = np.maximum(np.maximum.reduceat(flat, bounds[:-1]), anchors + 1)
+        width = high - low  # wraps below 0 when a segment spans 2^63 or more
+        span = int(width.max()) + 5  # room for the targets c-1 and c+1
+        # A walk's first step is at most span long; every later one is shorter
+        # than ln(2)/beta, or k/(k+1) >= 1/2 stops it.  So no cost overflows.
+        reach = math.log(2.0) / beta  # inf for a subnormal beta
+        step = span if reach >= span else math.floor(reach) + 1
+        if width.min() < 0 or (int(lengths.max()) + 1) * step + span > _INT64_MAX:
+            raise ValueError("partial sums and thresholds spread too wide for int64")
+        rel = flat - np.repeat(low, lengths) + 2
+        anchors = anchors - low + 2
+        neg_exp = _NegExp(beta)
+        best = np.empty(len(owners))
+        per_chunk = _INT64_MAX // span  # segments whose keys fit in int64
+        for a in range(0, len(owners), per_chunk):
+            b = min(a + per_chunk, len(owners))
+            base = np.arange(b - a) * span
+            keys = np.repeat(base, lengths[a:b]) + rel[bounds[a]:bounds[b]]
+            keys.sort()
+            best[a:b] = _segment_maxima(
+                keys, bounds[a:b + 1] - bounds[a], base + anchors[a:b], span, kind, beta, x,
+                neg_exp,
+            )
+        np.maximum.at(out, owners, best)
+    return np.where(out > 0.0, out, 0.0)
 
 
 def smooth_sensitivity(inst: SmoothSensInstance) -> float:
-    if inst.kind is EstimatorKind.BIASED:
-        return smooth_sensitivity_biased(inst)
-    return smooth_sensitivity_unbiased(inst)
+    """beta-smooth sensitivity of one instance: ``smooth_sensitivities([inst])``."""
+    return float(smooth_sensitivities([inst])[0])
 
 
 # -- brute-force oracle --------------------------------------------------------

@@ -111,6 +111,11 @@ def test_zero_trials_is_a_usage_error(graph_file, command, capsys):
     ["sensitivity", "--eps1", "nan", "--node", "0", "--beta", "0.25", "--estimator", "biased"],
     ["baseline", "--eps", "800"],
     ["baseline", "--eps", "inf"],
+    ["count", "--eps", "2.0", "--eps1", "1e-17", "--eps2", "1.0",
+     "--estimator", "unbiased", "--mechanism", "smooth"],
+    ["count", "--eps", "2.0", "--eps1", "1.0", "--eps2", "1e-310",
+     "--estimator", "biased", "--mechanism", "global"],
+    ["baseline", "--eps", "1e-17"],
 ])
 def test_invalid_budget_is_a_usage_error(graph_file, command, capsys):
     with pytest.raises(SystemExit) as exc:

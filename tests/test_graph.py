@@ -112,6 +112,15 @@ def test_non_integral_weight_is_rejected():
     assert all(type(w) is int for w in g.edge_weights().values())
 
 
+def test_weight_beyond_bound_is_rejected():
+    # the bound keeps partial sums and the batched sensitivity keys in int64
+    for w in (2**31 + 1, -(2**31) - 1, 2**63):
+        with pytest.raises(GraphStructureError, match="2\\^31"):
+            WeightedGraph(3, [(0, 1, w), (0, 2, 1), (1, 2, 1)])
+    g = WeightedGraph(3, [(0, 1, 2**31), (0, 2, -(2**31)), (1, 2, 1)])
+    assert g.weight(0, 1) == 2**31 and g.weight(0, 2) == -(2**31)
+
+
 def test_degree_table_consistent():
     rnd = random.Random(21)
     g = random_graph(rnd, 25, 0.3, -2, 2)

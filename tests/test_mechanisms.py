@@ -9,6 +9,7 @@ from lwdp_triangles.mechanisms import (
     _smooth_noise_inverse_cdf,
     PrivacyBudget,
     RandomSource,
+    check_dlap_epsilon,
     dlap_cdf,
     dlap_pmf,
     dlap_sample,
@@ -190,6 +191,24 @@ def test_budget_rejects_epsilon_1_whose_p_underflows():
     assert PrivacyBudget(700.0, 1.0).p > 0.0
     with pytest.raises(ValueError, match="underflow"):
         PrivacyBudget(800.0, 1.0)
+
+
+def test_epsilon_whose_p_rounds_to_one_is_rejected():
+    # p = e^{-1e-17} is exactly 1.0, which dlap_sample used to reject deep inside
+    with pytest.raises(ValueError, match="round to 1"):
+        check_dlap_epsilon(1e-17)
+    with pytest.raises(ValueError, match="round to 1"):
+        PrivacyBudget(1e-17, 1.0)
+    assert PrivacyBudget(1e-15, 1.0).p < 1.0
+
+
+@pytest.mark.parametrize("epsilon_2", [1e-310, 5e-324])
+def test_budget_rejects_epsilon_2_whose_noise_scale_overflows(epsilon_2):
+    # 1e-310 gave a NaN estimate; 5e-324 also makes beta underflow to 0
+    with pytest.raises(ValueError, match="too small"):
+        PrivacyBudget(1.0, epsilon_2)
+    budget = PrivacyBudget(1.0, 1e-300)
+    assert math.isfinite(budget.smooth_noise_scale) and budget.beta > 0.0
 
 
 def test_random_source_streams_are_keyed():

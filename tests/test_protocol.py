@@ -21,6 +21,7 @@ from lwdp_triangles.experiments import run_sweep
 from lwdp_triangles.graph import triangle_weight
 from lwdp_triangles.mechanisms import privatize_weight_vector, smooth_noise_sample
 from lwdp_triangles.protocol import (
+    SENSITIVITY_FLUSH_SIZE,
     STEP1_ROUND,
     STEP2_ROUND,
     Mechanism,
@@ -29,7 +30,11 @@ from lwdp_triangles.protocol import (
     release_step1,
     _make_view,
 )
-from lwdp_triangles.sensitivity import instance_from_parts, smooth_sensitivity
+from lwdp_triangles.sensitivity import (
+    global_sensitivity,
+    instance_from_parts,
+    smooth_sensitivity,
+)
 
 from conftest import complete_graph, random_graph
 
@@ -225,6 +230,37 @@ def test_smooth_release_per_node_matches_one_node_at_a_time():
         assert 0 < silent < g.node_count
 
 
+def test_per_node_sensitivity_matches_each_node():
+    # large enough that step 2 computes S_v in several batches
+    rnd = random.Random(9)
+    g = random_graph(rnd, 40, 0.6, -2, 4)
+    tris = enumerate_triangles(g)
+    assignment = greedy_assign(g, tris)
+    assert 2 * len(tris) > 2 * SENSITIVITY_FLUSH_SIZE
+    budget = PrivacyBudget(1.0, 1.0)
+    lam = 4
+    for kind in EstimatorKind:
+        for mechanism in Mechanism:
+            rng = RandomSource(10)
+            rep = run_two_step(g, lam, budget, kind, mechanism, rng,
+                               triangles=tris, assignment=assignment)
+            assert rep.per_node_sensitivity.shape == (g.node_count,)
+            noisy, _ = release_step1(g, budget.epsilon_1, rng)
+            for v in range(g.node_count):
+                if mechanism is Mechanism.SMOOTH:
+                    view = _make_view(g, assignment, noisy, v)
+                    inst = instance_from_parts(v, view.incident_weights, view.assigned,
+                                               view.received_noisy, lam, budget.beta, kind,
+                                               p=budget.p)
+                    expected = smooth_sensitivity(inst)
+                else:
+                    expected = global_sensitivity(v, assignment, kind, p=budget.p)
+                got = float(rep.per_node_sensitivity[v])
+                assert got.hex() == expected.hex(), (kind, mechanism, v)
+    baseline = run_baseline(g, lam, 1.0, RandomSource(10), triangles=tris)
+    assert baseline.per_node_sensitivity.size == 0
+
+
 def test_baseline_large_budget_identity_and_unreachable_threshold():
     g = complete_graph(4, weight=0)
     for seed in range(5):
@@ -245,6 +281,8 @@ def test_invalid_budget_is_configuration_error():
             run_baseline(g, 1, epsilon)
     with pytest.raises(ValueError, match="underflow"):
         run_baseline(g, 1, 800.0)
+    with pytest.raises(ValueError, match="round to 1"):
+        run_baseline(g, 1, 1e-17)
 
 
 def test_privacy_facing_signatures_have_no_private_parameters():

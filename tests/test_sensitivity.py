@@ -14,10 +14,9 @@ from lwdp_triangles.sensitivity import (
     global_sensitivity,
     instance_from_parts,
     local_sensitivity,
+    smooth_sensitivities,
     smooth_sensitivity,
-    smooth_sensitivity_biased,
     smooth_sensitivity_bruteforce,
-    smooth_sensitivity_unbiased,
 )
 
 from conftest import random_local_instance
@@ -71,14 +70,14 @@ def test_global_sensitivity_requires_p_for_unbiased():
 
 def test_biased_single_triangle_at_boundary():
     inst = single_triangle_instance(EstimatorKind.BIASED, lam=5, w1=1, w2=1, w_prime=2, beta=0.5)
-    assert smooth_sensitivity_biased(inst) == pytest.approx(1.0)
+    assert smooth_sensitivity(inst) == pytest.approx(1.0)
     assert smooth_sensitivity_bruteforce(inst) == pytest.approx(1.0)
 
 
 def test_biased_single_triangle_above_threshold():
     beta = 0.3
     inst = single_triangle_instance(EstimatorKind.BIASED, lam=5, w1=1, w2=2, w_prime=7, beta=beta)
-    assert smooth_sensitivity_biased(inst) == pytest.approx(math.exp(-5 * beta), rel=1e-12)
+    assert smooth_sensitivity(inst) == pytest.approx(math.exp(-5 * beta), rel=1e-12)
     assert smooth_sensitivity_bruteforce(inst) == pytest.approx(math.exp(-5 * beta), rel=1e-12)
 
 
@@ -86,7 +85,7 @@ def test_biased_two_triangles_meeting_target():
     lam, w0 = 5, 0
     views = (EdgeLocalView(w0, (lam - 1 - w0, lam - 1 - w0)),)
     inst = SmoothSensInstance(0, lam, 0.5, EstimatorKind.BIASED, None, views)
-    assert smooth_sensitivity_biased(inst) == pytest.approx(2.0)
+    assert smooth_sensitivity(inst) == pytest.approx(2.0)
     assert smooth_sensitivity_bruteforce(inst) == pytest.approx(2.0)
 
 
@@ -96,7 +95,7 @@ def test_unbiased_single_triangle_on_threshold():
     inst = single_triangle_instance(
         EstimatorKind.UNBIASED, lam=5, w1=2, w2=1, w_prime=2, beta=0.4, p=p
     )  # effective triangle weight = lam
-    assert smooth_sensitivity_unbiased(inst) == pytest.approx(1 + 2 * x)
+    assert smooth_sensitivity(inst) == pytest.approx(1 + 2 * x)
     assert smooth_sensitivity_bruteforce(inst) == pytest.approx(1 + 2 * x)
 
 
@@ -107,22 +106,24 @@ def test_unbiased_single_triangle_below_threshold():
         EstimatorKind.UNBIASED, lam=5, w1=2, w2=1, w_prime=1, beta=0.4, p=p
     )  # effective triangle weight = lam - 1
     # the +1 step flips h across the threshold: |y| = 1 + 2x at z = 0
-    assert smooth_sensitivity_unbiased(inst) == pytest.approx(1 + 2 * x)
+    assert smooth_sensitivity(inst) == pytest.approx(1 + 2 * x)
     assert smooth_sensitivity_bruteforce(inst) == pytest.approx(1 + 2 * x)
 
 
 def test_empty_instance_is_zero():
     inst = SmoothSensInstance(0, 3, 0.5, EstimatorKind.UNBIASED, 0.5, ())
-    assert smooth_sensitivity_unbiased(inst) == 0.0
+    assert smooth_sensitivity(inst) == 0.0
     assert smooth_sensitivity_bruteforce(inst) == 0.0
     assert local_sensitivity(inst) == 0.0
 
 
 def test_kind_dispatch_guards():
-    inst = single_triangle_instance(EstimatorKind.BIASED, 5, 1, 1, 2, 0.5)
-    with pytest.raises(ValueError):
-        smooth_sensitivity_unbiased(inst)
-    assert smooth_sensitivity(inst) == pytest.approx(1.0)
+    # the same views give the estimator's own value under each kind
+    biased = single_triangle_instance(EstimatorKind.BIASED, 5, 1, 1, 2, 0.5)
+    unbiased = SmoothSensInstance(0, 5, 0.5, EstimatorKind.UNBIASED, 0.5, biased.edges)
+    assert smooth_sensitivity(biased) == pytest.approx(1.0)
+    assert smooth_sensitivity(unbiased) == pytest.approx(smooth_sensitivity_bruteforce(unbiased))
+    assert smooth_sensitivity(unbiased) > smooth_sensitivity(biased)
 
 
 def test_bruteforce_size_cap():
@@ -135,22 +136,25 @@ def test_bruteforce_size_cap():
 # -- oracle agreement and structural properties --------------------------------
 
 
+def _assert_batch_matches_oracle(instances):
+    # one batched pass over all instances, each checked against the oracle
+    for inst, fast in zip(instances, smooth_sensitivities(instances)):
+        oracle = smooth_sensitivity_bruteforce(inst)
+        assert math.isclose(fast, oracle, rel_tol=1e-12, abs_tol=1e-12), inst
+
+
 def test_fast_matches_oracle_biased_sweep():
     rnd = random.Random(1001)
-    for _ in range(150):
-        inst = random_local_instance(rnd, EstimatorKind.BIASED)
-        fast = smooth_sensitivity_biased(inst)
-        oracle = smooth_sensitivity_bruteforce(inst)
-        assert math.isclose(fast, oracle, rel_tol=1e-12, abs_tol=1e-12)
+    _assert_batch_matches_oracle(
+        [random_local_instance(rnd, EstimatorKind.BIASED) for _ in range(150)]
+    )
 
 
 def test_fast_matches_oracle_unbiased_sweep():
     rnd = random.Random(1002)
-    for i in range(150):
-        inst = random_local_instance(rnd, EstimatorKind.UNBIASED, p=PS[i % 3])
-        fast = smooth_sensitivity_unbiased(inst)
-        oracle = smooth_sensitivity_bruteforce(inst)
-        assert math.isclose(fast, oracle, rel_tol=1e-12, abs_tol=1e-12)
+    _assert_batch_matches_oracle(
+        [random_local_instance(rnd, EstimatorKind.UNBIASED, p=PS[i % 3]) for i in range(150)]
+    )
 
 
 def test_smooth_dominates_local_sensitivity_and_respects_global_cap():
@@ -232,8 +236,10 @@ def test_local_sensitivity_matches_raw_estimator_differences():
 
 
 def test_fast_matches_oracle_adversarial_parameters():
-    # clustered values, extreme smoothing, and extreme correction factors
+    # clustered values, extreme smoothing, and extreme correction factors,
+    # mixed in one batch
     rnd = random.Random(5150)
+    instances = []
     for i in range(200):
         beta = rnd.choice((0.01, 0.05, 0.5, 2.5, 5.0))
         if i % 2:
@@ -242,15 +248,102 @@ def test_fast_matches_oracle_adversarial_parameters():
                 rnd, EstimatorKind.UNBIASED, p=p, weight_span=rnd.choice((0, 1, 10)),
                 betas=(beta,),
             )
-            fast = smooth_sensitivity_unbiased(inst)
         else:
             inst = random_local_instance(
                 rnd, EstimatorKind.BIASED, weight_span=rnd.choice((0, 1, 10)),
                 betas=(beta,),
             )
-            fast = smooth_sensitivity_biased(inst)
-        oracle = smooth_sensitivity_bruteforce(inst)
-        assert math.isclose(fast, oracle, rel_tol=1e-12, abs_tol=1e-12)
+        instances.append(inst)
+    _assert_batch_matches_oracle(instances)
+
+
+def _mixed_instances(rnd, count):
+    # both estimators, several beta and p, so a batch holds several groups
+    out = []
+    for i in range(count):
+        beta = rnd.choice((0.05, 0.5, 2.5))
+        if i % 2:
+            out.append(random_local_instance(rnd, EstimatorKind.UNBIASED, p=PS[i % 3],
+                                             betas=(beta,)))
+        else:
+            out.append(random_local_instance(rnd, EstimatorKind.BIASED, betas=(beta,)))
+    return out
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def test_batch_equals_each_instance_alone():
+    instances = _mixed_instances(random.Random(7001), 120)
+    alone = [smooth_sensitivity(inst).hex() for inst in instances]
+    assert _hexes(smooth_sensitivities(instances)) == alone
+    assert len(smooth_sensitivities([])) == 0
+
+
+def test_instance_value_ignores_the_rest_of_the_batch():
+    # the NodeStep2View contract at the sensitivity layer: a node's value
+    # depends on its own instance only
+    rnd = random.Random(7002)
+    instances = _mixed_instances(rnd, 60)
+    base = _hexes(smooth_sensitivities(instances))
+    order = list(range(len(instances)))
+    rnd.shuffle(order)
+    permuted = _hexes(smooth_sensitivities([instances[i] for i in order]))
+    assert [permuted[order.index(i)] for i in range(len(instances))] == base
+    kept = order[:20]
+    dropped = _hexes(smooth_sensitivities([instances[i] for i in kept]))
+    assert dropped == [base[i] for i in kept]
+    others = _mixed_instances(rnd, len(instances))
+    replaced = [inst if i in kept else others[i] for i, inst in enumerate(instances)]
+    values = _hexes(smooth_sensitivities(replaced))
+    assert [values[i] for i in kept] == [base[i] for i in kept]
+
+
+def _shifted(inst, shift):
+    views = tuple(
+        EdgeLocalView(v.weight, tuple(c + shift for c in v.partial_sums)) for v in inst.edges
+    )
+    return SmoothSensInstance(inst.node, inst.lam + shift, inst.beta, inst.kind, inst.p, views)
+
+
+def test_shifting_sums_and_threshold_keeps_value_bit_identical():
+    # the smooth sensitivity depends only on differences c - (lam - w)
+    instances = _mixed_instances(random.Random(7003), 80)
+    base = _hexes(smooth_sensitivities(instances))
+    for shift in (2**50, -(2**50)):
+        assert _hexes(smooth_sensitivities([_shifted(i, shift) for i in instances])) == base
+
+
+def test_batch_splits_segments_whose_keys_overflow_int64():
+    # one sum per edge 2^58 above the rest widens every segment to ~2^58, so
+    # at most 31 segments fit one int64 key array; the far sum is out of reach
+    # of every walk and discount, so each value equals the unpadded one
+    far = 2**58
+    instances = _mixed_instances(random.Random(7004), 40)
+    padded = [
+        SmoothSensInstance(inst.node, inst.lam, inst.beta, inst.kind, inst.p, tuple(
+            EdgeLocalView(v.weight, v.partial_sums + (max(v.partial_sums) + far,))
+            if v.partial_sums else v
+            for v in inst.edges
+        ))
+        for inst in instances
+    ]
+    assert sum(1 for inst in padded for v in inst.edges if v.partial_sums) > 31
+    assert _hexes(smooth_sensitivities(padded)) == _hexes(smooth_sensitivities(instances))
+
+
+def test_segment_spread_beyond_int64_is_rejected():
+    inst = SmoothSensInstance(
+        0, 0, 0.5, EstimatorKind.BIASED, None, (EdgeLocalView(0, (-(2**62), 2**62)),)
+    )
+    with pytest.raises(ValueError, match="int64"):
+        smooth_sensitivity(inst)
+    far_threshold = SmoothSensInstance(
+        0, 10**30, 0.5, EstimatorKind.BIASED, None, (EdgeLocalView(0, (1, 2)),)
+    )
+    with pytest.raises(ValueError, match="int64"):
+        smooth_sensitivity(far_threshold)
 
 
 def test_oracle_accepts_explicit_radius():
