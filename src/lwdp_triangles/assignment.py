@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .graph import Triangle, WeightedGraph, enumerate_triangles
+import numpy as np
+
+from .graph import Triangle, WeightedGraph, enumerate_triangles, make_triangle
 
 
 class InstanceTooLargeError(ValueError):
@@ -21,25 +23,38 @@ class InstanceTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class Assignment:
-    """Mapping from triangles to responsible nodes plus the per-edge load table."""
+    """Mapping from triangles to responsible nodes plus the per-edge load table.
+
+    ``rows`` holds the same triangles as an int32 array of (owner, y, z)
+    rows, with y < z the owner's two neighbours in the triangle, sorted by
+    owner and then by triangle.
+    """
 
     rho: dict[Triangle, int]
     loads: dict[tuple[int, int], int]
-    by_node: dict[int, tuple[Triangle, ...]] = field(default_factory=dict)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sum(self.loads.values()) != len(self.rho):
             raise ValueError("edge loads must sum to the number of assigned triangles")
-        if not self.by_node:
-            grouped: dict[int, list[Triangle]] = {}
-            for t, v in self.rho.items():
-                grouped.setdefault(v, []).append(t)
-            object.__setattr__(
-                self, "by_node", {v: tuple(sorted(ts)) for v, ts in grouped.items()}
-            )
+        count = len(self.rho)
+        rows = np.fromiter(itertools.chain.from_iterable(self.rho), np.int32, 3 * count)
+        rows = rows.reshape(count, 3)
+        owner = np.fromiter(self.rho.values(), np.int32, count)
+        order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], owner))
+        rows, owner = rows[order], owner[order]
+        # (a, b, c) ascending becomes (owner, y, z): y is a unless the owner
+        # is a, z is c unless the owner is c
+        y = np.where(rows[:, 0] == owner, rows[:, 1], rows[:, 0])
+        rows[:, 2] = np.where(rows[:, 2] == owner, rows[:, 1], rows[:, 2])
+        rows[:, 1] = y
+        rows[:, 0] = owner
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     def triangles_of(self, node: int) -> tuple[Triangle, ...]:
-        return self.by_node.get(node, ())
+        lo, hi = np.searchsorted(self.rows[:, 0], (node, node + 1))
+        return tuple(make_triangle(*row) for row in self.rows[lo:hi].tolist())
 
     def load(self, edge: tuple[int, int]) -> int:
         return self.loads.get(edge, 0)

@@ -14,7 +14,7 @@ from .experiments import (
     parse_edge_list,
     run_sweep,
 )
-from .graph import enumerate_triangles, exact_below_threshold_count
+from .graph import check_threshold, enumerate_triangles, exact_below_threshold_count
 from .mechanisms import PrivacyBudget, RandomSource, check_dlap_epsilon
 from .protocol import Mechanism, release_step1, run_baseline, run_two_step
 from .sensitivity import (
@@ -101,6 +101,7 @@ def _print_trials(args, graph, triangles, run) -> int:
 
 def _cmd_count(args) -> int:
     budget = _usage_checked(args, _budget_from_args, args)
+    _usage_checked(args, check_threshold, args.lam)
     graph = parse_edge_list(args.graph)
     kind = EstimatorKind(args.estimator)
     mechanism = Mechanism(args.mechanism)
@@ -114,6 +115,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_baseline(args) -> int:
     _usage_checked(args, check_dlap_epsilon, args.eps)
+    _usage_checked(args, check_threshold, args.lam)
     graph = parse_edge_list(args.graph)
     triangles = enumerate_triangles(graph)
     return _print_trials(args, graph, triangles, lambda rng: run_baseline(

@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
+
 from .mechanisms import dlap_cdf, dlap_pmf
 
 
@@ -52,6 +54,20 @@ def estimate(kind: EstimatorKind, noisy_triangle_weight: int, lam: int, p: float
     if kind is EstimatorKind.BIASED:
         return float(noisy_triangle_weight < lam)
     return h_value(noisy_triangle_weight, lam, p)
+
+
+def estimate_array(
+    kind: EstimatorKind, noisy_triangle_weights: np.ndarray, lam: int, p: float
+) -> np.ndarray:
+    """``estimate`` of every entry of an int64 array, bit for bit."""
+    m = noisy_triangle_weights
+    if kind is EstimatorKind.BIASED:
+        return (m < lam).astype(float)
+    x = unbiased_correction(p)
+    out = np.where(m < lam, 1.0, 0.0)
+    out[m == lam] = -x
+    out[m + 1 == lam] = 1.0 + x
+    return out
 
 
 def estimator_step_bound(kind: EstimatorKind, p: float) -> float:

@@ -15,7 +15,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import WeightedGraph, canonical_edge, enumerate_triangles, triangle_weight
+from .graph import (
+    WeightedGraph,
+    canonical_edge,
+    check_threshold,
+    enumerate_triangles,
+    triangle_weight,
+)
 from .assignment import greedy_assign
 from .mechanisms import PrivacyBudget, RandomSource
 from .estimators import EstimatorKind
@@ -186,6 +192,10 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
+        for lam in self.values if self.axis == "lambda" else ():
+            check_threshold(lam)
+        if self.lam is not None:
+            check_threshold(self.lam)
 
 
 @dataclass(frozen=True)

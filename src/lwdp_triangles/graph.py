@@ -1,18 +1,34 @@
-"""Weighted-graph container, triangle enumeration, and the exact below-threshold count.
+"""Weighted-graph container, triangle enumeration, and the below-threshold counts.
 
 The graph topology is public and immutable after construction.  Edge weights
 are integers of magnitude at most ``MAX_ABS_WEIGHT`` (2^31), so sums of a few
 weights and their noise stay far inside int64; negative weights are
 first-class.  Node ids are dense integers in [0, n); ingestion-side
 relabeling for sparse external ids lives in :mod:`lwdp_triangles.experiments`.
+
+Every edge has an id, its position in sorted canonical order, so a weight
+assignment to all edges (the true weights, or a noisy release of them) is one
+int64 array indexed by edge id.  ``below_threshold_count`` counts the
+triangles whose summed weight in such an array is below the threshold, in
+fixed-size chunks of triangles.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
 
 MAX_ABS_WEIGHT = 2**31
+
+# Thresholds are bounded well inside int64, so that lam - 1 - w and every
+# noisy triangle weight (weights plus discrete Laplace noise) stay in int64.
+MAX_ABS_THRESHOLD = 2**62
+
+# Triangles per chunk of ``below_threshold_count``: its temporaries stay
+# small however many triangles the graph has.
+COUNT_CHUNK = 4096
 
 
 class GraphStructureError(ValueError):
@@ -34,6 +50,17 @@ def integral(value, what: str, error: type[ValueError] = ValueError) -> int:
     if result is None or result != value:
         raise error(f"expected an integer {what}, got {value!r}")
     return result
+
+
+def check_threshold(lam) -> int:
+    """``lam`` as an int if it is integral with |lam| <= ``MAX_ABS_THRESHOLD``,
+    else ValueError: the one threshold rule of the protocol and the CLI."""
+    lam = integral(lam, "threshold lam")
+    if abs(lam) > MAX_ABS_THRESHOLD:
+        raise ValueError(
+            f"threshold lam = {lam} is outside the int64 range |lam| <= 2^62"
+        )
+    return lam
 
 
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
@@ -86,8 +113,8 @@ class WeightedGraph:
     """Undirected graph with symmetric integer edge weights.
 
     Construction validates the structural invariants (no self-loops, no
-    duplicate edges, node ids inside [0, n)).  Instances are immutable and
-    safe to share across threads.
+    duplicate edges, node ids inside [0, n)) and builds the edge-id arrays
+    once.  Instances are immutable and safe to share across threads.
     """
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, int]]):
@@ -114,6 +141,14 @@ class WeightedGraph:
             adj[v].append(u)
         self._weights = weights
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        # edge ids: the key u*n + v of every canonical edge, ascending
+        m = len(weights)
+        pairs = np.fromiter(chain.from_iterable(weights), np.int64, 2 * m).reshape(m, 2)
+        keys = pairs[:, 0] * node_count + pairs[:, 1]
+        order = np.argsort(keys)
+        self._edge_keys = keys[order]
+        self._weight_array = np.fromiter(weights.values(), np.int64, m)[order]
+        self._weight_array.flags.writeable = False
 
     # -- basic accessors ---------------------------------------------------
 
@@ -151,6 +186,22 @@ class WeightedGraph:
     def edge_weights(self) -> dict[tuple[int, int], int]:
         """Copy of the weight map, keyed by canonical edge."""
         return dict(self._weights)
+
+    @property
+    def weight_array(self) -> np.ndarray:
+        """Read-only int64 weights indexed by edge id (the order of ``edges()``)."""
+        return self._weight_array
+
+    def edge_ids(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Edge id of every pair (u[i], v[i]); raises if a pair is not an edge."""
+        keys = np.minimum(u, v).astype(np.int64) * self._n + np.maximum(u, v)
+        ids = np.searchsorted(self._edge_keys, keys)
+        if keys.size and (
+            not self.edge_count
+            or not np.array_equal(self._edge_keys.take(ids, mode="clip"), keys)
+        ):
+            raise GraphStructureError("some node pairs are not edges of the graph")
+        return ids
 
     def incident_weight_vector(self, v: int) -> list[int]:
         """Weights of v's incident edges, ordered by neighbor id (the node's private data)."""
@@ -205,6 +256,28 @@ def triangle_weight(graph: WeightedGraph, t: Triangle) -> int:
     )
 
 
+def below_threshold_count(
+    graph: WeightedGraph,
+    weights: np.ndarray,
+    lam: int,
+    triangles: Sequence[Triangle],
+) -> int:
+    """Number of ``triangles`` whose three edge weights, read from the
+    edge-indexed ``weights``, sum to strictly below ``lam``."""
+    count = 0
+    for i in range(0, len(triangles), COUNT_CHUNK):
+        chunk = triangles[i:i + COUNT_CHUNK]
+        nodes = np.fromiter(chain.from_iterable(chunk), np.int64, 3 * len(chunk))
+        a, b, c = nodes[0::3], nodes[1::3], nodes[2::3]
+        total = (
+            weights[graph.edge_ids(a, b)]
+            + weights[graph.edge_ids(a, c)]
+            + weights[graph.edge_ids(b, c)]
+        )
+        count += int(np.count_nonzero(total < lam))
+    return count
+
+
 def exact_below_threshold_count(
     graph: WeightedGraph,
     lam: int,
@@ -213,4 +286,4 @@ def exact_below_threshold_count(
     """Number of triangles with total weight strictly below ``lam`` (the ground truth)."""
     if triangles is None:
         triangles = enumerate_triangles(graph)
-    return sum(1 for t in triangles if triangle_weight(graph, t) < lam)
+    return below_threshold_count(graph, graph.weight_array, lam, triangles)

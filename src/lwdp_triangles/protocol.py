@@ -1,20 +1,25 @@
 """Single-process simulation of the two-step counting protocol and the baseline.
 
 Nodes and the server are logical parties: per-node randomness comes from
-substreams keyed by (node, round), message tallies model the three
-communication flows (vector uploads, noisy-weight downloads, count uploads),
-and a node's step-2 computation is confined to a ``NodeStep2View`` so the
-information-flow contract is enforced structurally.
+substreams keyed by (node, round), and message tallies model the three
+communication flows (vector uploads, noisy-weight downloads, count uploads).
 
-Step 2 runs in two passes.  The local pass builds every node's view, its
-count f'_v and its sensitivity S_v; with the smooth mechanism the S_v of
-consecutive nodes are computed together by ``smooth_sensitivities`` (each
-from its own instance only) once their partial sums fill a batch, and a
-node with S_v > 0 hands over its own step-2 substream.  The release pass
-then draws one uniform from each of those streams, in node order, and turns
-them all into noise with one batched inverse CDF.  Each release is still
-f'_v + scale * S_v * Z_v with Z_v from the node's own substream, so the
-result is the same as drawing node by node.
+Step 2 runs as array passes over the assignment's owner-sorted triangle rows.
+``local_step2`` walks consecutive batches of nodes; for every triangle it
+gathers the owner's two incident weights and the one noisy weight the owner
+received, so node v's count f'_v and sensitivity S_v read only v's own
+weights, the noisy weights sent to v and public data (the topology and the
+assignment).  f'_v is ``np.bincount`` of the per-triangle estimates, which
+adds in triangle order like a per-node loop.  The same batch splits v's
+partial sums into one segment per (v, incident edge): their smooth
+sensitivity is one ``segment_smooth_sensitivities`` call per batch, and
+under Laplace noise GS_v is the estimator step bound times v's longest
+segment.
+
+The release pass then turns the S_v into noise.  With the smooth mechanism
+every node with S_v > 0 draws one uniform from its own step-2 substream, in
+node order, and one batched inverse CDF turns them all into noise; each
+release is f'_v + scale * S_v * Z_v, the same as drawing node by node.
 """
 
 from __future__ import annotations
@@ -26,14 +31,14 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import Assignment, greedy_assign
-from .estimators import EstimatorKind, estimate
+from .estimators import EstimatorKind, estimate_array, estimator_step_bound
 from .graph import (
     Triangle,
     WeightedGraph,
-    canonical_edge,
+    below_threshold_count,
+    check_threshold,
     enumerate_triangles,
     exact_below_threshold_count,
-    integral,
 )
 from .mechanisms import (
     PrivacyBudget,
@@ -43,23 +48,18 @@ from .mechanisms import (
     privatize_weight_vector,
     smooth_noise_sample,
 )
-from .sensitivity import (
-    SmoothSensInstance,
-    global_sensitivity,
-    instance_from_parts,
-    smooth_sensitivities,
-)
+from .sensitivity import segment_smooth_sensitivities
 
 Edge = tuple[int, int]
 
 STEP1_ROUND = 1
 STEP2_ROUND = 2
 
-# The smooth sensitivities of pending nodes are computed together once their
-# partial sums plus two initial targets per edge reach this many.  A batch's
-# working memory grows with its candidate targets, which both of these seed,
-# and the count bounds it on sparse graphs (about one sum per edge) as well
-# as on dense ones (many sums per edge).
+# Step 2 takes consecutive nodes in batches that close once their partial
+# sums (two per assigned triangle) reach this many.  A batch's working memory
+# grows with its triangles and with the candidate targets of its smooth
+# sensitivity, and the count bounds it on sparse graphs as well as on dense
+# ones, where one node may fill a batch alone.
 SENSITIVITY_FLUSH_SIZE = 2048
 
 
@@ -102,17 +102,6 @@ class RunReport:
         return abs(self.exact_count - self.estimate) / self.exact_count
 
 
-@dataclass(frozen=True)
-class NodeStep2View:
-    """Everything a node may read in step 2: its own weights, the public
-    assignment restricted to itself, and the noisy weights it was sent."""
-
-    node: int
-    incident_weights: dict[Edge, int]
-    assigned: tuple[Triangle, ...]
-    received_noisy: dict[Edge, int]
-
-
 def release_step1(
     graph: WeightedGraph, epsilon_1: float, rng: RandomSource
 ) -> tuple[dict[Edge, int], int]:
@@ -136,33 +125,79 @@ def release_step1(
     return symmetric, uploads
 
 
-def node_step2_count(view: NodeStep2View, lam: int, kind: EstimatorKind, p: float) -> float:
-    """The local below-threshold count f'_v, computed from the view alone."""
-    total = 0.0
-    v = view.node
-    for t in view.assigned:
-        y, z = (u for u in t.nodes if u != v)
-        noisy_sum = (
-            view.incident_weights[canonical_edge(v, y)]
-            + view.incident_weights[canonical_edge(v, z)]
-            + view.received_noisy[canonical_edge(y, z)]
+def _edge_array(noisy: dict[Edge, int]) -> np.ndarray:
+    # release_step1's map is keyed in sorted canonical order, i.e. by edge id
+    return np.fromiter(noisy.values(), np.int64, len(noisy))
+
+
+def _node_batches(owner: np.ndarray, node_count: int):
+    """(first node, end node, first row, end row) of consecutive node batches
+    that close once their partial sums reach ``SENSITIVITY_FLUSH_SIZE``."""
+    starts = np.searchsorted(owner, np.arange(node_count + 1))
+    half = SENSITIVITY_FLUSH_SIZE // 2  # two partial sums per triangle
+    first = 0
+    while first < node_count:
+        end = int(np.searchsorted(starts, starts[first] + half))
+        end = min(max(end, first + 1), node_count)
+        yield first, end, int(starts[first]), int(starts[end])
+        first = end
+
+
+def local_step2(
+    graph: WeightedGraph,
+    assignment: Assignment,
+    weights: np.ndarray,
+    noisy: np.ndarray,
+    lam: int,
+    kind: EstimatorKind,
+    mechanism: Mechanism,
+    budget: PrivacyBudget,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's local count f'_v and sensitivity S_v (GS_v under Laplace noise).
+
+    ``weights`` and ``noisy`` are edge-indexed: the true weights, of which
+    node v reads only its incident ones, and the step-1 release, of which v
+    reads only the edges opposite it in its assigned triangles.
+    """
+    n = graph.node_count
+    counts = np.zeros(n)
+    sens = np.zeros(n)
+    rows = assignment.rows
+    p = budget.p
+    step = estimator_step_bound(kind, p)
+    for first, end, lo, hi in _node_batches(rows[:, 0], n):
+        if lo == hi:
+            continue  # f'_v and S_v stay 0 for nodes without triangles
+        owner, y, z = rows[lo:hi].T.astype(np.int64)
+        w_vy = weights[graph.edge_ids(owner, y)]
+        w_vz = weights[graph.edge_ids(owner, z)]
+        received = noisy[graph.edge_ids(y, z)]
+        local = owner - first
+        counts[first:end] = np.bincount(
+            local,
+            weights=estimate_array(kind, w_vy + w_vz + received, lam, p),
+            minlength=end - first,
         )
-        total += estimate(kind, noisy_sum, lam, p)
-    return total
-
-
-def _make_view(
-    graph: WeightedGraph, assignment: Assignment, symmetric: dict[Edge, int], node: int
-) -> NodeStep2View:
-    assigned = assignment.triangles_of(node)
-    received = {}
-    for t in assigned:
-        edge = t.opposite_edge(node)
-        received[edge] = symmetric[edge]
-    incident = {
-        canonical_edge(node, u): graph.weight(node, u) for u in graph.neighbors(node)
-    }
-    return NodeStep2View(node, incident, assigned, received)
+        # one segment per (owner, neighbour): the edge (v, y) carries the
+        # partial sum w(v, z) + w'(y, z) of every triangle, and vice versa
+        keys = np.concatenate((local * n + y, local * n + z))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        lengths = np.diff(np.append(heads, len(keys)))
+        seg_owner = keys[heads] // n
+        if mechanism is Mechanism.GLOBAL_LAPLACE:
+            longest = np.zeros(end - first, dtype=np.int64)
+            np.maximum.at(longest, seg_owner, lengths)
+            sens[first:end] = step * longest
+        else:
+            sums = np.concatenate((w_vz + received, w_vy + received))[order]
+            edge_weight = np.concatenate((w_vy, w_vz))[order][heads]
+            sens[first:end] = segment_smooth_sensitivities(
+                sums, lengths, lam - 1 - edge_weight, seg_owner, end - first,
+                kind, budget.beta, p,
+            )
+    return counts, sens
 
 
 def run_two_step(
@@ -183,7 +218,7 @@ def run_two_step(
     """
     if not isinstance(budget, PrivacyBudget):
         raise ValueError("budget must be a PrivacyBudget")
-    lam = integral(lam, "threshold lam")
+    lam = check_threshold(lam)
     if rng is None:
         rng = RandomSource(0)
     if triangles is None:
@@ -192,80 +227,46 @@ def run_two_step(
         assignment = greedy_assign(graph, triangles)
 
     symmetric, uploads1 = release_step1(graph, budget.epsilon_1, rng)
-    p = budget.p
-    beta = budget.beta
-    scale_mult = budget.smooth_noise_scale
-
-    downloads = 0
-    uploads2 = 0
-    per_node: dict[int, float] = {}
-    per_node_sens = np.zeros(graph.node_count)
-    ledger: dict[int, tuple[BudgetEntry, ...]] = {}
-    # smooth mechanism: instances wait in ``pending`` until they fill a
-    # batch; then (node, S_v) and the node's own step-2 stream are kept
-    # for each node with S_v > 0, turned into noise by one draw after the loop
-    pending: list[SmoothSensInstance] = []
-    pending_size = 0
-    drawing: list[tuple[int, float]] = []
-    streams = []
-    last = graph.node_count - 1
-    for v in range(graph.node_count):
-        view = _make_view(graph, assignment, symmetric, v)
-        downloads += len(view.assigned)  # one noisy weight per assigned triangle
-        f_v = node_step2_count(view, lam, kind, p)
+    counts, sens = local_step2(
+        graph, assignment, graph.weight_array, _edge_array(symmetric), lam, kind, mechanism,
+        budget,
+    )
+    release = counts.copy()
+    noisy_nodes = np.flatnonzero(sens > 0.0).tolist()
+    # an epsilon_2 too small for the noise scale overflows here; the check
+    # below rejects the run
+    with np.errstate(over="ignore", invalid="ignore"):
         if mechanism is Mechanism.GLOBAL_LAPLACE:
-            sens = global_sensitivity(v, assignment, kind, p=p)
-            per_node_sens[v] = sens
-            noise = 0.0
-            if sens > 0.0:
-                noise = float(
-                    laplace_sample(sens / budget.epsilon_2, rng.node_stream(v, STEP2_ROUND))
-                )
             query = "laplace"
+            for v in noisy_nodes:
+                release[v] += float(
+                    laplace_sample(sens[v] / budget.epsilon_2, rng.node_stream(v, STEP2_ROUND))
+                )
         else:
-            inst = instance_from_parts(
-                v,
-                view.incident_weights,
-                view.assigned,
-                view.received_noisy,
-                lam,
-                beta,
-                kind,
-                p=p,
-            )
-            if inst.edges:  # S_v stays 0 for a node without partial sums
-                pending.append(inst)
-                # two partial sums per triangle, two initial targets per edge
-                pending_size += 2 * len(view.assigned) + 2 * len(inst.edges)
-            if pending and (pending_size >= SENSITIVITY_FLUSH_SIZE or v == last):
-                for inst, sens in zip(pending, smooth_sensitivities(pending).tolist()):
-                    per_node_sens[inst.node] = sens
-                    if sens > 0.0:
-                        drawing.append((inst.node, sens))
-                        streams.append(rng.node_stream(inst.node, STEP2_ROUND))
-                pending, pending_size = [], 0
-            noise = 0.0  # added in the release pass below
             query = "smooth"
-        per_node[v] = f_v + noise
-        uploads2 += 1
-        ledger[v] = (
-            BudgetEntry("dlap", budget.epsilon_1),
-            BudgetEntry(query, budget.epsilon_2),
+            streams = [rng.node_stream(v, STEP2_ROUND) for v in noisy_nodes]
+            scaled = budget.smooth_noise_scale * sens[noisy_nodes]
+            release[noisy_nodes] += scaled * smooth_noise_sample(streams)
+    overflow = np.flatnonzero(~np.isfinite(release))
+    if overflow.size:
+        v = int(overflow[0])
+        raise ValueError(
+            f"epsilon_2 = {budget.epsilon_2} is too small: the step-2 release of "
+            f"node {v} is {release[v]}"
         )
-    if mechanism is Mechanism.SMOOTH:
-        for (v, sens), z in zip(drawing, smooth_noise_sample(streams)):
-            per_node[v] += scale_mult * sens * float(z)
 
-    estimate_total = sum(per_node.values())
+    per_node = dict(enumerate(release.tolist()))
+    entries = (BudgetEntry("dlap", budget.epsilon_1), BudgetEntry(query, budget.epsilon_2))
     exact = exact_below_threshold_count(graph, lam, triangles)
     return RunReport(
-        estimate=estimate_total,
+        estimate=sum(per_node.values()),
         exact_count=exact,
         lam=lam,
         per_node_release=per_node,
-        tallies=CommunicationTallies(uploads1, downloads, uploads2),
-        budget_ledger=ledger,
-        per_node_sensitivity=per_node_sens,
+        # one noisy weight downloaded per assigned triangle, one count uploaded per node
+        tallies=CommunicationTallies(uploads1, len(assignment.rows), graph.node_count),
+        budget_ledger=dict.fromkeys(range(graph.node_count), entries),
+        per_node_sensitivity=sens,
     )
 
 
@@ -279,20 +280,13 @@ def run_baseline(
 ) -> RunReport:
     """Non-interactive baseline: privatize all weights once, count on the noisy graph."""
     check_dlap_epsilon(epsilon)
-    lam = integral(lam, "threshold lam")
+    lam = check_threshold(lam)
     if rng is None:
         rng = RandomSource(0)
     if triangles is None:
         triangles = enumerate_triangles(graph)
     w_prime, uploads1 = release_step1(graph, epsilon, rng)
-    count = 0
-    for t in triangles:
-        total = sum(w_prime[e] for e in t.edges())
-        if total < lam:
-            count += 1
-    ledger = {
-        v: (BudgetEntry("dlap", epsilon),) for v in range(graph.node_count)
-    }
+    count = below_threshold_count(graph, _edge_array(w_prime), lam, triangles)
     exact = exact_below_threshold_count(graph, lam, triangles)
     return RunReport(
         estimate=float(count),
@@ -300,6 +294,6 @@ def run_baseline(
         lam=lam,
         per_node_release={},
         tallies=CommunicationTallies(uploads1, 0, 0),
-        budget_ledger=ledger,
+        budget_ledger=dict.fromkeys(range(graph.node_count), (BudgetEntry("dlap", epsilon),)),
         per_node_sensitivity=np.zeros(0),
     )

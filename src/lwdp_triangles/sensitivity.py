@@ -13,12 +13,15 @@ the biased estimator only values on the target matter; for the unbiased
 estimator the values adjacent to the target contribute differently from the
 values on it.
 
-``smooth_sensitivities`` scores many instances in one NumPy pass: every
-(instance, edge) is a segment of one sorted int64 key array, searchsorted
-gives the counts at every candidate target, and the walks run as masked
-rounds.  Every e^{-beta n} is ``math.exp`` of an integer n, so the values are
-bit-identical to a per-target scalar evaluation.  ``smooth_sensitivity``
-is the one-instance form.
+``segment_smooth_sensitivities`` is the one implementation.  It takes the
+partial sums of many nodes as int64 arrays, one segment per (node, incident
+edge), and scores them in one NumPy pass: the segments become one sorted
+int64 key array, searchsorted gives the counts at every candidate target,
+and the walks run as masked rounds.  Every e^{-beta n} is ``math.exp`` of an
+integer n, so the values are bit-identical to a per-target scalar
+evaluation.  The protocol builds the segments from its triangle arrays;
+``smooth_sensitivities`` flattens ``SmoothSensInstance`` objects into them,
+and ``smooth_sensitivity`` is the one-instance form.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target in an exact pruning radius and exhausts all shift counts
@@ -37,7 +40,7 @@ import numpy as np
 
 from .assignment import Assignment, InstanceTooLargeError
 from .estimators import EstimatorKind, estimator_step_bound, unbiased_correction
-from .graph import Triangle, WeightedGraph, canonical_edge, integral
+from .graph import Triangle, WeightedGraph, canonical_edge, check_threshold
 
 Edge = tuple[int, int]
 
@@ -94,7 +97,7 @@ class SmoothSensInstance:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
-        object.__setattr__(self, "lam", integral(self.lam, "threshold lam"))
+        object.__setattr__(self, "lam", check_threshold(self.lam))
         if self.kind is EstimatorKind.UNBIASED and not (
             self.p is not None and 0.0 <= self.p < 1.0
         ):
@@ -293,13 +296,65 @@ def _segment_maxima(keys, bounds, anchors, span, kind, beta, x, neg_exp):
     return np.maximum.reduceat(cand * discount, first)
 
 
-def smooth_sensitivities(instances: Sequence[SmoothSensInstance]) -> np.ndarray:
-    """beta-smooth sensitivity of every instance, in one segmented pass.
+def segment_smooth_sensitivities(
+    sums: np.ndarray,
+    lengths: np.ndarray,
+    anchors: np.ndarray,
+    owners: np.ndarray,
+    count: int,
+    kind: EstimatorKind,
+    beta: float,
+    p: float | None,
+) -> np.ndarray:
+    """beta-smooth sensitivity of ``count`` nodes from their segments, in one pass.
 
-    Every (instance, edge) with partial sums is a segment.  Instances that
-    share estimator, beta and p are scored together: their sums become one
-    sorted int64 key array, searchsorted gives the counts at and next to
-    every candidate target, and the outward walks run as masked rounds.
+    A segment is the int64 partial sums of one (node, incident edge): segment
+    i holds the next ``lengths[i]`` (at least one) values of ``sums``, its
+    initial target for a +1 step is ``anchors[i]`` (lam - 1 - the edge's
+    weight) and it belongs to node ``owners[i]`` in [0, count).  The sums
+    become one sorted int64 key array, searchsorted gives the counts at and
+    next to every candidate target, and the outward walks run as masked
+    rounds.  A node's value is the largest over its own segments only.
+    """
+    out = np.zeros(count)
+    if not len(lengths):
+        return out
+    x = unbiased_correction(p) if kind is EstimatorKind.UNBIASED else 0.0
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    # Each segment is offset by its own low end, so only the widest
+    # segment, not the spread between segments, sets the key span.
+    low = np.minimum(np.minimum.reduceat(sums, bounds[:-1]), anchors)
+    high = np.maximum(np.maximum.reduceat(sums, bounds[:-1]), anchors + 1)
+    width = high - low  # wraps below 0 when a segment spans 2^63 or more
+    span = int(width.max()) + 5  # room for the targets c-1 and c+1
+    # A walk's first step is at most span long; every later one is shorter
+    # than ln(2)/beta, or k/(k+1) >= 1/2 stops it.  So no cost overflows.
+    reach = math.log(2.0) / beta  # inf for a subnormal beta
+    step = span if reach >= span else math.floor(reach) + 1
+    if width.min() < 0 or (int(lengths.max()) + 1) * step + span > _INT64_MAX:
+        raise ValueError("partial sums and thresholds spread too wide for int64")
+    rel = sums - np.repeat(low, lengths) + 2
+    anchors = anchors - low + 2
+    neg_exp = _NegExp(beta)
+    best = np.empty(len(lengths))
+    per_chunk = _INT64_MAX // span  # segments whose keys fit in int64
+    for a in range(0, len(lengths), per_chunk):
+        b = min(a + per_chunk, len(lengths))
+        base = np.arange(b - a) * span
+        keys = np.repeat(base, lengths[a:b]) + rel[bounds[a]:bounds[b]]
+        keys.sort()
+        best[a:b] = _segment_maxima(
+            keys, bounds[a:b + 1] - bounds[a], base + anchors[a:b], span, kind, beta, x,
+            neg_exp,
+        )
+    np.maximum.at(out, owners, best)
+    return np.where(out > 0.0, out, 0.0)
+
+
+def smooth_sensitivities(instances: Sequence[SmoothSensInstance]) -> np.ndarray:
+    """beta-smooth sensitivity of every instance: ``segment_smooth_sensitivities``
+    over their flattened segments, one call per (estimator, beta, p).
+
     Each instance's value depends on its own segments only and equals
     ``smooth_sensitivity`` on that instance alone, bit for bit.
     """
@@ -308,7 +363,7 @@ def smooth_sensitivities(instances: Sequence[SmoothSensInstance]) -> np.ndarray:
     for i, inst in enumerate(instances):
         x = unbiased_correction(inst.p) if inst.kind is EstimatorKind.UNBIASED else 0.0
         groups.setdefault((inst.kind, inst.beta, x), []).append(i)
-    for (kind, beta, x), members in groups.items():
+    for (kind, beta, _), members in groups.items():
         owners, anchors, sums = [], [], []
         for i in members:
             inst = instances[i]
@@ -317,43 +372,18 @@ def smooth_sensitivities(instances: Sequence[SmoothSensInstance]) -> np.ndarray:
                     owners.append(i)
                     anchors.append(_anchor_targets(view, inst.lam)[0])
                     sums.append(view.partial_sums)
-        if not owners:
-            continue
         lengths = np.fromiter(map(len, sums), np.int64, len(sums))
-        bounds = np.concatenate(([0], np.cumsum(lengths)))
         try:
-            flat = np.fromiter(chain.from_iterable(sums), np.int64, int(bounds[-1]))
+            flat = np.fromiter(chain.from_iterable(sums), np.int64, int(lengths.sum()))
             anchors = np.array(anchors, dtype=np.int64)
         except OverflowError:
             raise ValueError("partial sums and thresholds must fit in int64") from None
-        # Each segment is offset by its own low end, so only the widest
-        # segment, not the spread between segments, sets the key span.
-        low = np.minimum(np.minimum.reduceat(flat, bounds[:-1]), anchors)
-        high = np.maximum(np.maximum.reduceat(flat, bounds[:-1]), anchors + 1)
-        width = high - low  # wraps below 0 when a segment spans 2^63 or more
-        span = int(width.max()) + 5  # room for the targets c-1 and c+1
-        # A walk's first step is at most span long; every later one is shorter
-        # than ln(2)/beta, or k/(k+1) >= 1/2 stops it.  So no cost overflows.
-        reach = math.log(2.0) / beta  # inf for a subnormal beta
-        step = span if reach >= span else math.floor(reach) + 1
-        if width.min() < 0 or (int(lengths.max()) + 1) * step + span > _INT64_MAX:
-            raise ValueError("partial sums and thresholds spread too wide for int64")
-        rel = flat - np.repeat(low, lengths) + 2
-        anchors = anchors - low + 2
-        neg_exp = _NegExp(beta)
-        best = np.empty(len(owners))
-        per_chunk = _INT64_MAX // span  # segments whose keys fit in int64
-        for a in range(0, len(owners), per_chunk):
-            b = min(a + per_chunk, len(owners))
-            base = np.arange(b - a) * span
-            keys = np.repeat(base, lengths[a:b]) + rel[bounds[a]:bounds[b]]
-            keys.sort()
-            best[a:b] = _segment_maxima(
-                keys, bounds[a:b + 1] - bounds[a], base + anchors[a:b], span, kind, beta, x,
-                neg_exp,
-            )
-        np.maximum.at(out, owners, best)
-    return np.where(out > 0.0, out, 0.0)
+        values = segment_smooth_sensitivities(
+            flat, lengths, anchors, np.array(owners, dtype=np.int64), len(instances),
+            kind, beta, instances[members[0]].p,
+        )
+        out = np.maximum(out, values)
+    return out
 
 
 def smooth_sensitivity(inst: SmoothSensInstance) -> float:

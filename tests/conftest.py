@@ -1,12 +1,21 @@
-"""Shared builders for graphs and local sensitivity instances."""
+"""Shared builders for graphs and local sensitivity instances, and a
+per-node reference for the protocol's step 2."""
 
 from __future__ import annotations
 
 import random
 
 from lwdp_triangles import WeightedGraph
-from lwdp_triangles.estimators import EstimatorKind
-from lwdp_triangles.sensitivity import EdgeLocalView, SmoothSensInstance
+from lwdp_triangles.estimators import EstimatorKind, estimate
+from lwdp_triangles.graph import canonical_edge
+from lwdp_triangles.protocol import Mechanism
+from lwdp_triangles.sensitivity import (
+    EdgeLocalView,
+    SmoothSensInstance,
+    global_sensitivity,
+    instance_from_parts,
+    smooth_sensitivity,
+)
 
 
 def complete_graph(n: int, weight: int = 1) -> WeightedGraph:
@@ -62,3 +71,34 @@ def random_local_instance(
         sums[j].append(weights[i] + shared_noisy)
     views = tuple(EdgeLocalView(weights[i], tuple(sums[i])) for i in range(d))
     return SmoothSensInstance(0, lam, beta, kind, p, views)
+
+
+def reference_step2(graph, assignment, noisy, lam, kind, mechanism, budget):
+    """Every node's (f'_v, S_v) computed one node at a time, as lists.
+
+    Node v reads its incident weights and the noisy weights of the edges
+    opposite it in its assigned triangles (``noisy`` is the step-1 map keyed
+    by canonical edge); f'_v is a per-triangle ``estimate`` loop and S_v the
+    smooth sensitivity of ``instance_from_parts`` (GS_v under Laplace noise).
+    """
+    counts, sens = [], []
+    for v in range(graph.node_count):
+        incident = {canonical_edge(v, u): graph.weight(v, u) for u in graph.neighbors(v)}
+        assigned = sorted(t for t, owner in assignment.rho.items() if owner == v)
+        received = {t.opposite_edge(v): noisy[t.opposite_edge(v)] for t in assigned}
+        total = 0.0
+        for t in assigned:
+            y, z = (u for u in t.nodes if u != v)
+            noisy_sum = (
+                incident[canonical_edge(v, y)] + incident[canonical_edge(v, z)] + received[(y, z)]
+            )
+            total += estimate(kind, noisy_sum, lam, budget.p)
+        counts.append(total)
+        if mechanism is Mechanism.SMOOTH:
+            inst = instance_from_parts(
+                v, incident, assigned, received, lam, budget.beta, kind, p=budget.p
+            )
+            sens.append(smooth_sensitivity(inst))
+        else:
+            sens.append(global_sensitivity(v, assignment, kind, p=budget.p))
+    return counts, sens

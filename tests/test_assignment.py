@@ -137,3 +137,18 @@ def test_greedy_approximation_ratios_on_random_instances():
             assert greedy_c4 == 0
         else:
             assert greedy_c4 <= RATIO_C4 * opt_c4 + 1e-9
+
+
+def test_rows_list_each_owners_triangles_in_order():
+    g = random_graph(random.Random(23), 15, 0.55, -2, 2)
+    tris = enumerate_triangles(g)
+    # choices in reverse triangle order, so rho is not in sorted order
+    a = assignment_from_choices(tris[::-1], [t.edges()[i % 3] for i, t in enumerate(tris[::-1])])
+    owned = {v: sorted(t for t, owner in a.rho.items() if owner == v) for v in range(15)}
+    expected = [(v, *(u for u in t.nodes if u != v)) for v in range(15) for t in owned[v]]
+    assert a.rows.dtype.name == "int32"
+    assert [tuple(r) for r in a.rows.tolist()] == expected
+    for v in range(15):
+        assert a.triangles_of(v) == tuple(owned[v])
+    assert Assignment({}, {}).rows.shape == (0, 3)
+    assert Assignment({}, {}).triangles_of(0) == ()

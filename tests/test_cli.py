@@ -146,3 +146,28 @@ def test_invalid_library_argument_is_a_usage_error(graph_file, tmp_path, command
     assert captured.out == ""
     assert f"lwdp-triangles {command[0]}: error:" in captured.err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["count", "--lambda", str(10**30), "--eps", "2.0", "--estimator", "biased",
+     "--mechanism", "global"],
+    ["count", "--lambda", str(-(10**30)), "--eps", "2.0", "--estimator", "unbiased",
+     "--mechanism", "smooth"],
+    ["baseline", "--lambda", str(2**63), "--eps", "1.0"],
+    ["sensitivity", "--lambda", str(10**30), "--node", "0", "--beta", "0.25",
+     "--estimator", "biased"],
+    ["experiment", "--sweep", "lambda", "--values", f"4,{2**63}"],
+    ["experiment", "--sweep", "eps", "--values", "1.0", "--lambda", str(-(10**30))],
+])
+def test_threshold_outside_int64_range_is_a_usage_error(graph_file, tmp_path, command, capsys):
+    out_path = tmp_path / "sweep.csv"
+    if command[0] == "experiment":
+        command = command + ["--trials", "1", "--out", str(out_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--graph", graph_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"lwdp-triangles {command[0]}: error:" in captured.err
+    assert "int64" in captured.err
+    assert not out_path.exists()

@@ -8,6 +8,7 @@ from lwdp_triangles.estimators import (
     closed_form_moments,
     covariance_biased,
     estimate,
+    estimate_array,
     expectation_by_summation,
     expected_biased,
     h_value,
@@ -164,6 +165,16 @@ def test_monte_carlo_variance_matches_closed_forms():
 def test_estimate_dispatch():
     assert estimate(EstimatorKind.BIASED, 3, 4, 0.5) == 1.0
     assert estimate(EstimatorKind.UNBIASED, 3, 4, 0.5) == pytest.approx(3.0)
+
+
+def test_estimate_array_matches_estimate_bit_for_bit():
+    weights = np.arange(-8, 9, dtype=np.int64)
+    for kind in EstimatorKind:
+        for lam in (-(2**62), -3, 0, 1, 5, 2**62):
+            for p in (0.0, 0.3, math.exp(-1.0)):
+                got = estimate_array(kind, weights, lam, p)
+                expected = [estimate(kind, int(m), lam, p) for m in weights]
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
 
 def test_unbiased_correction_domain():

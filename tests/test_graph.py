@@ -12,6 +12,7 @@ from lwdp_triangles import (
     make_triangle,
     triangle_weight,
 )
+from lwdp_triangles.graph import COUNT_CHUNK, below_threshold_count
 
 from conftest import complete_graph, random_graph
 
@@ -138,3 +139,36 @@ def test_triangle_helpers():
     assert t.opposite_node((1, 5)) == 3
     with pytest.raises(ValueError):
         t.opposite_edge(2)
+
+
+def test_weight_array_and_edge_ids_follow_sorted_edges():
+    g = random_graph(random.Random(21), 16, 0.5, -9, 9)
+    edges = list(g.edges())
+    assert g.weight_array.tolist() == [g.weight(u, v) for u, v in edges]
+    u = np.array([e[0] for e in edges])
+    v = np.array([e[1] for e in edges])
+    ids = np.arange(len(edges))
+    assert (g.edge_ids(u, v) == ids).all() and (g.edge_ids(v, u) == ids).all()
+    missing = next((a, b) for a in range(16) for b in range(a + 1, 16) if not g.has_edge(a, b))
+    with pytest.raises(GraphStructureError):
+        g.edge_ids(np.array([missing[0]]), np.array([missing[1]]))
+    with pytest.raises(GraphStructureError):
+        WeightedGraph(3, []).edge_ids(np.array([0]), np.array([1]))
+    with pytest.raises(ValueError):
+        g.weight_array[0] = 1  # the graph is immutable
+
+
+def test_below_threshold_count_reads_the_given_weights_across_chunks():
+    rnd = random.Random(22)
+    g = random_graph(rnd, 50, 0.6, -3, 3)
+    tris = enumerate_triangles(g)
+    assert len(tris) > COUNT_CHUNK
+    edges = list(g.edges())
+    other = {e: rnd.randint(-9, 9) for e in edges}
+    array = np.array([other[e] for e in edges], dtype=np.int64)
+    for lam in (-5, 0, 1, 6):
+        expected = sum(1 for t in tris if sum(other[e] for e in t.edges()) < lam)
+        assert below_threshold_count(g, array, lam, tris) == expected
+        assert exact_below_threshold_count(g, lam, tris) == sum(
+            1 for t in tris if triangle_weight(g, t) < lam
+        )

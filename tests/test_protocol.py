@@ -25,18 +25,11 @@ from lwdp_triangles.protocol import (
     STEP1_ROUND,
     STEP2_ROUND,
     Mechanism,
-    NodeStep2View,
-    node_step2_count,
+    local_step2,
     release_step1,
-    _make_view,
-)
-from lwdp_triangles.sensitivity import (
-    global_sensitivity,
-    instance_from_parts,
-    smooth_sensitivity,
 )
 
-from conftest import complete_graph, random_graph
+from conftest import complete_graph, random_graph, reference_step2
 
 import random
 
@@ -173,30 +166,36 @@ def test_seeded_estimates_match_recorded_hex():
         assert run_baseline(g, 5, 2.5, RandomSource(seed)).estimate.hex() == expected, seed
 
 
+def _noisy_array(noisy):
+    # release_step1's map is keyed in edge-id order
+    return np.fromiter(noisy.values(), np.int64, len(noisy))
+
+
 def test_step2_isolation_from_other_nodes():
     rnd = random.Random(6)
     g = random_graph(rnd, 12, 0.6, -2, 2)
     assignment = greedy_assign(g)
     noisy, _ = release_step1(g, 1.0, RandomSource(8))
-    lam, p = 1, math.exp(-1.0)
-    views = {v: _make_view(g, assignment, noisy, v) for v in range(g.node_count)}
-    before = {v: node_step2_count(views[v], lam, EstimatorKind.UNBIASED, p) for v in views}
-    # tamper every other node's private inputs; node 0's count must not move
-    changed = 0
-    for u in views:
-        if u == 0:
-            continue
-        corrupted = NodeStep2View(
-            node=u,
-            incident_weights={e: w - 1000 for e, w in views[u].incident_weights.items()},
-            assigned=views[u].assigned,
-            received_noisy=views[u].received_noisy,
-        )
-        if node_step2_count(corrupted, lam, EstimatorKind.UNBIASED, p) != before[u]:
-            changed += 1
-    after0 = node_step2_count(views[0], lam, EstimatorKind.UNBIASED, p)
-    assert after0 == before[0]
-    assert changed > 0  # the tampering itself is observable somewhere
+    received = {t.opposite_edge(0) for t, owner in assignment.rho.items() if owner == 0}
+    assert received
+    # tamper every true weight node 0 does not hold and every noisy weight
+    # it is not sent; node 0's count and sensitivity must not move
+    weights = g.weight_array.copy()
+    tampered = _noisy_array(noisy)
+    for i, edge in enumerate(g.edges()):
+        if 0 not in edge:
+            weights[i] -= 1000
+        if edge not in received:
+            tampered[i] += 1000
+    budget = PrivacyBudget(1.0, 1.0)
+    for kind in EstimatorKind:
+        for mechanism in Mechanism:
+            args = (1, kind, mechanism, budget)
+            f, s = local_step2(g, assignment, g.weight_array, _noisy_array(noisy), *args)
+            f2, s2 = local_step2(g, assignment, weights, tampered, *args)
+            assert (f2[0].hex(), s2[0].hex()) == (f[0].hex(), s[0].hex()), (kind, mechanism)
+            # the tampering itself is observable at some other node
+            assert (f2 != f).any() or (s2 != s).any(), (kind, mechanism)
 
 
 def test_smooth_release_per_node_matches_one_node_at_a_time():
@@ -213,19 +212,15 @@ def test_smooth_release_per_node_matches_one_node_at_a_time():
         rep = run_two_step(g, lam, budget, kind, Mechanism.SMOOTH, rng,
                            triangles=tris, assignment=assignment)
         noisy, _ = release_step1(g, budget.epsilon_1, rng)
+        counts, sens = reference_step2(g, assignment, noisy, lam, kind, Mechanism.SMOOTH, budget)
         silent = 0
         for v in range(g.node_count):
-            view = _make_view(g, assignment, noisy, v)
-            f_v = node_step2_count(view, lam, kind, budget.p)
-            inst = instance_from_parts(v, view.incident_weights, view.assigned,
-                                       view.received_noisy, lam, budget.beta, kind, p=budget.p)
-            sens = smooth_sensitivity(inst)
-            if sens == 0.0:
+            if sens[v] == 0.0:
                 silent += 1
-                assert rep.per_node_release[v].hex() == f_v.hex()
+                assert rep.per_node_release[v].hex() == counts[v].hex()
                 continue
             z = smooth_noise_sample([rng.node_stream(v, STEP2_ROUND)])[0]
-            expected = f_v + budget.smooth_noise_scale * sens * float(z)
+            expected = counts[v] + budget.smooth_noise_scale * sens[v] * float(z)
             assert rep.per_node_release[v].hex() == expected.hex(), (kind, v)
         assert 0 < silent < g.node_count
 
@@ -246,19 +241,67 @@ def test_per_node_sensitivity_matches_each_node():
                                triangles=tris, assignment=assignment)
             assert rep.per_node_sensitivity.shape == (g.node_count,)
             noisy, _ = release_step1(g, budget.epsilon_1, rng)
-            for v in range(g.node_count):
-                if mechanism is Mechanism.SMOOTH:
-                    view = _make_view(g, assignment, noisy, v)
-                    inst = instance_from_parts(v, view.incident_weights, view.assigned,
-                                               view.received_noisy, lam, budget.beta, kind,
-                                               p=budget.p)
-                    expected = smooth_sensitivity(inst)
-                else:
-                    expected = global_sensitivity(v, assignment, kind, p=budget.p)
-                got = float(rep.per_node_sensitivity[v])
-                assert got.hex() == expected.hex(), (kind, mechanism, v)
+            _, expected = reference_step2(g, assignment, noisy, lam, kind, mechanism, budget)
+            got = [float(s).hex() for s in rep.per_node_sensitivity]
+            assert got == [s.hex() for s in expected], (kind, mechanism)
     baseline = run_baseline(g, lam, 1.0, RandomSource(10), triangles=tris)
     assert baseline.per_node_sensitivity.size == 0
+
+
+def test_local_step2_matches_per_node_reference_bit_for_bit():
+    # negative weights, isolated and triangle-free nodes, thresholds on the
+    # estimators' boundary cases, and one graph that spans several batches
+    rnd = random.Random(31)
+    budget = PrivacyBudget(0.8, 1.3)
+    graphs = [random_graph(rnd, rnd.randint(6, 22), rnd.uniform(0.1, 0.8), -6, 6)
+              for _ in range(6)]
+    graphs.append(WeightedGraph(7, [(0, 1, -3), (1, 2, 4), (0, 2, 0), (4, 5, 1)]))
+    graphs.append(random_graph(rnd, 46, 0.6, -4, 5))
+    assert 2 * len(enumerate_triangles(graphs[-1])) > 2 * SENSITIVITY_FLUSH_SIZE
+    seen_empty = 0
+    for i, g in enumerate(graphs):
+        assignment = greedy_assign(g)
+        seen_empty += any(not assignment.triangles_of(v) for v in range(g.node_count))
+        noisy, _ = release_step1(g, budget.epsilon_1, RandomSource(i))
+        lam = rnd.randint(-4, 8)
+        for kind in EstimatorKind:
+            for mechanism in Mechanism:
+                f, s = local_step2(g, assignment, g.weight_array, _noisy_array(noisy),
+                                   lam, kind, mechanism, budget)
+                ref_f, ref_s = reference_step2(g, assignment, noisy, lam, kind, mechanism, budget)
+                assert [float(x).hex() for x in f] == [x.hex() for x in ref_f], (i, kind, mechanism)
+                assert [float(x).hex() for x in s] == [x.hex() for x in ref_s], (i, kind, mechanism)
+    assert seen_empty > 0
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_epsilon_2_whose_release_overflows_is_rejected(kind, mechanism):
+    # the budget itself is valid, but scale * S_v overflows, so every
+    # estimate used to come out NaN
+    g = random_graph(random.Random(6), 12, 0.6, -2, 2)
+    with pytest.raises(ValueError, match="epsilon_2"):
+        run_two_step(g, 1, PrivacyBudget(1.0, 3e-308), kind, mechanism, RandomSource(1))
+
+
+def test_threshold_outside_int64_range_is_rejected():
+    g = random_graph(random.Random(12), 12, 0.6, 0, 4)
+    budget = PrivacyBudget(1.0, 1.0)
+    for lam in (10**30, -(10**30), 2**63, -(2**62) - 1):
+        for kind in EstimatorKind:
+            for mechanism in Mechanism:
+                with pytest.raises(ValueError, match="int64"):
+                    run_two_step(g, lam, budget, kind, mechanism, RandomSource(1))
+        with pytest.raises(ValueError, match="int64"):
+            run_baseline(g, lam, 2.0, RandomSource(1))
+    # the ends of the range run: every triangle is below 2^62, none below -2^62
+    exact = len(enumerate_triangles(g))
+    for lam, count in ((2**62, exact), (-(2**62), 0)):
+        for kind in EstimatorKind:
+            for mechanism in Mechanism:
+                rep = run_two_step(g, lam, budget, kind, mechanism, RandomSource(1))
+                assert rep.exact_count == count and math.isfinite(rep.estimate)
+        assert run_baseline(g, lam, 2.0, RandomSource(1)).estimate == count
 
 
 def test_baseline_large_budget_identity_and_unreachable_threshold():

@@ -282,7 +282,7 @@ def test_batch_equals_each_instance_alone():
 
 
 def test_instance_value_ignores_the_rest_of_the_batch():
-    # the NodeStep2View contract at the sensitivity layer: a node's value
+    # the step-2 information-flow contract at the sensitivity layer: a node's value
     # depends on its own instance only
     rnd = random.Random(7002)
     instances = _mixed_instances(rnd, 60)
@@ -339,11 +339,14 @@ def test_segment_spread_beyond_int64_is_rejected():
     )
     with pytest.raises(ValueError, match="int64"):
         smooth_sensitivity(inst)
-    far_threshold = SmoothSensInstance(
-        0, 10**30, 0.5, EstimatorKind.BIASED, None, (EdgeLocalView(0, (1, 2)),)
+    far_sum = SmoothSensInstance(
+        0, 0, 0.5, EstimatorKind.BIASED, None, (EdgeLocalView(0, (1, 2**64)),)
     )
     with pytest.raises(ValueError, match="int64"):
-        smooth_sensitivity(far_threshold)
+        smooth_sensitivity(far_sum)
+    # a threshold outside the range is rejected when the instance is built
+    with pytest.raises(ValueError, match="int64"):
+        SmoothSensInstance(0, 10**30, 0.5, EstimatorKind.BIASED, None, (EdgeLocalView(0, (1, 2)),))
 
 
 def test_oracle_accepts_explicit_radius():
@@ -397,6 +400,13 @@ def test_instance_rejects_fractional_threshold():
     with pytest.raises(ValueError, match="integer threshold"):
         SmoothSensInstance(0, 7.5, 0.5, EstimatorKind.BIASED, None, ())
     assert SmoothSensInstance(0, 7.0, 0.5, EstimatorKind.BIASED, None, ()).lam == 7
+
+
+@pytest.mark.parametrize("lam", [10**30, -(10**30), 2**63, 2**62 + 1])
+def test_instance_rejects_threshold_outside_int64_range(lam):
+    with pytest.raises(ValueError, match="int64"):
+        SmoothSensInstance(0, lam, 0.5, EstimatorKind.BIASED, None, ())
+    assert SmoothSensInstance(0, -(2**62), 0.5, EstimatorKind.BIASED, None, ()).lam == -(2**62)
 
 
 # -- runtime envelope -----------------------------------------------------------
