@@ -58,11 +58,11 @@ def _cmd_sensitivity(args) -> int:
     kind = EstimatorKind(args.estimator)
     triangles = enumerate_triangles(graph)
     assignment = greedy_assign(graph, triangles)
-    symmetric, _ = release_step1(graph, args.eps1, RandomSource(args.seed))
+    noisy = release_step1(graph, args.eps1, RandomSource(args.seed))
     p = None if kind is EstimatorKind.BIASED else PrivacyBudget(args.eps1, 1.0).p
     inst = _usage_checked(
         args, build_instance,
-        graph, assignment, symmetric, args.node, args.lam, args.beta, kind, p=p,
+        graph, assignment, noisy, args.node, args.lam, args.beta, kind, p=p,
     )
     gs = global_sensitivity(args.node, assignment, kind, p=p)
     fast = smooth_sensitivity(inst)

@@ -8,13 +8,18 @@ relabeling for sparse external ids lives in :mod:`lwdp_triangles.experiments`.
 
 Every edge has an id, its position in sorted canonical order, so a weight
 assignment to all edges (the true weights, or a noisy release of them) is one
-int64 array indexed by edge id.  ``below_threshold_count`` counts the
-triangles whose summed weight in such an array is below the threshold, in
-fixed-size chunks of triangles.
+int64 array indexed by edge id.  The CSR adjacency lists every node's
+neighbour slots in neighbour order, with the edge id of each slot, so a
+node's incident weights are one gather.  ``below_threshold_count`` counts
+the rows of a (T, 3) triangle node array whose summed weight in such an
+array is below the threshold, in fixed-size chunks of triangles, and
+``triangle_chunks`` turns a triangle list into such arrays one chunk at a
+time.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -192,6 +197,37 @@ class WeightedGraph:
         """Read-only int64 weights indexed by edge id (the order of ``edges()``)."""
         return self._weight_array
 
+    @functools.cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # built on first use: a graph that never releases step 1 (and every
+        # set-up before its first run) holds no slot arrays
+        degrees = np.fromiter(map(len, self._adj), np.int64, self._n)
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
+        owner = np.repeat(np.arange(self._n), degrees)
+        neighbour = np.fromiter(chain.from_iterable(self._adj), np.int64, int(indptr[-1]))
+        slot_edges = self.edge_ids(owner, neighbour)
+        # slots (v, u) with v < u come in sorted canonical order, by edge id
+        lower_slots = np.flatnonzero(owner < neighbour)
+        for array in (indptr, slot_edges, lower_slots):
+            array.flags.writeable = False
+        return indptr, slot_edges, lower_slots
+
+    @property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR adjacency ``(indptr, slot_edges)``, built once.
+
+        Node v's slots are ``indptr[v]:indptr[v+1]``, one per neighbour in
+        the order of ``neighbors(v)``, and ``slot_edges[s]`` is the edge id
+        of slot s, so ``weight_array[slot_edges[indptr[v]:indptr[v+1]]]``
+        is v's incident-weight vector, its private data.
+        """
+        return self._csr[:2]
+
+    @property
+    def lower_slots(self) -> np.ndarray:
+        """Read-only slot of every edge at its lower-id endpoint, by edge id."""
+        return self._csr[2]
+
     def edge_ids(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Edge id of every pair (u[i], v[i]); raises if a pair is not an edge."""
         keys = np.minimum(u, v).astype(np.int64) * self._n + np.maximum(u, v)
@@ -202,10 +238,6 @@ class WeightedGraph:
         ):
             raise GraphStructureError("some node pairs are not edges of the graph")
         return ids
-
-    def incident_weight_vector(self, v: int) -> list[int]:
-        """Weights of v's incident edges, ordered by neighbor id (the node's private data)."""
-        return [self._weights[canonical_edge(v, u)] for u in self._adj[v]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -256,19 +288,27 @@ def triangle_weight(graph: WeightedGraph, t: Triangle) -> int:
     )
 
 
+def triangle_chunks(triangles: Sequence[Triangle]) -> Iterator[np.ndarray]:
+    """``triangles`` as (T, 3) int64 node arrays of at most ``COUNT_CHUNK``
+    rows each, so that no array of the whole list is ever held."""
+    for i in range(0, len(triangles), COUNT_CHUNK):
+        chunk = triangles[i:i + COUNT_CHUNK]
+        nodes = np.fromiter(chain.from_iterable(chunk), np.int64, 3 * len(chunk))
+        yield nodes.reshape(-1, 3)
+
+
 def below_threshold_count(
     graph: WeightedGraph,
     weights: np.ndarray,
     lam: int,
-    triangles: Sequence[Triangle],
+    triangles: np.ndarray,
 ) -> int:
-    """Number of ``triangles`` whose three edge weights, read from the
-    edge-indexed ``weights``, sum to strictly below ``lam``."""
+    """Number of rows of the (T, 3) node array ``triangles`` whose three
+    edge weights, read from the edge-indexed ``weights``, sum to strictly
+    below ``lam``.  The nodes of a row may come in any order."""
     count = 0
     for i in range(0, len(triangles), COUNT_CHUNK):
-        chunk = triangles[i:i + COUNT_CHUNK]
-        nodes = np.fromiter(chain.from_iterable(chunk), np.int64, 3 * len(chunk))
-        a, b, c = nodes[0::3], nodes[1::3], nodes[2::3]
+        a, b, c = triangles[i:i + COUNT_CHUNK].T
         total = (
             weights[graph.edge_ids(a, b)]
             + weights[graph.edge_ids(a, c)]
@@ -286,4 +326,7 @@ def exact_below_threshold_count(
     """Number of triangles with total weight strictly below ``lam`` (the ground truth)."""
     if triangles is None:
         triangles = enumerate_triangles(graph)
-    return below_threshold_count(graph, graph.weight_array, lam, triangles)
+    return sum(
+        below_threshold_count(graph, graph.weight_array, lam, nodes)
+        for nodes in triangle_chunks(triangles)
+    )

@@ -3,6 +3,15 @@
 Nodes and the server are logical parties: per-node randomness comes from
 substreams keyed by (node, round), and message tallies model the three
 communication flows (vector uploads, noisy-weight downloads, count uploads).
+Every round seeds all its node substreams in one batched pass
+(``RandomSource.node_streams``) and builds each node's generator as the
+node's turn comes.
+
+Step 1 runs over the graph's CSR adjacency.  Node v's vector is its slice of
+the slot weights, in neighbour order, and ``privatize_weight_vector`` noises
+it from v's own step-1 substream.  Every edge is released by both endpoints;
+the server keeps the lower-id endpoint's value, which is one gather of the
+lower-endpoint slots into an int64 array indexed by edge id.
 
 Step 2 runs as array passes over the assignment's owner-sorted triangle rows.
 ``local_step2`` walks consecutive batches of nodes; for every triangle it
@@ -38,7 +47,7 @@ from .graph import (
     below_threshold_count,
     check_threshold,
     enumerate_triangles,
-    exact_below_threshold_count,
+    triangle_chunks,
 )
 from .mechanisms import (
     PrivacyBudget,
@@ -49,8 +58,6 @@ from .mechanisms import (
     smooth_noise_sample,
 )
 from .sensitivity import segment_smooth_sensitivities
-
-Edge = tuple[int, int]
 
 STEP1_ROUND = 1
 STEP2_ROUND = 2
@@ -102,32 +109,22 @@ class RunReport:
         return abs(self.exact_count - self.estimate) / self.exact_count
 
 
-def release_step1(
-    graph: WeightedGraph, epsilon_1: float, rng: RandomSource
-) -> tuple[dict[Edge, int], int]:
+def release_step1(graph: WeightedGraph, epsilon_1: float, rng: RandomSource) -> np.ndarray:
     """Every node privatizes its incident-weight vector; the server symmetrizes.
 
     The tie-break keeps the release of the lower-id endpoint for every edge.
-    Returns the public noisy weight map, keyed by canonical edge in sorted
-    order, and the number of uploaded values (sum of degrees).
+    Returns the public noisy weights as an int64 array indexed by edge id.
+    Every node uploads one value per incident edge, 2m in all.
     """
-    symmetric: dict[Edge, int] = {}
-    uploads = 0
-    for v in range(graph.node_count):
-        neighbors = graph.neighbors(v)
-        noisy = privatize_weight_vector(
-            graph.incident_weight_vector(v), epsilon_1, rng.node_stream(v, STEP1_ROUND)
-        )
-        for u, w in zip(neighbors, noisy):
-            if v < u:
-                symmetric[(v, u)] = w
-        uploads += len(neighbors)
-    return symmetric, uploads
-
-
-def _edge_array(noisy: dict[Edge, int]) -> np.ndarray:
-    # release_step1's map is keyed in sorted canonical order, i.e. by edge id
-    return np.fromiter(noisy.values(), np.int64, len(noisy))
+    indptr, slot_edges = graph.adjacency
+    weights = graph.weight_array[slot_edges]
+    released = np.empty(len(slot_edges), dtype=np.int64)
+    bounds = indptr.tolist()
+    streams = rng.node_streams(np.arange(graph.node_count), STEP1_ROUND)
+    for v, stream in enumerate(streams):
+        lo, hi = bounds[v], bounds[v + 1]
+        released[lo:hi] = privatize_weight_vector(weights[lo:hi], epsilon_1, stream)
+    return released[graph.lower_slots]
 
 
 def _node_batches(owner: np.ndarray, node_count: int):
@@ -214,37 +211,33 @@ def run_two_step(
     """One full protocol execution; deterministic under a fixed master seed.
 
     ``triangles``/``assignment`` may be precomputed (they depend only on the
-    public topology) to amortize repeated trials.
+    public topology) to amortize repeated trials; the exact count reads the
+    assignment's rows, which hold every triangle once.
     """
     if not isinstance(budget, PrivacyBudget):
         raise ValueError("budget must be a PrivacyBudget")
     lam = check_threshold(lam)
     if rng is None:
         rng = RandomSource(0)
-    if triangles is None:
-        triangles = enumerate_triangles(graph)
     if assignment is None:
         assignment = greedy_assign(graph, triangles)
 
-    symmetric, uploads1 = release_step1(graph, budget.epsilon_1, rng)
+    noisy = release_step1(graph, budget.epsilon_1, rng)
     counts, sens = local_step2(
-        graph, assignment, graph.weight_array, _edge_array(symmetric), lam, kind, mechanism,
-        budget,
+        graph, assignment, graph.weight_array, noisy, lam, kind, mechanism, budget
     )
     release = counts.copy()
-    noisy_nodes = np.flatnonzero(sens > 0.0).tolist()
+    noisy_nodes = np.flatnonzero(sens > 0.0)
+    streams = rng.node_streams(noisy_nodes, STEP2_ROUND)
     # an epsilon_2 too small for the noise scale overflows here; the check
     # below rejects the run
     with np.errstate(over="ignore", invalid="ignore"):
         if mechanism is Mechanism.GLOBAL_LAPLACE:
             query = "laplace"
-            for v in noisy_nodes:
-                release[v] += float(
-                    laplace_sample(sens[v] / budget.epsilon_2, rng.node_stream(v, STEP2_ROUND))
-                )
+            for v, stream in zip(noisy_nodes.tolist(), streams):
+                release[v] += float(laplace_sample(sens[v] / budget.epsilon_2, stream))
         else:
             query = "smooth"
-            streams = [rng.node_stream(v, STEP2_ROUND) for v in noisy_nodes]
             scaled = budget.smooth_noise_scale * sens[noisy_nodes]
             release[noisy_nodes] += scaled * smooth_noise_sample(streams)
     overflow = np.flatnonzero(~np.isfinite(release))
@@ -257,14 +250,17 @@ def run_two_step(
 
     per_node = dict(enumerate(release.tolist()))
     entries = (BudgetEntry("dlap", budget.epsilon_1), BudgetEntry(query, budget.epsilon_2))
-    exact = exact_below_threshold_count(graph, lam, triangles)
+    exact = below_threshold_count(graph, graph.weight_array, lam, assignment.rows)
     return RunReport(
         estimate=sum(per_node.values()),
         exact_count=exact,
         lam=lam,
         per_node_release=per_node,
-        # one noisy weight downloaded per assigned triangle, one count uploaded per node
-        tallies=CommunicationTallies(uploads1, len(assignment.rows), graph.node_count),
+        # one value uploaded per (node, incident edge), one noisy weight
+        # downloaded per assigned triangle, one count uploaded per node
+        tallies=CommunicationTallies(
+            2 * graph.edge_count, len(assignment.rows), graph.node_count
+        ),
         budget_ledger=dict.fromkeys(range(graph.node_count), entries),
         per_node_sensitivity=sens,
     )
@@ -285,15 +281,18 @@ def run_baseline(
         rng = RandomSource(0)
     if triangles is None:
         triangles = enumerate_triangles(graph)
-    w_prime, uploads1 = release_step1(graph, epsilon, rng)
-    count = below_threshold_count(graph, _edge_array(w_prime), lam, triangles)
-    exact = exact_below_threshold_count(graph, lam, triangles)
+    noisy = release_step1(graph, epsilon, rng)
+    count = exact = 0
+    # each chunk of triangles is converted once and serves both counts
+    for nodes in triangle_chunks(triangles):
+        count += below_threshold_count(graph, noisy, lam, nodes)
+        exact += below_threshold_count(graph, graph.weight_array, lam, nodes)
     return RunReport(
         estimate=float(count),
         exact_count=exact,
         lam=lam,
         per_node_release={},
-        tallies=CommunicationTallies(uploads1, 0, 0),
+        tallies=CommunicationTallies(2 * graph.edge_count, 0, 0),
         budget_ledger=dict.fromkeys(range(graph.node_count), (BudgetEntry("dlap", epsilon),)),
         per_node_sensitivity=np.zeros(0),
     )

@@ -131,18 +131,24 @@ def instance_from_parts(
 def build_instance(
     graph: WeightedGraph,
     assignment: Assignment,
-    noisy_edge_weights: Mapping[Edge, int],
+    noisy_weights: np.ndarray,
     node: int,
     lam: int,
     beta: float,
     kind: EstimatorKind,
     p: float | None = None,
 ) -> SmoothSensInstance:
+    """``node``'s instance, reading the step-1 release ``noisy_weights``
+    (indexed by edge id) at the edges opposite it in its assigned triangles."""
     incident = {
         canonical_edge(node, u): graph.weight(node, u) for u in graph.neighbors(node)
     }
+    assigned = assignment.triangles_of(node)
+    received = [t.opposite_edge(node) for t in assigned]
+    pairs = np.array(received, dtype=np.int64).reshape(-1, 2)
+    values = noisy_weights[graph.edge_ids(pairs[:, 0], pairs[:, 1])].tolist()
     return instance_from_parts(
-        node, incident, assignment.triangles_of(node), noisy_edge_weights, lam, beta, kind, p
+        node, incident, assigned, dict(zip(received, values)), lam, beta, kind, p
     )
 
 

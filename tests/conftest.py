@@ -77,10 +77,11 @@ def reference_step2(graph, assignment, noisy, lam, kind, mechanism, budget):
     """Every node's (f'_v, S_v) computed one node at a time, as lists.
 
     Node v reads its incident weights and the noisy weights of the edges
-    opposite it in its assigned triangles (``noisy`` is the step-1 map keyed
-    by canonical edge); f'_v is a per-triangle ``estimate`` loop and S_v the
+    opposite it in its assigned triangles (``noisy`` is the step-1 release,
+    indexed by edge id); f'_v is a per-triangle ``estimate`` loop and S_v the
     smooth sensitivity of ``instance_from_parts`` (GS_v under Laplace noise).
     """
+    noisy = dict(zip(graph.edges(), noisy.tolist()))
     counts, sens = [], []
     for v in range(graph.node_count):
         incident = {canonical_edge(v, u): graph.weight(v, u) for u in graph.neighbors(v)}

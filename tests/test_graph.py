@@ -12,7 +12,7 @@ from lwdp_triangles import (
     make_triangle,
     triangle_weight,
 )
-from lwdp_triangles.graph import COUNT_CHUNK, below_threshold_count
+from lwdp_triangles.graph import COUNT_CHUNK, below_threshold_count, triangle_chunks
 
 from conftest import complete_graph, random_graph
 
@@ -126,8 +126,10 @@ def test_degree_table_consistent():
     rnd = random.Random(21)
     g = random_graph(rnd, 25, 0.3, -2, 2)
     assert sum(g.degree(v) for v in range(g.node_count)) == 2 * g.edge_count
+    indptr, slot_edges = g.adjacency
+    assert indptr[-1] == len(slot_edges) == 2 * g.edge_count
     for v in range(g.node_count):
-        vec = g.incident_weight_vector(v)
+        vec = g.weight_array[slot_edges[indptr[v]:indptr[v + 1]]].tolist()
         assert len(vec) == g.degree(v)
         assert vec == [g.weight(v, u) for u in g.neighbors(v)]
 
@@ -158,6 +160,39 @@ def test_weight_array_and_edge_ids_follow_sorted_edges():
         g.weight_array[0] = 1  # the graph is immutable
 
 
+def test_adjacency_lists_every_nodes_slots_and_each_edges_lower_slot():
+    # isolated nodes (0 and 6), a degree-1 node (5) and negative weights
+    g = WeightedGraph(8, [(1, 2, -3), (1, 3, 4), (2, 3, 0), (3, 4, -7), (4, 5, 2), (2, 7, 1)])
+    indptr, slot_edges = g.adjacency
+    edges = list(g.edges())
+    owner = np.repeat(np.arange(8), np.diff(indptr))
+    assert indptr.tolist() == [0, 0, 2, 5, 8, 10, 11, 11, 12]
+    assert [edges[e] for e in slot_edges] == [
+        tuple(sorted((v, u))) for v in range(8) for u in g.neighbors(v)
+    ]
+    lower = g.lower_slots
+    assert (slot_edges[lower] == np.arange(len(edges))).all()
+    assert (owner[lower] == [e[0] for e in edges]).all()
+    for array in (indptr, slot_edges, lower):
+        with pytest.raises(ValueError):
+            array[0] = 1  # the graph is immutable
+    empty = WeightedGraph(0, [])
+    assert empty.adjacency[0].tolist() == [0] and empty.lower_slots.size == 0
+
+
+def test_below_threshold_count_reads_rows_in_any_node_order():
+    rnd = random.Random(23)
+    g = random_graph(rnd, 14, 0.6, -3, 3)
+    nodes = np.array(enumerate_triangles(g), dtype=np.int64)
+    shuffled = np.array([rnd.sample(row, 3) for row in nodes.tolist()], dtype=np.int32)
+    for lam in (-2, 0, 3):
+        expected = exact_below_threshold_count(g, lam)
+        assert below_threshold_count(g, g.weight_array, lam, nodes) == expected
+        assert below_threshold_count(g, g.weight_array, lam, shuffled) == expected
+    assert below_threshold_count(g, g.weight_array, 0, np.zeros((0, 3), np.int64)) == 0
+    assert list(triangle_chunks([])) == []
+
+
 def test_below_threshold_count_reads_the_given_weights_across_chunks():
     rnd = random.Random(22)
     g = random_graph(rnd, 50, 0.6, -3, 3)
@@ -168,7 +203,11 @@ def test_below_threshold_count_reads_the_given_weights_across_chunks():
     array = np.array([other[e] for e in edges], dtype=np.int64)
     for lam in (-5, 0, 1, 6):
         expected = sum(1 for t in tris if sum(other[e] for e in t.edges()) < lam)
-        assert below_threshold_count(g, array, lam, tris) == expected
+        assert below_threshold_count(g, array, lam, np.array(tris)) == expected
+        chunks = list(triangle_chunks(tris))
+        assert [len(c) for c in chunks[:-1]] == [COUNT_CHUNK] * (len(chunks) - 1)
+        assert np.concatenate(chunks).tolist() == [list(t) for t in tris]
+        assert sum(below_threshold_count(g, array, lam, c) for c in chunks) == expected
         assert exact_below_threshold_count(g, lam, tris) == sum(
             1 for t in tris if triangle_weight(g, t) < lam
         )

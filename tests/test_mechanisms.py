@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -140,6 +141,9 @@ def test_smooth_noise_sample_draws_one_uniform_per_stream_in_order():
         alone = smooth_noise_sample([source.stream(v, 2)])
         assert float(z).hex() == float(alone[0]).hex()
     assert smooth_noise_sample([]).shape == (0,)
+    # a lazy iterable of streams gives the same draws as a list of them
+    lazy = smooth_noise_sample(source.node_streams(range(9), 2))
+    assert [float(z).hex() for z in lazy] == [float(z).hex() for z in batched]
 
 
 def test_smooth_noise_config_derived_quantities():
@@ -152,10 +156,13 @@ def test_privatize_weight_vector():
     rng = RandomSource(9).node_stream(0, 1)
     w = [3, -1, 0, 12]
     noisy = privatize_weight_vector(w, 1.0, rng)
-    assert len(noisy) == len(w)
-    assert all(isinstance(v, int) for v in noisy)
+    assert noisy.shape == (len(w),) and noisy.dtype == np.int64
     # e^{-700} > 0 but 1 - e^{-700} == 1.0, so every DLap draw is exactly 0
-    assert privatize_weight_vector(w, 700.0, rng) == w
+    assert privatize_weight_vector(w, 700.0, rng).tolist() == w
+    # a read-only slice (as step 1 passes) is noised, not written to
+    view = np.array(w, dtype=np.int64)
+    view.flags.writeable = False
+    assert privatize_weight_vector(view[1:], 700.0, rng).tolist() == w[1:]
     # per-entry empirical mean recovers the true weight
     acc = np.zeros(len(w))
     trials = 4000
@@ -222,3 +229,107 @@ def test_random_source_streams_are_keyed():
     assert not np.array_equal(a, d)
     sub = rs.subsource(3)
     assert np.array_equal(sub.node_stream(1, 1).random(4), rs.stream(3, 1, 1).random(4))
+
+
+# -- the seeding kernel against numpy's own SeedSequence ----------------------
+
+ORACLE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
+ORACLE_PREFIXES = ((), (0, 0), (3, 2**33))
+
+
+def numpy_stream(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def assert_same_stream(ours, theirs):
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.integers(0, 2**63, size=3).tolist() == theirs.integers(0, 2**63, size=3).tolist()
+    assert ours.random().hex() == theirs.random().hex()
+
+
+def test_seeding_kernel_matches_numpy_seed_sequence():
+    rnd = random.Random(2026)
+    n = 3000  # node ids of a 3000-node graph: 0 and the largest, n - 1, always
+    checked = 0
+    for seed in ORACLE_SEEDS:
+        for prefix in ORACLE_PREFIXES:
+            source = RandomSource(seed, prefix)
+            for round_no in (1, 2):
+                nodes = [0, n - 1] + rnd.sample(range(1, n - 1), 330)
+                for v, ours in zip(nodes, source.node_streams(nodes, round_no), strict=True):
+                    assert_same_stream(ours, numpy_stream(seed, prefix + (v, round_no)))
+                    checked += 1
+                v = rnd.choice(nodes)
+                assert_same_stream(
+                    source.node_stream(v, round_no), numpy_stream(seed, prefix + (v, round_no))
+                )
+    # stream(*key) with keys of 0 to 4 entries, small and multi-word
+    for _ in range(600):
+        seed = rnd.choice(ORACLE_SEEDS + (rnd.getrandbits(rnd.randint(1, 160)),))
+        prefix = rnd.choice(ORACLE_PREFIXES)
+        key = tuple(
+            rnd.choice((0, rnd.randrange(3000), rnd.getrandbits(rnd.randint(1, 96))))
+            for _ in range(rnd.randint(0, 4))
+        )
+        ours = RandomSource(seed, prefix).stream(*key)
+        theirs = np.random.SeedSequence(seed, spawn_key=prefix + key)
+        assert (
+            ours.bit_generator.seed_seq.generate_state(4, np.uint64).tolist()
+            == theirs.generate_state(4, np.uint64).tolist()
+        )
+        assert_same_stream(ours, np.random.default_rng(theirs))
+        checked += 1
+    assert checked >= 10_000
+
+
+def test_node_streams_hash_one_and_two_word_node_ids_in_order():
+    source = RandomSource(11, (2,))
+    nodes = [5, 2**32, 0, 2**63 - 1, 2**32 - 1, 7, 2**40 + 3]
+    for v, ours in zip(nodes, source.node_streams(nodes, 1), strict=True):
+        assert_same_stream(ours, numpy_stream(11, (2, v, 1)))
+    assert list(source.node_streams([], 1)) == []
+    assert_same_stream(next(source.node_streams(np.array([9], dtype=np.int32), 2)),
+                       numpy_stream(11, (2, 9, 2)))
+
+
+def test_node_streams_are_fresh_generators_that_keep_their_own_state():
+    # drawing from the generators in reverse order must still give every
+    # node its own stream: no generator shares state with another
+    source = RandomSource(7, (1, 2))
+    nodes = [4, 0, 9, 2, 4, 2999]
+    streams = list(source.node_streams(nodes, 1))
+    draws = [stream.random(3).tolist() for stream in reversed(streams)][::-1]
+    for v, got in zip(nodes, draws):
+        assert got == source.node_stream(v, 1).random(3).tolist()
+    assert len({id(stream) for stream in streams}) == len(nodes)
+
+
+def test_negative_seed_or_key_is_rejected_as_by_numpy():
+    for seed, key in ((-1, ()), (-1, (0, 1)), (1, (-1,)), (1, (2, -3)), (2**64, (0, -(2**40)))):
+        with pytest.raises(ValueError, match="non-negative") as theirs:
+            np.random.SeedSequence(seed, spawn_key=key)
+        with pytest.raises(ValueError, match=str(theirs.value)):
+            RandomSource(seed).stream(*key)
+    with pytest.raises(ValueError, match="non-negative"):
+        RandomSource(1, (-2,)).node_stream(0, 1)
+    # node_streams checks every key when called, before any generator is built
+    for source, nodes, round_no in (
+        (RandomSource(1), [3, -1], 1),
+        (RandomSource(-1), [3], 1),
+        (RandomSource(1, (0, -1)), [3], 1),
+        (RandomSource(1), [3], -2),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            source.node_streams(nodes, round_no)
+
+
+def test_precomputed_seed_serves_only_the_pcg64_request():
+    seed_seq = RandomSource(3).stream(1).bit_generator.seed_seq
+    words = seed_seq.generate_state(4, np.uint64)
+    assert words.tolist() == np.random.SeedSequence(3, spawn_key=(1,)).generate_state(
+        4, np.uint64).tolist()
+    words[0] = 0  # a copy: the stored seed is untouched
+    assert seed_seq.generate_state(4, "uint64").tolist() != words.tolist()
+    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="PCG64"):
+            seed_seq.generate_state(n_words, dtype)

@@ -54,22 +54,55 @@ def test_large_budget_identity_all_methods():
 
 def test_symmetrization_tie_break():
     g = WeightedGraph(2, [(0, 1, 5)])
-    noisy, uploads = release_step1(g, 1.0, RandomSource(11))
-    assert uploads == 2
-    # the public weight is the release of the lower-id endpoint
-    own = privatize_weight_vector([5], 1.0, RandomSource(11).node_stream(0, STEP1_ROUND))
-    assert noisy[(0, 1)] == own[0]
+    told_apart = 0
+    for seed in range(11, 31):
+        noisy = release_step1(g, 1.0, RandomSource(seed))
+        assert noisy.shape == (1,) and noisy.dtype == np.int64
+        # the public weight is the release of the lower-id endpoint
+        own = privatize_weight_vector([5], 1.0, RandomSource(seed).node_stream(0, STEP1_ROUND))
+        other = privatize_weight_vector([5], 1.0, RandomSource(seed).node_stream(1, STEP1_ROUND))
+        assert noisy[0] == own[0]
+        told_apart += own[0] != other[0]
+    assert told_apart  # some seeds give the two endpoints different releases
 
 
 def test_release_covers_every_edge_and_pairs_across_methods():
     rnd = random.Random(3)
     g = random_graph(rnd, 14, 0.5, -3, 3)
-    noisy, _ = release_step1(g, 1.0, RandomSource(6))
-    assert set(noisy) == set(g.edges())
+    noisy = release_step1(g, 1.0, RandomSource(6))
+    assert noisy.shape == (g.edge_count,) and noisy.dtype == np.int64
     # identical seed and budget give identical step-1 noise, whichever
     # mechanism consumes it afterwards (paired-seed isolation)
-    again, _ = release_step1(g, 1.0, RandomSource(6))
-    assert noisy == again
+    again = release_step1(g, 1.0, RandomSource(6))
+    assert noisy.tolist() == again.tolist()
+
+
+def reference_step1(g, epsilon_1, rng):
+    """Step 1 one node at a time: each node noises its own incident weights
+    from its own substream; each edge keeps its lower-id endpoint's value."""
+    public = {}
+    for v in range(g.node_count):
+        vector = [g.weight(v, u) for u in g.neighbors(v)]
+        noisy = privatize_weight_vector(vector, epsilon_1, rng.node_stream(v, STEP1_ROUND))
+        for u, w in zip(g.neighbors(v), noisy.tolist()):
+            if v < u:
+                public[(v, u)] = w
+    return [public[e] for e in g.edges()]
+
+
+def test_release_step1_matches_per_node_reference_edge_by_edge():
+    rnd = random.Random(41)
+    graphs = [
+        # isolated nodes 0 and 6, degree-1 nodes 5 and 7, negative weights
+        WeightedGraph(8, [(1, 2, -3), (1, 3, 4), (2, 3, 0), (3, 4, -7), (4, 5, 2), (2, 7, 1)]),
+        WeightedGraph(3, []),
+        WeightedGraph(2, [(0, 1, -(2**31))]),
+    ] + [random_graph(rnd, rnd.randint(5, 40), rnd.uniform(0.05, 0.7), -9, 9) for _ in range(6)]
+    for i, g in enumerate(graphs):
+        for epsilon_1 in (0.3, 2.0):
+            rng = RandomSource(60 + i).subsource(1, 2)
+            noisy = release_step1(g, epsilon_1, rng)
+            assert noisy.tolist() == reference_step1(g, epsilon_1, rng), (i, epsilon_1)
 
 
 def test_communication_tallies_k4():
@@ -166,22 +199,17 @@ def test_seeded_estimates_match_recorded_hex():
         assert run_baseline(g, 5, 2.5, RandomSource(seed)).estimate.hex() == expected, seed
 
 
-def _noisy_array(noisy):
-    # release_step1's map is keyed in edge-id order
-    return np.fromiter(noisy.values(), np.int64, len(noisy))
-
-
 def test_step2_isolation_from_other_nodes():
     rnd = random.Random(6)
     g = random_graph(rnd, 12, 0.6, -2, 2)
     assignment = greedy_assign(g)
-    noisy, _ = release_step1(g, 1.0, RandomSource(8))
+    noisy = release_step1(g, 1.0, RandomSource(8))
     received = {t.opposite_edge(0) for t, owner in assignment.rho.items() if owner == 0}
     assert received
     # tamper every true weight node 0 does not hold and every noisy weight
     # it is not sent; node 0's count and sensitivity must not move
     weights = g.weight_array.copy()
-    tampered = _noisy_array(noisy)
+    tampered = noisy.copy()
     for i, edge in enumerate(g.edges()):
         if 0 not in edge:
             weights[i] -= 1000
@@ -191,7 +219,7 @@ def test_step2_isolation_from_other_nodes():
     for kind in EstimatorKind:
         for mechanism in Mechanism:
             args = (1, kind, mechanism, budget)
-            f, s = local_step2(g, assignment, g.weight_array, _noisy_array(noisy), *args)
+            f, s = local_step2(g, assignment, g.weight_array, noisy, *args)
             f2, s2 = local_step2(g, assignment, weights, tampered, *args)
             assert (f2[0].hex(), s2[0].hex()) == (f[0].hex(), s[0].hex()), (kind, mechanism)
             # the tampering itself is observable at some other node
@@ -211,7 +239,7 @@ def test_smooth_release_per_node_matches_one_node_at_a_time():
         rng = RandomSource(8)
         rep = run_two_step(g, lam, budget, kind, Mechanism.SMOOTH, rng,
                            triangles=tris, assignment=assignment)
-        noisy, _ = release_step1(g, budget.epsilon_1, rng)
+        noisy = release_step1(g, budget.epsilon_1, rng)
         counts, sens = reference_step2(g, assignment, noisy, lam, kind, Mechanism.SMOOTH, budget)
         silent = 0
         for v in range(g.node_count):
@@ -240,7 +268,7 @@ def test_per_node_sensitivity_matches_each_node():
             rep = run_two_step(g, lam, budget, kind, mechanism, rng,
                                triangles=tris, assignment=assignment)
             assert rep.per_node_sensitivity.shape == (g.node_count,)
-            noisy, _ = release_step1(g, budget.epsilon_1, rng)
+            noisy = release_step1(g, budget.epsilon_1, rng)
             _, expected = reference_step2(g, assignment, noisy, lam, kind, mechanism, budget)
             got = [float(s).hex() for s in rep.per_node_sensitivity]
             assert got == [s.hex() for s in expected], (kind, mechanism)
@@ -262,11 +290,11 @@ def test_local_step2_matches_per_node_reference_bit_for_bit():
     for i, g in enumerate(graphs):
         assignment = greedy_assign(g)
         seen_empty += any(not assignment.triangles_of(v) for v in range(g.node_count))
-        noisy, _ = release_step1(g, budget.epsilon_1, RandomSource(i))
+        noisy = release_step1(g, budget.epsilon_1, RandomSource(i))
         lam = rnd.randint(-4, 8)
         for kind in EstimatorKind:
             for mechanism in Mechanism:
-                f, s = local_step2(g, assignment, g.weight_array, _noisy_array(noisy),
+                f, s = local_step2(g, assignment, g.weight_array, noisy,
                                    lam, kind, mechanism, budget)
                 ref_f, ref_s = reference_step2(g, assignment, noisy, lam, kind, mechanism, budget)
                 assert [float(x).hex() for x in f] == [x.hex() for x in ref_f], (i, kind, mechanism)

@@ -2,6 +2,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from lwdp_triangles import WeightedGraph, enumerate_triangles
@@ -210,12 +211,13 @@ def test_local_sensitivity_matches_raw_estimator_differences():
     for trial in range(25):
         g = random_graph(rnd, rnd.randint(5, 11), 0.6, -4, 4)
         assignment = greedy_assign(g)
-        noisy, _ = release_step1(g, 1.0, RandomSource(trial))
+        release = release_step1(g, 1.0, RandomSource(trial))
+        noisy = dict(zip(g.edges(), release.tolist()))
         lam = rnd.randint(-3, 6)
         for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, math.exp(-1))):
             for v in range(g.node_count):
                 inst = build_instance(
-                    g, assignment, noisy, v, lam, 0.5, kind, p=p
+                    g, assignment, release, v, lam, 0.5, kind, p=p
                 )
                 base_w = {
                     canonical_edge(v, u): g.weight(v, u) for u in g.neighbors(v)
@@ -364,7 +366,9 @@ def test_build_instance_partial_sums():
     tris = enumerate_triangles(g)  # {0,1,2} and {0,1,3}
     a = assignment_from_choices(tris, [t.opposite_edge(0) for t in tris])
     noisy = {(1, 2): 11, (1, 3): 19}
-    inst = build_instance(g, a, noisy, 0, lam=9, beta=0.5, kind=EstimatorKind.BIASED)
+    # the release is indexed by edge id: (0,1) (0,2) (0,3) (1,2) (1,3)
+    release = np.array([-50, -50, -50, 11, 19])
+    inst = build_instance(g, a, release, 0, lam=9, beta=0.5, kind=EstimatorKind.BIASED)
     by_weight = {v.weight: sorted(v.partial_sums) for v in inst.edges}
     # edge (0,1) participates in both triangles: c = w_02 + w'_12 and w_03 + w'_13
     assert by_weight[2] == sorted([3 + 11, 4 + 19])
