@@ -2,13 +2,11 @@
 
 from .graph import (
     GraphStructureError,
-    Triangle,
     WeightedGraph,
     canonical_edge,
     enumerate_triangles,
     exact_below_threshold_count,
-    make_triangle,
-    triangle_weight,
+    triangle_weights,
 )
 from .assignment import (
     Assignment,

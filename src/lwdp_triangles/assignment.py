@@ -4,63 +4,70 @@ Each triangle is assigned to one of its nodes; the edge opposite that node
 is the "noisy" edge whose privatized weight the node will consume.  Two
 assigned triangles sharing their noisy edge form a covariance pair, and the
 number of such pairs is sum_e C(l(e), 2) over the edge loads l(e).
+
+Triangles come in as the (T, 3) node arrays of ``enumerate_triangles``, and
+an ``Assignment`` holds one array too: its owner-sorted (owner, y, z) rows,
+the one store that step 2, the loads and the per-node views all read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .graph import Triangle, WeightedGraph, enumerate_triangles, make_triangle
+from .graph import COUNT_CHUNK, WeightedGraph, enumerate_triangles
 
 
 class InstanceTooLargeError(ValueError):
     """Raised when an exhaustive-search helper is asked for an oversized instance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """Mapping from triangles to responsible nodes plus the per-edge load table.
+    """Every triangle with its responsible node.
 
-    ``rows`` holds the same triangles as an int32 array of (owner, y, z)
-    rows, with y < z the owner's two neighbours in the triangle, sorted by
-    owner and then by triangle.
+    ``rows`` is an int32 array with one (owner, y, z) row per triangle: y < z
+    are the owner's two neighbours in the triangle, so (y, z) is its noisy
+    edge.  Rows are sorted by owner and then by triangle.  The constructor
+    takes the rows in any order, with y and z either way round, and stores
+    them read-only in that form.
     """
 
-    rho: dict[Triangle, int]
-    loads: dict[tuple[int, int], int]
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray
 
     def __post_init__(self):
-        if sum(self.loads.values()) != len(self.rho):
-            raise ValueError("edge loads must sum to the number of assigned triangles")
-        count = len(self.rho)
-        rows = np.fromiter(itertools.chain.from_iterable(self.rho), np.int32, 3 * count)
-        rows = rows.reshape(count, 3)
-        owner = np.fromiter(self.rho.values(), np.int32, count)
-        order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], owner))
-        rows, owner = rows[order], owner[order]
-        # (a, b, c) ascending becomes (owner, y, z): y is a unless the owner
-        # is a, z is c unless the owner is c
-        y = np.where(rows[:, 0] == owner, rows[:, 1], rows[:, 0])
-        rows[:, 2] = np.where(rows[:, 2] == owner, rows[:, 1], rows[:, 2])
-        rows[:, 1] = y
-        rows[:, 0] = owner
+        rows = np.array(self.rows, dtype=np.int32)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"assignment rows must have shape (T, 3), got {rows.shape}")
+        owner, y, z = rows.T
+        if ((owner == y) | (owner == z) | (y == z)).any():
+            raise ValueError("every assignment row must hold three distinct nodes")
+        y, z = np.minimum(y, z), np.maximum(y, z)
+        # with the owner fixed, the order of (y, z) is the order of the
+        # triangles {owner, y, z}
+        rows = np.column_stack((owner, y, z))[np.lexsort((z, y, owner))]
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
-    def triangles_of(self, node: int) -> tuple[Triangle, ...]:
+    @functools.cached_property
+    def loads(self) -> dict[tuple[int, int], int]:
+        """Triangles per noisy edge, for every edge that carries one, in
+        canonical order."""
+        edges, counts = np.unique(self.rows[:, 1:], axis=0, return_counts=True)
+        return dict(zip(map(tuple, edges.tolist()), counts.tolist()))
+
+    def triangles_of(self, node: int) -> np.ndarray:
+        """``node``'s (node, y, z) rows, in triangle order."""
         lo, hi = np.searchsorted(self.rows[:, 0], (node, node + 1))
-        return tuple(make_triangle(*row) for row in self.rows[lo:hi].tolist())
+        return self.rows[lo:hi]
 
     def load(self, edge: tuple[int, int]) -> int:
         return self.loads.get(edge, 0)
-
-    def noisy_edge(self, t: Triangle) -> tuple[int, int]:
-        return t.opposite_edge(self.rho[t])
 
     def squared_load(self) -> int:
         return sum(l * l for l in self.loads.values())
@@ -72,41 +79,61 @@ def count_c4_instances(assignment: Assignment) -> int:
 
 
 def greedy_assign(
-    graph: WeightedGraph, triangles: Sequence[Triangle] | None = None
+    graph: WeightedGraph, triangles: np.ndarray | None = None
 ) -> Assignment:
     """Greedy load balancing, linear in the number of triangles.
 
-    Triangles are processed in canonical sorted order; each one picks its
-    currently least-loaded edge (ties broken by lowest canonical edge) and
-    is assigned to the node opposite that edge.
+    Triangles are processed in row order (canonical sorted order for
+    ``enumerate_triangles``); each one picks its currently least-loaded edge
+    (ties broken by lowest canonical edge) and is assigned to the node
+    opposite that edge.
     """
     if triangles is None:
         triangles = enumerate_triangles(graph)
-    loads: dict[tuple[int, int], int] = {}
-    rho: dict[Triangle, int] = {}
-    get = loads.get
-    for t in triangles:
-        # min() over the three (load, edge) pairs applies the documented tie-break.
-        _, edge = min((get(e, 0), e) for e in t.edges())
-        rho[t] = t.opposite_node(edge)
-        loads[edge] = get(edge, 0) + 1
-    return Assignment(rho, loads)
+    a, b, c = np.sort(triangles, axis=1).T
+    loads = [0] * graph.edge_count
+    owner_at = []  # the owner's index in (a, b, c), row by row
+    # edge ids follow canonical order, so (a, b) < (a, c) < (b, c) by id too
+    # and the first least-loaded edge of a row is its lowest canonical one;
+    # the ids become Python ints one chunk of rows at a time, so those of all
+    # rows never exist at once
+    for i in range(0, len(a), COUNT_CHUNK):
+        rows = slice(i, i + COUNT_CHUNK)
+        ids = [graph.edge_ids(u[rows], v[rows]).tolist() for u, v in ((a, b), (a, c), (b, c))]
+        for ab, ac, bc in zip(*ids):
+            l_ab, l_ac, l_bc = loads[ab], loads[ac], loads[bc]
+            if l_ab <= l_ac and l_ab <= l_bc:
+                loads[ab] = l_ab + 1
+                owner_at.append(2)  # (a, b) is opposite c
+            elif l_ac <= l_bc:
+                loads[ac] = l_ac + 1
+                owner_at.append(1)
+            else:
+                loads[bc] = l_bc + 1
+                owner_at.append(0)
+    index = np.array(owner_at, dtype=np.int64)
+    # (owner, y, z) is (a, b, c), (b, a, c) or (c, a, b)
+    columns = [np.choose(index, nodes) for nodes in ((a, b, c), (b, a, a), (c, c, b))]
+    return Assignment(np.column_stack(columns))
 
 
 def assignment_from_choices(
-    triangles: Sequence[Triangle], choices: Iterable[tuple[int, int]]
+    triangles: np.ndarray, choices: Iterable[tuple[int, int]]
 ) -> Assignment:
-    """Build an Assignment from an explicit noisy-edge choice per triangle."""
-    loads: dict[tuple[int, int], int] = {}
-    rho: dict[Triangle, int] = {}
-    for t, edge in zip(triangles, choices):
-        rho[t] = t.opposite_node(edge)
-        loads[edge] = loads.get(edge, 0) + 1
-    return Assignment(rho, loads)
+    """Build an Assignment from an explicit noisy-edge choice per row of the
+    (T, 3) node array ``triangles``; each choice must be an edge of its row."""
+    edges = np.array(list(choices), dtype=np.int64).reshape(-1, 2)
+    if len(edges) != len(triangles):
+        raise ValueError(f"{len(edges)} choices for {len(triangles)} triangles")
+    owner = triangles.sum(axis=1) - edges.sum(axis=1)
+    chosen = np.sort(np.column_stack((edges, owner)), axis=1)
+    if not np.array_equal(chosen, np.sort(triangles, axis=1)):
+        raise ValueError("every chosen edge must be an edge of its triangle")
+    return Assignment(np.column_stack((owner, edges)))
 
 
 def brute_force_optimal_assign(
-    graph: WeightedGraph, triangles: Sequence[Triangle] | None = None
+    graph: WeightedGraph, triangles: np.ndarray | None = None
 ) -> tuple[Assignment, int]:
     """Globally optimal assignment by exhaustion over all 3^|triangles| choices.
 
@@ -120,16 +147,12 @@ def brute_force_optimal_assign(
         raise InstanceTooLargeError(
             f"exhaustive assignment is capped at 12 triangles, got {len(triangles)}"
         )
-    best_choices: tuple[tuple[int, int], ...] | None = None
-    best_sq = None
-    for choices in itertools.product(*(t.edges() for t in triangles)):
-        loads: dict[tuple[int, int], int] = {}
-        for edge in choices:
-            loads[edge] = loads.get(edge, 0) + 1
-        sq = sum(l * l for l in loads.values())
+    options = [
+        ((a, b), (a, c), (b, c)) for a, b, c in np.sort(triangles, axis=1).tolist()
+    ]
+    best_choices, best_sq = (), None
+    for choices in itertools.product(*options):
+        sq = sum(l * l for l in Counter(choices).values())
         if best_sq is None or sq < best_sq:
-            best_sq = sq
-            best_choices = choices
-    if best_choices is None:
-        return Assignment({}, {}), 0
-    return assignment_from_choices(triangles, best_choices), int(best_sq)
+            best_choices, best_sq = choices, sq
+    return assignment_from_choices(triangles, best_choices), best_sq

@@ -164,6 +164,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lwdp-triangles",
@@ -183,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=[k.value for k in EstimatorKind], required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--eps1", type=float, default=1.0, help="step-1 budget for the noisy release")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--oracle", action="store_true", help="also run the brute-force oracle")
     p.set_defaults(func=_cmd_sensitivity, parser=p)
 
@@ -195,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps2", type=float)
     p.add_argument("--estimator", choices=[k.value for k in EstimatorKind], required=True)
     p.add_argument("--mechanism", choices=[m.value for m in Mechanism], required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_count, parser=p)
 
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_baseline, parser=p)
 
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--methods", default=None, help="comma-separated subset of methods")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--eps", type=float, default=2.0)
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.add_argument("--out", required=True)

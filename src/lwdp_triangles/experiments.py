@@ -20,7 +20,7 @@ from .graph import (
     canonical_edge,
     check_threshold,
     enumerate_triangles,
-    triangle_weight,
+    triangle_weights,
 )
 from .assignment import greedy_assign
 from .mechanisms import PrivacyBudget, RandomSource
@@ -163,13 +163,14 @@ def sample_induced_subgraph(graph: WeightedGraph, node_count: int, seed: int) ->
     return induced_subgraph(graph, (int(v) for v in kept))
 
 
-def default_lambda(triangle_weights: Sequence[int], quantile: float = 0.9) -> int:
-    """Smallest threshold with at least ``quantile`` of the triangles strictly below."""
-    if not triangle_weights:
+def default_lambda(weights: Sequence[int] | np.ndarray, quantile: float = 0.9) -> int:
+    """Smallest threshold with at least ``quantile`` of the triangle
+    ``weights`` strictly below it."""
+    if not len(weights):
         return 1
-    ordered = sorted(triangle_weights)
+    ordered = np.sort(np.asarray(weights, dtype=np.int64))
     idx = max(0, math.ceil(quantile * len(ordered)) - 1)
-    return ordered[idx] + 1
+    return int(ordered[idx]) + 1
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ def run_sweep(cfg: ExperimentConfig, graph: WeightedGraph) -> ErrorReport:
             g = graph
         epsilon = float(value) if cfg.axis == "eps" else cfg.epsilon
         triangles = enumerate_triangles(g)
-        weights = [triangle_weight(g, t) for t in triangles]
+        weights = triangle_weights(g, g.weight_array, triangles)
         if cfg.axis == "lambda":
             lam = int(value)
         elif cfg.lam is not None:
@@ -272,7 +273,7 @@ def run_sweep(cfg: ExperimentConfig, graph: WeightedGraph) -> ErrorReport:
         else:
             lam = default_lambda(weights)
         assignment = greedy_assign(g, triangles)
-        exact = sum(1 for w in weights if w < lam)
+        exact = int(np.count_nonzero(weights < lam))
         sums = {m: 0.0 for m in cfg.methods}
         flagged = exact == 0
         for trial in range(cfg.trials):

@@ -10,18 +10,21 @@ Every edge has an id, its position in sorted canonical order, so a weight
 assignment to all edges (the true weights, or a noisy release of them) is one
 int64 array indexed by edge id.  The CSR adjacency lists every node's
 neighbour slots in neighbour order, with the edge id of each slot, so a
-node's incident weights are one gather.  ``below_threshold_count`` counts
-the rows of a (T, 3) triangle node array whose summed weight in such an
-array is below the threshold, in fixed-size chunks of triangles, and
-``triangle_chunks`` turns a triangle list into such arrays one chunk at a
-time.
+node's incident weights are one gather.
+
+A set of triangles has one format throughout the library: a (T, 3) integer
+node array with one triangle per row.  ``enumerate_triangles`` returns every
+triangle of the graph in that format (int32, like the assignment's rows),
+``triangle_weights`` sums each row's three edge weights from an edge-indexed
+array, and ``below_threshold_count`` counts the rows whose sum is below the
+threshold.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,8 +34,8 @@ MAX_ABS_WEIGHT = 2**31
 # noisy triangle weight (weights plus discrete Laplace noise) stay in int64.
 MAX_ABS_THRESHOLD = 2**62
 
-# Triangles per chunk of ``below_threshold_count``: its temporaries stay
-# small however many triangles the graph has.
+# Triangles per chunk of ``triangle_weights``: its temporaries stay small
+# however many triangles the graph has.
 COUNT_CHUNK = 4096
 
 
@@ -71,47 +74,6 @@ def check_threshold(lam) -> int:
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
     """Undirected edge key with endpoints in ascending order."""
     return (u, v) if u < v else (v, u)
-
-
-class Triangle(NamedTuple):
-    """Three distinct node ids in ascending order."""
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def nodes(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-    def edges(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-        """The three edges in canonical (sorted-pair) order."""
-        return ((self.a, self.b), (self.a, self.c), (self.b, self.c))
-
-    def opposite_edge(self, node: int) -> tuple[int, int]:
-        """The edge not incident to ``node``."""
-        if node == self.a:
-            return (self.b, self.c)
-        if node == self.b:
-            return (self.a, self.c)
-        if node == self.c:
-            return (self.a, self.b)
-        raise ValueError(f"node {node} is not a vertex of {self}")
-
-    def opposite_node(self, edge: tuple[int, int]) -> int:
-        """The node not covered by ``edge``."""
-        u, v = edge
-        for w in self.nodes:
-            if w != u and w != v:
-                return w
-        raise ValueError(f"edge {edge} does not belong to {self}")
-
-
-def make_triangle(u: int, v: int, x: int) -> Triangle:
-    a, b, c = sorted((u, v, x))
-    if a == b or b == c:
-        raise GraphStructureError(f"triangle nodes must be distinct: {(u, v, x)}")
-    return Triangle(a, b, c)
 
 
 class WeightedGraph:
@@ -248,9 +210,13 @@ class WeightedGraph:
         return f"WeightedGraph(n={self._n}, m={self.edge_count})"
 
 
-def enumerate_triangles(graph: WeightedGraph) -> list[Triangle]:
-    """All triangles exactly once, in canonical (sorted-triple) order.
 
+
+def enumerate_triangles(graph: WeightedGraph) -> np.ndarray:
+    """All triangles exactly once, as a (T, 3) int32 node array.
+
+    Each row lists its nodes in ascending order and the rows come in
+    lexicographic order; a graph without triangles gives shape (0, 3).
     Uses the degree-ordered orientation: each undirected edge is directed
     from lower to higher (degree, id) rank and triangles are closed by
     intersecting out-neighborhoods, so the work is O(m^{3/2}).
@@ -260,41 +226,41 @@ def enumerate_triangles(graph: WeightedGraph) -> list[Triangle]:
     pos = [0] * n
     for i, v in enumerate(rank):
         pos[v] = i
-    out: list[list[int]] = [[] for _ in range(n)]
+    out: list[set[int]] = [set() for _ in range(n)]
     for u, v in graph.edges():
         if pos[u] < pos[v]:
-            out[u].append(v)
+            out[u].add(v)
         else:
-            out[v].append(u)
-    out_sets = [set(o) for o in out]
-    triangles: list[Triangle] = []
+            out[v].add(u)
+    found: list[int] = []
     for u in range(n):
         for v in out[u]:
-            hi, lo = (u, v) if len(out[u]) > len(out[v]) else (v, u)
-            members = out_sets[hi]
-            for w in out[lo]:
-                if w in members:
-                    triangles.append(make_triangle(u, v, w))
-    triangles.sort()
-    return triangles
+            for w in out[u].intersection(out[v]):
+                found += (u, v, w)
+    triangles = np.array(found, dtype=np.int32).reshape(-1, 3)
+    triangles.sort(axis=1)
+    return triangles[np.lexsort(triangles.T[::-1])]
 
 
-def triangle_weight(graph: WeightedGraph, t: Triangle) -> int:
-    """Sum of the three edge weights of ``t``; raises if an edge is missing."""
-    return (
-        graph.weight(t.a, t.b)
-        + graph.weight(t.a, t.c)
-        + graph.weight(t.b, t.c)
-    )
+def triangle_weights(
+    graph: WeightedGraph, weights: np.ndarray, triangles: np.ndarray
+) -> np.ndarray:
+    """Summed weight of every row of the (T, 3) node array ``triangles``,
+    read from the edge-indexed ``weights``, as int64.
 
-
-def triangle_chunks(triangles: Sequence[Triangle]) -> Iterator[np.ndarray]:
-    """``triangles`` as (T, 3) int64 node arrays of at most ``COUNT_CHUNK``
-    rows each, so that no array of the whole list is ever held."""
+    The nodes of a row may come in any order; a row that is not a triangle
+    of ``graph`` raises.  Rows are read ``COUNT_CHUNK`` at a time, so the
+    temporaries stay small however many triangles there are.
+    """
+    total = np.empty(len(triangles), dtype=np.int64)
     for i in range(0, len(triangles), COUNT_CHUNK):
-        chunk = triangles[i:i + COUNT_CHUNK]
-        nodes = np.fromiter(chain.from_iterable(chunk), np.int64, 3 * len(chunk))
-        yield nodes.reshape(-1, 3)
+        a, b, c = triangles[i:i + COUNT_CHUNK].T
+        total[i:i + COUNT_CHUNK] = (
+            weights[graph.edge_ids(a, b)]
+            + weights[graph.edge_ids(a, c)]
+            + weights[graph.edge_ids(b, c)]
+        )
+    return total
 
 
 def below_threshold_count(
@@ -303,30 +269,15 @@ def below_threshold_count(
     lam: int,
     triangles: np.ndarray,
 ) -> int:
-    """Number of rows of the (T, 3) node array ``triangles`` whose three
-    edge weights, read from the edge-indexed ``weights``, sum to strictly
-    below ``lam``.  The nodes of a row may come in any order."""
-    count = 0
-    for i in range(0, len(triangles), COUNT_CHUNK):
-        a, b, c = triangles[i:i + COUNT_CHUNK].T
-        total = (
-            weights[graph.edge_ids(a, b)]
-            + weights[graph.edge_ids(a, c)]
-            + weights[graph.edge_ids(b, c)]
-        )
-        count += int(np.count_nonzero(total < lam))
-    return count
+    """Number of rows of ``triangles`` whose summed weight in ``weights``
+    (see ``triangle_weights``) is strictly below ``lam``."""
+    return int(np.count_nonzero(triangle_weights(graph, weights, triangles) < lam))
 
 
 def exact_below_threshold_count(
-    graph: WeightedGraph,
-    lam: int,
-    triangles: Sequence[Triangle] | None = None,
+    graph: WeightedGraph, lam: int, triangles: np.ndarray | None = None
 ) -> int:
     """Number of triangles with total weight strictly below ``lam`` (the ground truth)."""
     if triangles is None:
         triangles = enumerate_triangles(graph)
-    return sum(
-        below_threshold_count(graph, graph.weight_array, lam, nodes)
-        for nodes in triangle_chunks(triangles)
-    )
+    return below_threshold_count(graph, graph.weight_array, lam, triangles)

@@ -8,10 +8,11 @@ Every round seeds all its node substreams in one batched pass
 node's turn comes.
 
 Step 1 runs over the graph's CSR adjacency.  Node v's vector is its slice of
-the slot weights, in neighbour order, and ``privatize_weight_vector`` noises
-it from v's own step-1 substream.  Every edge is released by both endpoints;
-the server keeps the lower-id endpoint's value, which is one gather of the
-lower-endpoint slots into an int64 array indexed by edge id.
+the slot weights, in neighbour order, and v's own step-1 substream draws its
+DLap(e^{-epsilon_1}) noise, as ``privatize_weight_vector`` would; the budget
+is checked and p computed once per release.  Every edge is released by both
+endpoints; the server keeps the lower-id endpoint's value, which is one
+gather of the lower-endpoint slots into an int64 array indexed by edge id.
 
 Step 2 runs as array passes over the assignment's owner-sorted triangle rows.
 ``local_step2`` walks consecutive batches of nodes; for every triangle it
@@ -34,27 +35,20 @@ release is f'_v + scale * S_v * Z_v, the same as drawing node by node.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .assignment import Assignment, greedy_assign
 from .estimators import EstimatorKind, estimate_array, estimator_step_bound
-from .graph import (
-    Triangle,
-    WeightedGraph,
-    below_threshold_count,
-    check_threshold,
-    enumerate_triangles,
-    triangle_chunks,
-)
+from .graph import WeightedGraph, below_threshold_count, check_threshold, enumerate_triangles
 from .mechanisms import (
     PrivacyBudget,
     RandomSource,
     check_dlap_epsilon,
+    dlap_sample,
     laplace_sample,
-    privatize_weight_vector,
     smooth_noise_sample,
 )
 from .sensitivity import segment_smooth_sensitivities
@@ -116,14 +110,15 @@ def release_step1(graph: WeightedGraph, epsilon_1: float, rng: RandomSource) -> 
     Returns the public noisy weights as an int64 array indexed by edge id.
     Every node uploads one value per incident edge, 2m in all.
     """
+    check_dlap_epsilon(epsilon_1)
+    p = math.exp(-epsilon_1)
     indptr, slot_edges = graph.adjacency
-    weights = graph.weight_array[slot_edges]
-    released = np.empty(len(slot_edges), dtype=np.int64)
+    released = graph.weight_array[slot_edges]
     bounds = indptr.tolist()
     streams = rng.node_streams(np.arange(graph.node_count), STEP1_ROUND)
     for v, stream in enumerate(streams):
         lo, hi = bounds[v], bounds[v + 1]
-        released[lo:hi] = privatize_weight_vector(weights[lo:hi], epsilon_1, stream)
+        released[lo:hi] += dlap_sample(p, stream, size=hi - lo)
     return released[graph.lower_slots]
 
 
@@ -205,13 +200,14 @@ def run_two_step(
     mechanism: Mechanism = Mechanism.SMOOTH,
     rng: RandomSource | None = None,
     *,
-    triangles: Sequence[Triangle] | None = None,
+    triangles: np.ndarray | None = None,
     assignment: Assignment | None = None,
 ) -> RunReport:
     """One full protocol execution; deterministic under a fixed master seed.
 
-    ``triangles``/``assignment`` may be precomputed (they depend only on the
-    public topology) to amortize repeated trials; the exact count reads the
+    ``triangles`` (the (T, 3) array of ``enumerate_triangles``) and
+    ``assignment`` may be precomputed (they depend only on the public
+    topology) to amortize repeated trials; the exact count reads the
     assignment's rows, which hold every triangle once.
     """
     if not isinstance(budget, PrivacyBudget):
@@ -272,9 +268,12 @@ def run_baseline(
     epsilon: float,
     rng: RandomSource | None = None,
     *,
-    triangles: Sequence[Triangle] | None = None,
+    triangles: np.ndarray | None = None,
 ) -> RunReport:
-    """Non-interactive baseline: privatize all weights once, count on the noisy graph."""
+    """Non-interactive baseline: privatize all weights once, count on the noisy graph.
+
+    ``triangles`` may be the precomputed (T, 3) array of ``enumerate_triangles``.
+    """
     check_dlap_epsilon(epsilon)
     lam = check_threshold(lam)
     if rng is None:
@@ -282,14 +281,9 @@ def run_baseline(
     if triangles is None:
         triangles = enumerate_triangles(graph)
     noisy = release_step1(graph, epsilon, rng)
-    count = exact = 0
-    # each chunk of triangles is converted once and serves both counts
-    for nodes in triangle_chunks(triangles):
-        count += below_threshold_count(graph, noisy, lam, nodes)
-        exact += below_threshold_count(graph, graph.weight_array, lam, nodes)
     return RunReport(
-        estimate=float(count),
-        exact_count=exact,
+        estimate=float(below_threshold_count(graph, noisy, lam, triangles)),
+        exact_count=below_threshold_count(graph, graph.weight_array, lam, triangles),
         lam=lam,
         per_node_release={},
         tallies=CommunicationTallies(2 * graph.edge_count, 0, 0),

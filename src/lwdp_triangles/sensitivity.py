@@ -34,15 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .assignment import Assignment, InstanceTooLargeError
 from .estimators import EstimatorKind, estimator_step_bound, unbiased_correction
-from .graph import Triangle, WeightedGraph, canonical_edge, check_threshold
-
-Edge = tuple[int, int]
+from .graph import WeightedGraph, check_threshold
 
 
 # -- global sensitivity ------------------------------------------------------
@@ -57,19 +55,17 @@ def global_sensitivity(
     """Worst-case change of the local count when one incident weight moves by 1.
 
     Equals the estimator step bound times the largest number of assigned
-    triangles sharing a single incident edge; computable from public data
-    in O(d_v^2).
+    triangles sharing a single incident edge, counted from the node's
+    assignment rows (public data).
     """
     if kind is EstimatorKind.UNBIASED and p is None:
         raise ValueError("the unbiased estimator needs p = e^{-epsilon_1}")
-    counts: dict[int, int] = {}
-    for t in assignment.triangles_of(node):
-        for u in t.nodes:
-            if u != node:
-                counts[u] = counts.get(u, 0) + 1
-    if not counts:
+    rows = assignment.triangles_of(node)
+    if not len(rows):
         return 0.0
-    return estimator_step_bound(kind, 0.0 if p is None else p) * max(counts.values())
+    # assigned triangles through each incident edge (node, u), by neighbour u
+    longest = int(np.bincount(rows[:, 1:].ravel()).max())
+    return estimator_step_bound(kind, 0.0 if p is None else p) * longest
 
 
 # -- per-node local view ------------------------------------------------------
@@ -104,30 +100,6 @@ class SmoothSensInstance:
             raise ValueError("the unbiased estimator needs p in [0,1)")
 
 
-def instance_from_parts(
-    node: int,
-    incident_weights: Mapping[Edge, int],
-    assigned: Sequence[Triangle],
-    noisy_edge_weights: Mapping[Edge, int],
-    lam: int,
-    beta: float,
-    kind: EstimatorKind,
-    p: float | None = None,
-) -> SmoothSensInstance:
-    """Build the instance from exactly the data a node holds in step 2."""
-    sums: dict[int, list[int]] = {}
-    for t in assigned:
-        y, z = (u for u in t.nodes if u != node)
-        w_prime = noisy_edge_weights[canonical_edge(y, z)]
-        sums.setdefault(y, []).append(incident_weights[canonical_edge(node, z)] + w_prime)
-        sums.setdefault(z, []).append(incident_weights[canonical_edge(node, y)] + w_prime)
-    views = tuple(
-        EdgeLocalView(incident_weights[canonical_edge(node, u)], tuple(c))
-        for u, c in sorted(sums.items())
-    )
-    return SmoothSensInstance(node, lam, beta, kind, p, views)
-
-
 def build_instance(
     graph: WeightedGraph,
     assignment: Assignment,
@@ -138,18 +110,23 @@ def build_instance(
     kind: EstimatorKind,
     p: float | None = None,
 ) -> SmoothSensInstance:
-    """``node``'s instance, reading the step-1 release ``noisy_weights``
-    (indexed by edge id) at the edges opposite it in its assigned triangles."""
-    incident = {
-        canonical_edge(node, u): graph.weight(node, u) for u in graph.neighbors(node)
-    }
-    assigned = assignment.triangles_of(node)
-    received = [t.opposite_edge(node) for t in assigned]
-    pairs = np.array(received, dtype=np.int64).reshape(-1, 2)
-    values = noisy_weights[graph.edge_ids(pairs[:, 0], pairs[:, 1])].tolist()
-    return instance_from_parts(
-        node, incident, assigned, dict(zip(received, values)), lam, beta, kind, p
+    """``node``'s instance from exactly the data it holds in step 2: its
+    incident weights, its assigned rows, and the step-1 release
+    ``noisy_weights`` (indexed by edge id) at the edges opposite it."""
+    owner, y, z = assignment.triangles_of(node).T.astype(np.int64)
+    received = noisy_weights[graph.edge_ids(y, z)]
+    w_vy = graph.weight_array[graph.edge_ids(owner, y)]
+    w_vz = graph.weight_array[graph.edge_ids(owner, z)]
+    # the edge (node, y) carries w(node, z) + w'(y, z), and vice versa
+    sums: dict[int, list[int]] = {}
+    pairs = zip(y.tolist(), z.tolist(), (w_vz + received).tolist(), (w_vy + received).tolist())
+    for u, x, c_u, c_x in pairs:
+        sums.setdefault(u, []).append(c_u)
+        sums.setdefault(x, []).append(c_x)
+    views = tuple(
+        EdgeLocalView(graph.weight(node, u), tuple(c)) for u, c in sorted(sums.items())
     )
+    return SmoothSensInstance(node, lam, beta, kind, p, views)
 
 
 def _anchor_targets(view: EdgeLocalView, lam: int) -> tuple[int, int]:

@@ -13,7 +13,6 @@ from lwdp_triangles.sensitivity import (
     EdgeLocalView,
     SmoothSensInstance,
     global_sensitivity,
-    instance_from_parts,
     smooth_sensitivity,
 )
 
@@ -73,30 +72,51 @@ def random_local_instance(
     return SmoothSensInstance(0, lam, beta, kind, p, views)
 
 
+def instance_from_node_data(node, incident, assigned, received, lam, beta, kind, p):
+    """Node ``node``'s smooth-sensitivity instance from plain dicts: its
+    incident weights and the noisy weights it received, by canonical edge,
+    and its assigned triangles as ascending node triples."""
+    sums: dict[int, list[int]] = {}
+    for t in assigned:
+        y, z = (u for u in t if u != node)
+        w_prime = received[(y, z)]
+        sums.setdefault(y, []).append(incident[canonical_edge(node, z)] + w_prime)
+        sums.setdefault(z, []).append(incident[canonical_edge(node, y)] + w_prime)
+    views = tuple(
+        EdgeLocalView(incident[canonical_edge(node, u)], tuple(c))
+        for u, c in sorted(sums.items())
+    )
+    return SmoothSensInstance(node, lam, beta, kind, p, views)
+
+
 def reference_step2(graph, assignment, noisy, lam, kind, mechanism, budget):
     """Every node's (f'_v, S_v) computed one node at a time, as lists.
 
     Node v reads its incident weights and the noisy weights of the edges
     opposite it in its assigned triangles (``noisy`` is the step-1 release,
     indexed by edge id); f'_v is a per-triangle ``estimate`` loop and S_v the
-    smooth sensitivity of ``instance_from_parts`` (GS_v under Laplace noise).
+    smooth sensitivity of ``instance_from_node_data`` (GS_v under Laplace noise).
     """
     noisy = dict(zip(graph.edges(), noisy.tolist()))
+    owned: dict[int, list[tuple[int, int, int]]] = {}
+    for owner, y, z in assignment.rows.tolist():
+        owned.setdefault(owner, []).append(tuple(sorted((owner, y, z))))
     counts, sens = [], []
     for v in range(graph.node_count):
         incident = {canonical_edge(v, u): graph.weight(v, u) for u in graph.neighbors(v)}
-        assigned = sorted(t for t, owner in assignment.rho.items() if owner == v)
-        received = {t.opposite_edge(v): noisy[t.opposite_edge(v)] for t in assigned}
+        assigned = sorted(owned.get(v, []))
+        received = {}
         total = 0.0
         for t in assigned:
-            y, z = (u for u in t.nodes if u != v)
+            y, z = (u for u in t if u != v)
+            received[(y, z)] = noisy[(y, z)]
             noisy_sum = (
                 incident[canonical_edge(v, y)] + incident[canonical_edge(v, z)] + received[(y, z)]
             )
             total += estimate(kind, noisy_sum, lam, budget.p)
         counts.append(total)
         if mechanism is Mechanism.SMOOTH:
-            inst = instance_from_parts(
+            inst = instance_from_node_data(
                 v, incident, assigned, received, lam, budget.beta, kind, p=budget.p
             )
             sens.append(smooth_sensitivity(inst))

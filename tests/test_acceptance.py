@@ -21,7 +21,7 @@ from lwdp_triangles import (
     greedy_assign,
     run_baseline,
     run_two_step,
-    triangle_weight,
+    triangle_weights,
 )
 from lwdp_triangles.assignment import brute_force_optimal_assign, count_c4_instances
 from lwdp_triangles.estimators import closed_form_moments, expectation_by_summation
@@ -159,7 +159,7 @@ def test_criterion_6_qualitative_figure_reproduction():
     tris = enumerate_triangles(g)
     assignment = greedy_assign(g, tris)
     lam = 7  # calibrated: ~10% of triangles exceed it
-    weights = [triangle_weight(g, t) for t in tris]
+    weights = triangle_weights(g, g.weight_array, tris).tolist()
     exceed = sum(1 for w in weights if w >= lam) / len(weights)
     exact = sum(1 for w in weights if w < lam)
     budget = PrivacyBudget.even_split(2.0)

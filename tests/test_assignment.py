@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lwdp_triangles import (
@@ -25,12 +26,32 @@ RATIO_C4 = 2 + 2 * math.sqrt(2)
 
 def c4_by_pair_enumeration(assignment):
     """Independent oracle: count pairs of assigned triangles sharing their noisy edge."""
-    noisy = [assignment.noisy_edge(t) for t in assignment.rho]
+    noisy = [(y, z) for _, y, z in assignment.rows.tolist()]
     return sum(1 for a, b in itertools.combinations(noisy, 2) if a == b)
 
 
+def greedy_reference(triangles):
+    """Owner of every triangle under greedy assignment, one triangle at a
+    time: in sorted triangle order, each takes the minimum over its three
+    (load, canonical edge) pairs, and the owner is the node opposite that edge."""
+    loads, owner = {}, {}
+    for a, b, c in sorted(map(tuple, triangles.tolist())):
+        opposite = {(a, b): c, (a, c): b, (b, c): a}
+        _, edge = min((loads.get(e, 0), e) for e in opposite)
+        loads[edge] = loads.get(edge, 0) + 1
+        owner[a, b, c] = opposite[edge]
+    return owner
+
+
+def owners(assignment):
+    return {tuple(sorted(row)): row[0] for row in assignment.rows.tolist()}
+
+
+EMPTY = np.zeros((0, 3), np.int32)
+
+
 def test_count_c4_from_loads():
-    a = Assignment({}, {})
+    a = Assignment(EMPTY)
     assert count_c4_instances(a) == 0
     g = book_graph(3)
     tris = enumerate_triangles(g)
@@ -64,9 +85,9 @@ def test_greedy_on_k4_matches_exhaustive_optimum():
 
 def test_single_triangle():
     g = complete_graph(3)
-    (t,) = enumerate_triangles(g)
+    (t,) = enumerate_triangles(g).tolist()
     a = greedy_assign(g)
-    assert a.rho[t] in t.nodes
+    assert a.rows.shape == (1, 3) and sorted(a.rows[0].tolist()) == t
     assert list(a.loads.values()) == [1]
     _, opt_sq = brute_force_optimal_assign(g)
     assert opt_sq == 1
@@ -93,16 +114,16 @@ def test_assignment_invariants():
     g = random_graph(rnd, 14, 0.5, -2, 2)
     tris = enumerate_triangles(g)
     a = greedy_assign(g, tris)
-    assert set(a.rho) == set(tris)
-    for t, v in a.rho.items():
-        assert v in t.nodes
+    # every triangle exactly once, each under one of its own nodes
+    assert sorted(sorted(row) for row in a.rows.tolist()) == tris.tolist()
+    assert all(y < z for _, y, z in a.rows.tolist())
     assert sum(a.loads.values()) == len(tris)
     # load table equals direct recount of noisy edges
     recount = {}
-    for t in tris:
-        e = a.noisy_edge(t)
-        recount[e] = recount.get(e, 0) + 1
+    for _, y, z in a.rows.tolist():
+        recount[y, z] = recount.get((y, z), 0) + 1
     assert recount == {e: l for e, l in a.loads.items() if l}
+    assert all(a.load(e) == l for e, l in recount.items())
 
 
 def test_greedy_is_deterministic():
@@ -110,7 +131,7 @@ def test_greedy_is_deterministic():
     g = random_graph(rnd, 12, 0.6, -2, 2)
     a = greedy_assign(g)
     b = greedy_assign(g)
-    assert a.rho == b.rho and a.loads == b.loads
+    assert np.array_equal(a.rows, b.rows) and a.loads == b.loads
 
 
 def test_brute_force_size_cap():
@@ -141,14 +162,44 @@ def test_greedy_approximation_ratios_on_random_instances():
 
 def test_rows_list_each_owners_triangles_in_order():
     g = random_graph(random.Random(23), 15, 0.55, -2, 2)
-    tris = enumerate_triangles(g)
-    # choices in reverse triangle order, so rho is not in sorted order
-    a = assignment_from_choices(tris[::-1], [t.edges()[i % 3] for i, t in enumerate(tris[::-1])])
-    owned = {v: sorted(t for t, owner in a.rho.items() if owner == v) for v in range(15)}
-    expected = [(v, *(u for u in t.nodes if u != v)) for v in range(15) for t in owned[v]]
+    tris = enumerate_triangles(g)[::-1]  # choices in reverse triangle order
+    edges = [((a, b), (a, c), (b, c))[i % 3] for i, (a, b, c) in enumerate(tris.tolist())]
+    a = assignment_from_choices(tris, edges)
+    owned = {v: [] for v in range(15)}
+    for t, (y, z) in zip(tris.tolist(), edges):
+        owner = sum(t) - y - z
+        owned[owner].append(t)
+    expected = [(v, *(u for u in t if u != v)) for v in range(15) for t in sorted(owned[v])]
     assert a.rows.dtype.name == "int32"
     assert [tuple(r) for r in a.rows.tolist()] == expected
     for v in range(15):
-        assert a.triangles_of(v) == tuple(owned[v])
-    assert Assignment({}, {}).rows.shape == (0, 3)
-    assert Assignment({}, {}).triangles_of(0) == ()
+        assert [tuple(r) for r in a.triangles_of(v).tolist()] == [r for r in expected if r[0] == v]
+    with pytest.raises(ValueError):
+        a.rows[0, 0] = 1  # read-only
+    assert Assignment(EMPTY).rows.shape == (0, 3)
+    assert Assignment(EMPTY).triangles_of(0).shape == (0, 3)
+
+
+def test_assignment_rows_take_any_order_and_reject_malformed_rows():
+    a = Assignment(np.array([[3, 2, 1], [0, 2, 1], [3, 1, 0]]))
+    assert a.rows.tolist() == [[0, 1, 2], [3, 0, 1], [3, 1, 2]]
+    assert a.loads == {(0, 1): 1, (1, 2): 2}
+    for bad in (np.array([[0, 0, 1]]), np.array([[0, 1, 1]]), np.zeros((2, 2)), np.zeros(3)):
+        with pytest.raises(ValueError):
+            Assignment(bad)
+    tris = np.array([[0, 1, 2]])
+    with pytest.raises(ValueError):
+        assignment_from_choices(tris, [(0, 3)])  # not an edge of the triangle
+    with pytest.raises(ValueError):
+        assignment_from_choices(tris, [])
+
+
+def test_greedy_matches_per_triangle_reference_on_tie_heavy_graphs():
+    rnd = random.Random(31)
+    graphs = [complete_graph(n) for n in range(3, 10)] + [book_graph(k) for k in range(1, 9)]
+    graphs += [random_graph(rnd, rnd.randint(6, 22), rnd.uniform(0.5, 0.95), 0, 0)
+               for _ in range(12)]
+    for g in graphs:
+        tris = enumerate_triangles(g)
+        assert owners(greedy_assign(g, tris)) == greedy_reference(tris), g
+        assert owners(greedy_assign(g)) == greedy_reference(tris), g

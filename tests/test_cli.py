@@ -134,6 +134,13 @@ def test_invalid_budget_is_a_usage_error(graph_file, command, capsys):
     ["experiment", "--sweep", "eps", "--values", "1.0", "--methods", "bogus"],
     ["sensitivity", "--beta", "-1", "--node", "0", "--estimator", "biased", "--lambda", "6"],
     ["sensitivity", "--beta", "nan", "--node", "0", "--estimator", "biased", "--lambda", "6"],
+    # a negative seed used to fail inside the seeding, after f_exact was printed
+    ["count", "--seed", "-1", "--lambda", "6", "--eps", "2.0", "--estimator", "biased",
+     "--mechanism", "global"],
+    ["baseline", "--seed", "-1", "--lambda", "6", "--eps", "1.0"],
+    ["sensitivity", "--seed", "-1", "--node", "0", "--beta", "0.25", "--estimator", "biased",
+     "--lambda", "6"],
+    ["experiment", "--seed", "-1", "--sweep", "eps", "--values", "1.0"],
 ])
 def test_invalid_library_argument_is_a_usage_error(graph_file, tmp_path, command, capsys):
     out_path = tmp_path / "sweep.csv"

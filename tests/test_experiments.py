@@ -12,7 +12,7 @@ from lwdp_triangles import (
     exact_below_threshold_count,
     run_baseline,
     run_two_step,
-    triangle_weight,
+    triangle_weights,
 )
 from lwdp_triangles.experiments import (
     EdgeListParseError,
@@ -119,11 +119,11 @@ def test_induced_subgraph_keeps_exactly_internal_triangles():
     sub = induced_subgraph(g, kept)
     relabel = {v: i for i, v in enumerate(kept)}
     expected = {
-        tuple(sorted(relabel[v] for v in t.nodes))
-        for t in enumerate_triangles(g)
-        if all(v in relabel for v in t.nodes)
+        tuple(sorted(relabel[v] for v in t))
+        for t in enumerate_triangles(g).tolist()
+        if all(v in relabel for v in t)
     }
-    got = {t.nodes for t in enumerate_triangles(sub)}
+    got = set(map(tuple, enumerate_triangles(sub).tolist()))
     assert got == expected
     assert induced_subgraph(g, range(g.node_count)) == g
     sampled = sample_induced_subgraph(g, 14, seed=5)
@@ -146,7 +146,7 @@ def test_run_sweep_mean_errors_equal_direct_paired_runs():
     cfg = ExperimentConfig(axis="eps", values=(2.0, 1.0), trials=2, seed=3)
     report = run_sweep(cfg, g)
     tris = enumerate_triangles(g)
-    lam = default_lambda([triangle_weight(g, t) for t in tris])
+    lam = default_lambda(triangle_weights(g, g.weight_array, tris))
     exact = exact_below_threshold_count(g, lam, tris)
     assert exact > 0
     # rows come in sorted axis order, and trial t at row i replays

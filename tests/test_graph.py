@@ -9,10 +9,9 @@ from lwdp_triangles import (
     WeightedGraph,
     enumerate_triangles,
     exact_below_threshold_count,
-    make_triangle,
-    triangle_weight,
+    triangle_weights,
 )
-from lwdp_triangles.graph import COUNT_CHUNK, below_threshold_count, triangle_chunks
+from lwdp_triangles.graph import COUNT_CHUNK, below_threshold_count
 
 from conftest import complete_graph, random_graph
 
@@ -27,8 +26,13 @@ def triple_loop_triangles(graph):
                 continue
             for c in range(b + 1, n):
                 if graph.has_edge(a, c) and graph.has_edge(b, c):
-                    out.append(make_triangle(a, b, c))
+                    out.append([a, b, c])
     return out
+
+
+def weight_of(graph, t):
+    a, b, c = t
+    return graph.weight(a, b) + graph.weight(a, c) + graph.weight(b, c)
 
 
 def test_k4_has_four_triangles():
@@ -37,7 +41,8 @@ def test_k4_has_four_triangles():
 
 def test_path_has_no_triangles():
     g = WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
-    assert enumerate_triangles(g) == []
+    tris = enumerate_triangles(g)
+    assert tris.shape == (0, 3) and tris.dtype == np.int32
 
 
 def test_enumeration_is_canonical_and_matches_triple_loop():
@@ -45,26 +50,31 @@ def test_enumeration_is_canonical_and_matches_triple_loop():
     for _ in range(40):
         g = random_graph(rnd, rnd.randint(2, 30), rnd.uniform(0.05, 0.7), -5, 5)
         tris = enumerate_triangles(g)
-        assert tris == sorted(tris)
-        assert len(set(tris)) == len(tris)
-        assert tris == triple_loop_triangles(g)
+        assert tris.shape == (len(tris), 3) and tris.dtype == np.int32
+        rows = tris.tolist()
+        assert all(a < b < c for a, b, c in rows)
+        assert rows == sorted(rows)
+        assert len(set(map(tuple, rows))) == len(rows)
+        assert rows == triple_loop_triangles(g)
 
 
 def test_triangle_weight_examples():
-    g = WeightedGraph(3, [(0, 1, 1), (0, 2, 2), (1, 2, 3)])
-    (t,) = enumerate_triangles(g)
-    assert triangle_weight(g, t) == 6
-    g0 = WeightedGraph(3, [(0, 1, 0), (0, 2, 0), (1, 2, 0)])
-    assert triangle_weight(g0, enumerate_triangles(g0)[0]) == 0
-    gn = WeightedGraph(3, [(0, 1, -5), (0, 2, 2), (1, 2, 1)])
-    assert triangle_weight(gn, enumerate_triangles(gn)[0]) == -2
+    def weights(g):
+        return triangle_weights(g, g.weight_array, enumerate_triangles(g)).tolist()
+
+    assert weights(WeightedGraph(3, [(0, 1, 1), (0, 2, 2), (1, 2, 3)])) == [6]
+    assert weights(WeightedGraph(3, [(0, 1, 0), (0, 2, 0), (1, 2, 0)])) == [0]
+    assert weights(WeightedGraph(3, [(0, 1, -5), (0, 2, 2), (1, 2, 1)])) == [-2]
+    g = WeightedGraph(4, [(0, 1, 2**31), (0, 2, 2**31), (1, 2, 2**31), (1, 3, -1), (2, 3, 5)])
+    assert weights(g) == [3 * 2**31, 2**31 + 4]
+    assert triangle_weights(g, g.weight_array, np.zeros((0, 3), np.int64)).shape == (0,)
 
 
 def test_triangle_weight_missing_edge_is_structural_error():
     g = WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)])
-    t = make_triangle(0, 1, 3)  # not a triangle of g
+    not_a_triangle = np.array([[0, 1, 3]])
     with pytest.raises(GraphStructureError):
-        triangle_weight(g, t)
+        triangle_weights(g, g.weight_array, not_a_triangle)
 
 
 def test_below_threshold_count_on_k4():
@@ -77,7 +87,7 @@ def test_below_threshold_count_matches_triple_loop_recount():
     rnd = random.Random(99)
     g = random_graph(rnd, 20, 0.4, -5, 5)
     expected = sum(
-        1 for t in triple_loop_triangles(g) if triangle_weight(g, t) < 0
+        1 for t in triple_loop_triangles(g) if weight_of(g, t) < 0
     )
     assert exact_below_threshold_count(g, 0) == expected
 
@@ -86,10 +96,10 @@ def test_count_monotone_and_saturating():
     rnd = random.Random(3)
     g = random_graph(rnd, 15, 0.5, -4, 4)
     tris = enumerate_triangles(g)
-    weights = [triangle_weight(g, t) for t in tris]
+    weights = [weight_of(g, t) for t in tris.tolist()]
     counts = [exact_below_threshold_count(g, lam, tris) for lam in range(-20, 21)]
     assert counts == sorted(counts)
-    if tris:
+    if len(tris):
         assert exact_below_threshold_count(g, max(weights) + 2, tris) == len(tris)
         assert exact_below_threshold_count(g, min(weights), tris) == 0
 
@@ -134,15 +144,6 @@ def test_degree_table_consistent():
         assert vec == [g.weight(v, u) for u in g.neighbors(v)]
 
 
-def test_triangle_helpers():
-    t = make_triangle(5, 1, 3)
-    assert t.nodes == (1, 3, 5)
-    assert t.opposite_edge(3) == (1, 5)
-    assert t.opposite_node((1, 5)) == 3
-    with pytest.raises(ValueError):
-        t.opposite_edge(2)
-
-
 def test_weight_array_and_edge_ids_follow_sorted_edges():
     g = random_graph(random.Random(21), 16, 0.5, -9, 9)
     edges = list(g.edges())
@@ -183,14 +184,14 @@ def test_adjacency_lists_every_nodes_slots_and_each_edges_lower_slot():
 def test_below_threshold_count_reads_rows_in_any_node_order():
     rnd = random.Random(23)
     g = random_graph(rnd, 14, 0.6, -3, 3)
-    nodes = np.array(enumerate_triangles(g), dtype=np.int64)
+    nodes = enumerate_triangles(g)
     shuffled = np.array([rnd.sample(row, 3) for row in nodes.tolist()], dtype=np.int32)
     for lam in (-2, 0, 3):
         expected = exact_below_threshold_count(g, lam)
         assert below_threshold_count(g, g.weight_array, lam, nodes) == expected
+        assert below_threshold_count(g, g.weight_array, lam, nodes.astype(np.int64)) == expected
         assert below_threshold_count(g, g.weight_array, lam, shuffled) == expected
     assert below_threshold_count(g, g.weight_array, 0, np.zeros((0, 3), np.int64)) == 0
-    assert list(triangle_chunks([])) == []
 
 
 def test_below_threshold_count_reads_the_given_weights_across_chunks():
@@ -201,13 +202,12 @@ def test_below_threshold_count_reads_the_given_weights_across_chunks():
     edges = list(g.edges())
     other = {e: rnd.randint(-9, 9) for e in edges}
     array = np.array([other[e] for e in edges], dtype=np.int64)
+    summed = [other[a, b] + other[a, c] + other[b, c] for a, b, c in tris.tolist()]
+    assert triangle_weights(g, array, tris).tolist() == summed
+    true_weights = [weight_of(g, t) for t in tris.tolist()]
     for lam in (-5, 0, 1, 6):
-        expected = sum(1 for t in tris if sum(other[e] for e in t.edges()) < lam)
-        assert below_threshold_count(g, array, lam, np.array(tris)) == expected
-        chunks = list(triangle_chunks(tris))
-        assert [len(c) for c in chunks[:-1]] == [COUNT_CHUNK] * (len(chunks) - 1)
-        assert np.concatenate(chunks).tolist() == [list(t) for t in tris]
-        assert sum(below_threshold_count(g, array, lam, c) for c in chunks) == expected
+        expected = sum(1 for w in summed if w < lam)
+        assert below_threshold_count(g, array, lam, tris) == expected
         assert exact_below_threshold_count(g, lam, tris) == sum(
-            1 for t in tris if triangle_weight(g, t) < lam
+            1 for w in true_weights if w < lam
         )

@@ -18,7 +18,7 @@ from lwdp_triangles import (
 )
 from lwdp_triangles.estimators import expected_biased
 from lwdp_triangles.experiments import run_sweep
-from lwdp_triangles.graph import triangle_weight
+from lwdp_triangles.graph import triangle_weights
 from lwdp_triangles.mechanisms import privatize_weight_vector, smooth_noise_sample
 from lwdp_triangles.protocol import (
     SENSITIVITY_FLUSH_SIZE,
@@ -103,6 +103,14 @@ def test_release_step1_matches_per_node_reference_edge_by_edge():
             rng = RandomSource(60 + i).subsource(1, 2)
             noisy = release_step1(g, epsilon_1, rng)
             assert noisy.tolist() == reference_step1(g, epsilon_1, rng), (i, epsilon_1)
+
+
+@pytest.mark.parametrize("epsilon_1", [0.0, -1.0, math.nan, math.inf, 800.0])
+def test_release_step1_checks_the_budget_before_any_node(epsilon_1):
+    # the budget is checked once per release, so even a graph with no node rejects it
+    for g in (WeightedGraph(0, []), complete_graph(4)):
+        with pytest.raises(ValueError):
+            release_step1(g, epsilon_1, RandomSource(0))
 
 
 def test_communication_tallies_k4():
@@ -204,7 +212,7 @@ def test_step2_isolation_from_other_nodes():
     g = random_graph(rnd, 12, 0.6, -2, 2)
     assignment = greedy_assign(g)
     noisy = release_step1(g, 1.0, RandomSource(8))
-    received = {t.opposite_edge(0) for t, owner in assignment.rho.items() if owner == 0}
+    received = {(y, z) for _, y, z in assignment.triangles_of(0).tolist()}
     assert received
     # tamper every true weight node 0 does not hold and every noisy weight
     # it is not sent; node 0's count and sensitivity must not move
@@ -289,7 +297,7 @@ def test_local_step2_matches_per_node_reference_bit_for_bit():
     seen_empty = 0
     for i, g in enumerate(graphs):
         assignment = greedy_assign(g)
-        seen_empty += any(not assignment.triangles_of(v) for v in range(g.node_count))
+        seen_empty += any(not len(assignment.triangles_of(v)) for v in range(g.node_count))
         noisy = release_step1(g, budget.epsilon_1, RandomSource(i))
         lam = rnd.randint(-4, 8)
         for kind in EstimatorKind:
@@ -384,7 +392,8 @@ def test_biased_mean_matches_closed_form_expectation():
     assignment = greedy_assign(g, tris)
     lam = 4
     budget = PrivacyBudget(1.0, 1.0)
-    predicted = sum(expected_biased(triangle_weight(g, t), lam, budget.p) for t in tris)
+    weights = triangle_weights(g, g.weight_array, tris).tolist()
+    predicted = sum(expected_biased(w, lam, budget.p) for w in weights)
     estimates = []
     for s in range(200):
         rep = run_two_step(g, lam, budget, EstimatorKind.BIASED, Mechanism.GLOBAL_LAPLACE,

@@ -13,7 +13,6 @@ from lwdp_triangles.sensitivity import (
     SmoothSensInstance,
     build_instance,
     global_sensitivity,
-    instance_from_parts,
     local_sensitivity,
     smooth_sensitivities,
     smooth_sensitivity,
@@ -34,7 +33,7 @@ def star_of_triangles(k):
     g = WeightedGraph(k + 2, edges)
     tris = enumerate_triangles(g)
     # force every triangle onto node 0 (noisy edge is the one opposite 0)
-    a = assignment_from_choices(tris, [t.opposite_edge(0) for t in tris])
+    a = assignment_from_choices(tris, [(b, c) for _, b, c in tris.tolist()])
     return g, a
 
 
@@ -197,8 +196,7 @@ def test_local_sensitivity_matches_raw_estimator_differences():
 
     def raw_local_count(graph, assigned, node, weights, noisy, lam, kind, p):
         total = 0.0
-        for t in assigned:
-            y, z = (u for u in t.nodes if u != node)
+        for _, y, z in assigned.tolist():
             s = (
                 weights[canonical_edge(node, y)]
                 + weights[canonical_edge(node, z)]
@@ -364,8 +362,7 @@ def test_oracle_accepts_explicit_radius():
 def test_build_instance_partial_sums():
     g = WeightedGraph(4, [(0, 1, 2), (0, 2, 3), (1, 2, 10), (0, 3, 4), (1, 3, 20)])
     tris = enumerate_triangles(g)  # {0,1,2} and {0,1,3}
-    a = assignment_from_choices(tris, [t.opposite_edge(0) for t in tris])
-    noisy = {(1, 2): 11, (1, 3): 19}
+    a = assignment_from_choices(tris, [(b, c) for _, b, c in tris.tolist()])
     # the release is indexed by edge id: (0,1) (0,2) (0,3) (1,2) (1,3)
     release = np.array([-50, -50, -50, 11, 19])
     inst = build_instance(g, a, release, 0, lam=9, beta=0.5, kind=EstimatorKind.BIASED)
@@ -374,16 +371,10 @@ def test_build_instance_partial_sums():
     assert by_weight[2] == sorted([3 + 11, 4 + 19])
     assert by_weight[3] == [2 + 11]
     assert by_weight[4] == [2 + 19]
-    parts = instance_from_parts(
-        0,
-        {(0, 1): 2, (0, 2): 3, (0, 3): 4},
-        a.triangles_of(0),
-        noisy,
-        9,
-        0.5,
-        EstimatorKind.BIASED,
+    assert inst == SmoothSensInstance(
+        0, 9, 0.5, EstimatorKind.BIASED, None,
+        (EdgeLocalView(2, (14, 23)), EdgeLocalView(3, (13,)), EdgeLocalView(4, (21,))),
     )
-    assert parts == inst
 
 
 def test_instance_validation():
