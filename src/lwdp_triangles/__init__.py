@@ -41,9 +41,13 @@ from .sensitivity import (
     smooth_sensitivity_bruteforce,
 )
 from .protocol import (
+    Baseline,
     Mechanism,
     RunReport,
+    TrialInstance,
+    TwoStep,
     run_baseline,
+    run_methods,
     run_two_step,
 )
 from .experiments import (

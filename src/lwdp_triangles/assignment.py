@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import COUNT_CHUNK, WeightedGraph, enumerate_triangles
+from .graph import COUNT_CHUNK, WeightedGraph, enumerate_triangles, triangle_edge_ids
 
 
 class InstanceTooLargeError(ValueError):
@@ -90,7 +90,8 @@ def greedy_assign(
     """
     if triangles is None:
         triangles = enumerate_triangles(graph)
-    a, b, c = np.sort(triangles, axis=1).T
+    ordered = np.sort(triangles, axis=1)
+    a, b, c = ordered.T
     loads = [0] * graph.edge_count
     owner_at = []  # the owner's index in (a, b, c), row by row
     # edge ids follow canonical order, so (a, b) < (a, c) < (b, c) by id too
@@ -98,8 +99,7 @@ def greedy_assign(
     # the ids become Python ints one chunk of rows at a time, so those of all
     # rows never exist at once
     for i in range(0, len(a), COUNT_CHUNK):
-        rows = slice(i, i + COUNT_CHUNK)
-        ids = [graph.edge_ids(u[rows], v[rows]).tolist() for u, v in ((a, b), (a, c), (b, c))]
+        ids = triangle_edge_ids(graph, ordered[i:i + COUNT_CHUNK]).T.tolist()
         for ab, ac, bc in zip(*ids):
             l_ab, l_ac, l_bc = loads[ab], loads[ac], loads[bc]
             if l_ab <= l_ac and l_ab <= l_bc:

@@ -14,9 +14,9 @@ from .experiments import (
     parse_edge_list,
     run_sweep,
 )
-from .graph import check_threshold, enumerate_triangles, exact_below_threshold_count
+from .graph import check_threshold, enumerate_triangles
 from .mechanisms import PrivacyBudget, RandomSource, check_dlap_epsilon
-from .protocol import Mechanism, release_step1, run_baseline, run_two_step
+from .protocol import Baseline, Mechanism, TrialInstance, TwoStep, release_step1, run_methods
 from .sensitivity import (
     build_instance,
     global_sensitivity,
@@ -83,12 +83,13 @@ def _budget_from_args(args) -> PrivacyBudget:
     return PrivacyBudget.even_split(args.eps)
 
 
-def _print_trials(args, graph, triangles, run) -> int:
-    """Print the exact count, then ``run(rng)``'s estimate for each seeded trial."""
-    exact = exact_below_threshold_count(graph, args.lam, triangles)
+def _print_trials(args, instance, method) -> int:
+    """Print the exact count, then ``method``'s estimate for each seeded trial."""
+    exact = instance.exact_count(args.lam)
     print(f"f_exact: {exact}")
     for trial in range(args.trials):
-        report = run(RandomSource(args.seed).subsource(trial))
+        rng = RandomSource(args.seed).subsource(trial)
+        report = run_methods(instance, args.lam, [method], rng)[0]
         rel = abs(exact - report.estimate) / exact if exact else float("nan")
         print(f"trial {trial}: estimate={report.estimate:.6f} rel_error={rel:.6g}")
     tallies = report.tallies
@@ -103,24 +104,16 @@ def _cmd_count(args) -> int:
     budget = _usage_checked(args, _budget_from_args, args)
     _usage_checked(args, check_threshold, args.lam)
     graph = parse_edge_list(args.graph)
-    kind = EstimatorKind(args.estimator)
-    mechanism = Mechanism(args.mechanism)
-    triangles = enumerate_triangles(graph)
-    assignment = greedy_assign(graph, triangles)
-    return _print_trials(args, graph, triangles, lambda rng: run_two_step(
-        graph, args.lam, budget, kind, mechanism, rng,
-        triangles=triangles, assignment=assignment,
-    ))
+    method = TwoStep(budget, EstimatorKind(args.estimator), Mechanism(args.mechanism))
+    return _print_trials(args, TrialInstance(graph), method)
 
 
 def _cmd_baseline(args) -> int:
-    _usage_checked(args, check_dlap_epsilon, args.eps)
+    method = _usage_checked(args, Baseline, args.eps)
     _usage_checked(args, check_threshold, args.lam)
     graph = parse_edge_list(args.graph)
-    triangles = enumerate_triangles(graph)
-    return _print_trials(args, graph, triangles, lambda rng: run_baseline(
-        graph, args.lam, args.eps, rng, triangles=triangles
-    ))
+    instance = TrialInstance.for_baseline(graph, enumerate_triangles(graph))
+    return _print_trials(args, instance, method)
 
 
 def _experiment_config(args) -> ExperimentConfig:

@@ -15,17 +15,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import (
-    WeightedGraph,
-    canonical_edge,
-    check_threshold,
-    enumerate_triangles,
-    triangle_weights,
-)
-from .assignment import greedy_assign
+from .graph import WeightedGraph, canonical_edge, check_threshold
 from .mechanisms import PrivacyBudget, RandomSource
 from .estimators import EstimatorKind
-from .protocol import Mechanism, run_baseline, run_two_step
+from .protocol import Baseline, Mechanism, TrialInstance, TwoStep, run_methods
 
 METHODS = (
     "baseline",
@@ -230,30 +223,24 @@ def method_column(method: str) -> str:
     return method.replace("-", "_") + "_l2_rel"
 
 
-def _run_method(method, graph, lam, epsilon, rng, triangles, assignment):
-    if method == "baseline":
-        return run_baseline(graph, lam, epsilon, rng, triangles=triangles).estimate
-    mechanism = Mechanism.GLOBAL_LAPLACE if method.startswith("global") else Mechanism.SMOOTH
-    kind = EstimatorKind.UNBIASED if method.endswith("unbiased") else EstimatorKind.BIASED
-    report = run_two_step(
-        graph,
-        lam,
-        PrivacyBudget.even_split(epsilon),
-        kind,
-        mechanism,
-        rng,
-        triangles=triangles,
-        assignment=assignment,
-    )
-    return report.estimate
+def method_named(name: str, epsilon: float) -> Baseline | TwoStep:
+    """The method of ``METHODS`` called ``name``, at total budget ``epsilon``:
+    the baseline spends it whole, the two-step methods half in each round."""
+    if name == "baseline":
+        return Baseline(epsilon)
+    mechanism = Mechanism.GLOBAL_LAPLACE if name.startswith("global") else Mechanism.SMOOTH
+    kind = EstimatorKind.UNBIASED if name.endswith("unbiased") else EstimatorKind.BIASED
+    return TwoStep(PrivacyBudget.even_split(epsilon), kind, mechanism)
 
 
 def run_sweep(cfg: ExperimentConfig, graph: WeightedGraph) -> ErrorReport:
     """Mean relative error per (axis value, method) over paired-seed trials.
 
-    The topology-dependent work (triangle enumeration, assignment, exact
-    count) is done once per axis point; each trial then replays every method
-    with the same random source, isolating method differences.
+    The public work (triangle enumeration, assignment, every triangle's
+    edge ids and the exact count) is one ``TrialInstance`` per axis point.
+    Each trial runs every method through one ``run_methods`` call on the
+    same random source, so methods that spend the same epsilon_1 read one
+    shared step-1 release and method differences stay isolated.
     """
     rows = []
     for axis_idx, value in enumerate(sorted(cfg.values)):
@@ -264,24 +251,23 @@ def run_sweep(cfg: ExperimentConfig, graph: WeightedGraph) -> ErrorReport:
         else:
             g = graph
         epsilon = float(value) if cfg.axis == "eps" else cfg.epsilon
-        triangles = enumerate_triangles(g)
-        weights = triangle_weights(g, g.weight_array, triangles)
+        instance = TrialInstance(g)
         if cfg.axis == "lambda":
             lam = int(value)
         elif cfg.lam is not None:
             lam = cfg.lam
         else:
-            lam = default_lambda(weights)
-        assignment = greedy_assign(g, triangles)
-        exact = int(np.count_nonzero(weights < lam))
+            lam = default_lambda(instance.weights)
+        methods = [method_named(m, epsilon) for m in cfg.methods]
+        exact = instance.exact_count(lam)
         sums = {m: 0.0 for m in cfg.methods}
         flagged = exact == 0
         for trial in range(cfg.trials):
             rng = RandomSource(cfg.seed).subsource(axis_idx, trial)
-            for m in cfg.methods:
-                est = _run_method(m, g, lam, epsilon, rng, triangles, assignment)
-                if not flagged:
-                    sums[m] += abs(exact - est) / exact
+            reports = run_methods(instance, lam, methods, rng)
+            if not flagged:
+                for m, report in zip(cfg.methods, reports):
+                    sums[m] += abs(exact - report.estimate) / exact
         mean_errors = {
             m: (math.nan if flagged else sums[m] / cfg.trials) for m in cfg.methods
         }

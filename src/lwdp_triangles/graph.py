@@ -14,9 +14,11 @@ node's incident weights are one gather.
 
 A set of triangles has one format throughout the library: a (T, 3) integer
 node array with one triangle per row.  ``enumerate_triangles`` returns every
-triangle of the graph in that format (int32, like the assignment's rows),
-``triangle_weights`` sums each row's three edge weights from an edge-indexed
-array, and ``below_threshold_count`` counts the rows whose sum is below the
+triangle of the graph in that format (int32, like the assignment's rows).
+``triangle_edge_ids`` looks up the ids of each row's three edges once, as a
+(T, 3) int32 array; ``edge_id_sums`` sums any edge-indexed array over those
+ids, so ``triangle_weights`` gives each row's summed weight and
+``exact_below_threshold_count`` counts the rows whose weight is below the
 threshold.
 """
 
@@ -34,8 +36,8 @@ MAX_ABS_WEIGHT = 2**31
 # noisy triangle weight (weights plus discrete Laplace noise) stay in int64.
 MAX_ABS_THRESHOLD = 2**62
 
-# Triangles per chunk of ``triangle_weights``: its temporaries stay small
-# however many triangles the graph has.
+# Triangles per chunk of ``triangle_edge_ids`` and ``edge_id_sums``: their
+# temporaries stay small however many triangles the graph has.
 COUNT_CHUNK = 4096
 
 
@@ -242,6 +244,36 @@ def enumerate_triangles(graph: WeightedGraph) -> np.ndarray:
     return triangles[np.lexsort(triangles.T[::-1])]
 
 
+def triangle_edge_ids(graph: WeightedGraph, rows: np.ndarray) -> np.ndarray:
+    """Ids of the edges (a, b), (a, c) and (b, c) of every row (a, b, c) of
+    the (T, 3) node array ``rows``, as a (T, 3) int32 array.
+
+    A row that is not a triangle of ``graph`` raises.  Rows are looked up
+    ``COUNT_CHUNK`` at a time, so the temporaries stay small however many
+    triangles there are.
+    """
+    if graph.edge_count >= 2**31:
+        raise GraphStructureError("edge ids do not fit in int32")
+    ids = np.empty((len(rows), 3), dtype=np.int32)
+    for i in range(0, len(rows), COUNT_CHUNK):
+        a, b, c = rows[i:i + COUNT_CHUNK].T
+        chunk = ids[i:i + COUNT_CHUNK]
+        chunk[:, 0] = graph.edge_ids(a, b)
+        chunk[:, 1] = graph.edge_ids(a, c)
+        chunk[:, 2] = graph.edge_ids(b, c)
+    return ids
+
+
+def edge_id_sums(weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Sum of the edge-indexed ``weights`` over every row of the (T, 3) edge-id
+    array ``ids``, as int64, ``COUNT_CHUNK`` rows at a time."""
+    total = np.empty(len(ids), dtype=np.int64)
+    for i in range(0, len(ids), COUNT_CHUNK):
+        a, b, c = ids[i:i + COUNT_CHUNK].T
+        total[i:i + COUNT_CHUNK] = weights[a] + weights[b] + weights[c]
+    return total
+
+
 def triangle_weights(
     graph: WeightedGraph, weights: np.ndarray, triangles: np.ndarray
 ) -> np.ndarray:
@@ -249,35 +281,17 @@ def triangle_weights(
     read from the edge-indexed ``weights``, as int64.
 
     The nodes of a row may come in any order; a row that is not a triangle
-    of ``graph`` raises.  Rows are read ``COUNT_CHUNK`` at a time, so the
-    temporaries stay small however many triangles there are.
+    of ``graph`` raises.
     """
-    total = np.empty(len(triangles), dtype=np.int64)
-    for i in range(0, len(triangles), COUNT_CHUNK):
-        a, b, c = triangles[i:i + COUNT_CHUNK].T
-        total[i:i + COUNT_CHUNK] = (
-            weights[graph.edge_ids(a, b)]
-            + weights[graph.edge_ids(a, c)]
-            + weights[graph.edge_ids(b, c)]
-        )
-    return total
-
-
-def below_threshold_count(
-    graph: WeightedGraph,
-    weights: np.ndarray,
-    lam: int,
-    triangles: np.ndarray,
-) -> int:
-    """Number of rows of ``triangles`` whose summed weight in ``weights``
-    (see ``triangle_weights``) is strictly below ``lam``."""
-    return int(np.count_nonzero(triangle_weights(graph, weights, triangles) < lam))
+    return edge_id_sums(weights, triangle_edge_ids(graph, triangles))
 
 
 def exact_below_threshold_count(
     graph: WeightedGraph, lam: int, triangles: np.ndarray | None = None
 ) -> int:
-    """Number of triangles with total weight strictly below ``lam`` (the ground truth)."""
+    """Number of rows of ``triangles`` (by default every triangle of ``graph``)
+    with total weight strictly below ``lam``: the ground truth."""
     if triangles is None:
         triangles = enumerate_triangles(graph)
-    return below_threshold_count(graph, graph.weight_array, lam, triangles)
+    weights = triangle_weights(graph, graph.weight_array, triangles)
+    return int(np.count_nonzero(weights < lam))

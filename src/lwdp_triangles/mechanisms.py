@@ -223,11 +223,8 @@ class RandomSource:
         entropy = self._entropy(tuple(int(k) for k in key))
         return _generator(_pcg64_seeds(entropy)[0])
 
-    def node_stream(self, node: int, round_no: int) -> Generator:
-        return self.stream(node, round_no)
-
     def node_streams(self, nodes, round_no: int) -> Iterator[Generator]:
-        """``node_stream(v, round_no)`` for every v of ``nodes``, in order.
+        """``stream(v, round_no)`` for every v of ``nodes``, in order.
 
         All keys are hashed at once, here; each generator is a fresh one,
         built only when the iterator reaches it.

@@ -1,35 +1,25 @@
 """Single-process simulation of the two-step counting protocol and the baseline.
 
 Nodes and the server are logical parties: per-node randomness comes from
-substreams keyed by (node, round), and message tallies model the three
+substreams keyed by (node, round), each round seeding all its node
+substreams in one batched pass, and message tallies model the three
 communication flows (vector uploads, noisy-weight downloads, count uploads).
-Every round seeds all its node substreams in one batched pass
-(``RandomSource.node_streams``) and builds each node's generator as the
-node's turn comes.
 
-Step 1 runs over the graph's CSR adjacency.  Node v's vector is its slice of
-the slot weights, in neighbour order, and v's own step-1 substream draws its
-DLap(e^{-epsilon_1}) noise, as ``privatize_weight_vector`` would; the budget
-is checked and p computed once per release.  Every edge is released by both
-endpoints; the server keeps the lower-id endpoint's value, which is one
-gather of the lower-endpoint slots into an int64 array indexed by edge id.
+The topology is public, and so is all that follows from it: the triangles,
+the assignment and the ids of every assigned triangle's three edges.  A
+``TrialInstance`` holds them, computed once per graph, and ``run_methods``
+runs a list of methods (``Baseline``, ``TwoStep``) on one trial of it.
+Step 1 depends only on the graph, epsilon_1 and the trial's substreams, so
+it is released once per distinct epsilon_1 and every method spending that
+epsilon_1 reads the same read-only release.
 
-Step 2 runs as array passes over the assignment's owner-sorted triangle rows.
-``local_step2`` walks consecutive batches of nodes; for every triangle it
-gathers the owner's two incident weights and the one noisy weight the owner
-received, so node v's count f'_v and sensitivity S_v read only v's own
-weights, the noisy weights sent to v and public data (the topology and the
-assignment).  f'_v is ``np.bincount`` of the per-triangle estimates, which
-adds in triangle order like a per-node loop.  The same batch splits v's
-partial sums into one segment per (v, incident edge): their smooth
-sensitivity is one ``segment_smooth_sensitivities`` call per batch, and
-under Laplace noise GS_v is the estimator step bound times v's longest
-segment.
-
-The release pass then turns the S_v into noise.  With the smooth mechanism
-every node with S_v > 0 draws one uniform from its own step-2 substream, in
-node order, and one batched inverse CDF turns them all into noise; each
-release is f'_v + scale * S_v * Z_v, the same as drawing node by node.
+In step 1 every node noises its slice of the CSR slot weights from its own
+substream, and the server keeps the lower-id endpoint's value of each edge.
+Step 2 runs as array passes over batches of the assignment's owner-sorted
+rows, gathering through the instance's edge ids, so node v's count f'_v and
+sensitivity S_v read only v's own weights, the noisy weights sent to v and
+public data.  The release pass then turns every S_v > 0 into noise drawn
+from v's own step-2 substream.
 """
 
 from __future__ import annotations
@@ -37,12 +27,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .assignment import Assignment, greedy_assign
 from .estimators import EstimatorKind, estimate_array, estimator_step_bound
-from .graph import WeightedGraph, below_threshold_count, check_threshold, enumerate_triangles
+from .graph import (
+    WeightedGraph,
+    check_threshold,
+    edge_id_sums,
+    enumerate_triangles,
+    triangle_edge_ids,
+)
 from .mechanisms import (
     PrivacyBudget,
     RandomSource,
@@ -60,8 +57,11 @@ STEP2_ROUND = 2
 # sums (two per assigned triangle) reach this many.  A batch's working memory
 # grows with its triangles and with the candidate targets of its smooth
 # sensitivity, and the count bounds it on sparse graphs as well as on dense
-# ones, where one node may fill a batch alone.
-SENSITIVITY_FLUSH_SIZE = 2048
+# ones, where one node may fill a batch alone.  Smaller batches pay NumPy's
+# per-call overhead more often: on a 120k-triangle graph (2 vCPU) 8,192 ran
+# both smooth methods about a third faster than 2,048 at the same peak
+# memory, and 32,768 added 8 MB to it.
+SENSITIVITY_FLUSH_SIZE = 8192
 
 
 class Mechanism(str, enum.Enum):
@@ -103,11 +103,52 @@ class RunReport:
         return abs(self.exact_count - self.estimate) / self.exact_count
 
 
+class TrialInstance:
+    """The public part of every run on one graph, computed once.
+
+    ``edge_ids`` holds, read-only int32, the ids of the edges (v, y), (v, z)
+    and (y, z) of every owner-sorted row (v, y, z) of ``assignment``
+    (by default ``greedy_assign(graph, triangles)``); step 2 slices it by
+    node batch.  ``weights`` holds every row's true triangle weight,
+    read-only int64: the ground truth that reports are scored against.  An
+    instance ``for_baseline`` holds the ids of the rows of ``triangles``
+    and no assignment, and only the baseline runs on it.
+    """
+
+    def __init__(
+        self,
+        graph: WeightedGraph,
+        triangles: np.ndarray | None = None,
+        assignment: Assignment | None = None,
+    ):
+        if assignment is None:
+            assignment = greedy_assign(graph, triangles)
+        self._look_up(graph, assignment, assignment.rows)
+
+    @classmethod
+    def for_baseline(cls, graph: WeightedGraph, triangles: np.ndarray) -> TrialInstance:
+        instance = cls.__new__(cls)
+        instance._look_up(graph, None, triangles)
+        return instance
+
+    def _look_up(self, graph, assignment, rows) -> None:
+        self.graph = graph
+        self.assignment = assignment
+        self.edge_ids = triangle_edge_ids(graph, rows)
+        self.weights = edge_id_sums(graph.weight_array, self.edge_ids)
+        self.edge_ids.flags.writeable = self.weights.flags.writeable = False
+
+    def exact_count(self, lam: int) -> int:
+        """Number of triangles with true weight strictly below ``lam``."""
+        return int(np.count_nonzero(self.weights < lam))
+
+
 def release_step1(graph: WeightedGraph, epsilon_1: float, rng: RandomSource) -> np.ndarray:
     """Every node privatizes its incident-weight vector; the server symmetrizes.
 
     The tie-break keeps the release of the lower-id endpoint for every edge.
-    Returns the public noisy weights as an int64 array indexed by edge id.
+    Returns the public noisy weights as a read-only int64 array indexed by
+    edge id.
     Every node uploads one value per incident edge, 2m in all.
     """
     check_dlap_epsilon(epsilon_1)
@@ -119,7 +160,9 @@ def release_step1(graph: WeightedGraph, epsilon_1: float, rng: RandomSource) -> 
     for v, stream in enumerate(streams):
         lo, hi = bounds[v], bounds[v + 1]
         released[lo:hi] += dlap_sample(p, stream, size=hi - lo)
-    return released[graph.lower_slots]
+    released = released[graph.lower_slots]
+    released.flags.writeable = False  # every method of a trial reads it
+    return released
 
 
 def _node_batches(owner: np.ndarray, node_count: int):
@@ -136,8 +179,7 @@ def _node_batches(owner: np.ndarray, node_count: int):
 
 
 def local_step2(
-    graph: WeightedGraph,
-    assignment: Assignment,
+    instance: TrialInstance,
     weights: np.ndarray,
     noisy: np.ndarray,
     lam: int,
@@ -149,21 +191,27 @@ def local_step2(
 
     ``weights`` and ``noisy`` are edge-indexed: the true weights, of which
     node v reads only its incident ones, and the step-1 release, of which v
-    reads only the edges opposite it in its assigned triangles.
+    reads only the edges opposite it in its assigned triangles, both read
+    through the instance's edge ids.  f'_v is ``np.bincount`` of the
+    per-triangle estimates, which adds in triangle order like a per-node
+    loop; S_v is one ``segment_smooth_sensitivities`` call per batch over
+    one segment per (v, incident edge), and GS_v is the estimator step
+    bound times v's longest segment.
     """
-    n = graph.node_count
+    n = instance.graph.node_count
     counts = np.zeros(n)
     sens = np.zeros(n)
-    rows = assignment.rows
+    rows = instance.assignment.rows
     p = budget.p
     step = estimator_step_bound(kind, p)
     for first, end, lo, hi in _node_batches(rows[:, 0], n):
         if lo == hi:
             continue  # f'_v and S_v stay 0 for nodes without triangles
         owner, y, z = rows[lo:hi].T.astype(np.int64)
-        w_vy = weights[graph.edge_ids(owner, y)]
-        w_vz = weights[graph.edge_ids(owner, z)]
-        received = noisy[graph.edge_ids(y, z)]
+        vy, vz, yz = instance.edge_ids[lo:hi].T
+        w_vy = weights[vy]
+        w_vz = weights[vz]
+        received = noisy[yz]
         local = owner - first
         counts[first:end] = np.bincount(
             local,
@@ -192,6 +240,124 @@ def local_step2(
     return counts, sens
 
 
+def run_methods(
+    instance: TrialInstance,
+    lam: int,
+    methods: Sequence[Baseline | TwoStep],
+    rng: RandomSource | None = None,
+) -> list[RunReport]:
+    """One report per method of ``methods``, in order, all on one trial.
+
+    Step 1 is released once per distinct epsilon_1: the release depends
+    only on the graph, epsilon_1 and the substreams of ``rng``, so sharing
+    it equals one release per method bit for bit.
+    """
+    lam = check_threshold(lam)
+    if rng is None:
+        rng = RandomSource(0)
+    releases: dict[float, np.ndarray] = {}
+    reports = []
+    for method in methods:
+        if method.epsilon_1 not in releases:
+            releases[method.epsilon_1] = release_step1(instance.graph, method.epsilon_1, rng)
+        reports.append(method.run(instance, lam, releases[method.epsilon_1], rng))
+    return reports
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """Non-interactive baseline: every node releases all its weights with
+    DLap(e^{-epsilon}), and the server counts on the noisy graph."""
+
+    epsilon: float
+
+    def __post_init__(self):
+        check_dlap_epsilon(self.epsilon)
+
+    @property
+    def epsilon_1(self) -> float:
+        return self.epsilon
+
+    def run(self, instance: TrialInstance, lam: int, noisy: np.ndarray, rng) -> RunReport:
+        graph = instance.graph
+        estimate = np.count_nonzero(edge_id_sums(noisy, instance.edge_ids) < lam)
+        return RunReport(
+            estimate=float(estimate),
+            exact_count=instance.exact_count(lam),
+            lam=lam,
+            per_node_release={},
+            tallies=CommunicationTallies(2 * graph.edge_count, 0, 0),
+            budget_ledger=dict.fromkeys(
+                range(graph.node_count), (BudgetEntry("dlap", self.epsilon),)
+            ),
+            per_node_sensitivity=np.zeros(0),
+        )
+
+
+@dataclass(frozen=True)
+class TwoStep:
+    """The two-step protocol with one estimator and one step-2 mechanism."""
+
+    budget: PrivacyBudget
+    kind: EstimatorKind
+    mechanism: Mechanism = Mechanism.SMOOTH
+
+    def __post_init__(self):
+        if not isinstance(self.budget, PrivacyBudget):
+            raise ValueError("budget must be a PrivacyBudget")
+
+    @property
+    def epsilon_1(self) -> float:
+        return self.budget.epsilon_1
+
+    def run(
+        self, instance: TrialInstance, lam: int, noisy: np.ndarray, rng: RandomSource
+    ) -> RunReport:
+        if instance.assignment is None:
+            raise ValueError("the two-step protocol needs an instance with an assignment")
+        graph, budget, mechanism = instance.graph, self.budget, self.mechanism
+        counts, sens = local_step2(
+            instance, graph.weight_array, noisy, lam, self.kind, mechanism, budget
+        )
+        release = counts.copy()
+        noisy_nodes = np.flatnonzero(sens > 0.0)
+        streams = rng.node_streams(noisy_nodes, STEP2_ROUND)
+        # an epsilon_2 too small for the noise scale overflows here; the
+        # check below rejects the run
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mechanism is Mechanism.GLOBAL_LAPLACE:
+                query = "laplace"
+                for v, stream in zip(noisy_nodes.tolist(), streams):
+                    release[v] += float(laplace_sample(sens[v] / budget.epsilon_2, stream))
+            else:
+                query = "smooth"
+                scaled = budget.smooth_noise_scale * sens[noisy_nodes]
+                release[noisy_nodes] += scaled * smooth_noise_sample(streams)
+        overflow = np.flatnonzero(~np.isfinite(release))
+        if overflow.size:
+            v = int(overflow[0])
+            raise ValueError(
+                f"epsilon_2 = {budget.epsilon_2} is too small: the step-2 release of "
+                f"node {v} is {release[v]}"
+            )
+
+        per_node = dict(enumerate(release.tolist()))
+        entries = (BudgetEntry("dlap", budget.epsilon_1), BudgetEntry(query, budget.epsilon_2))
+        return RunReport(
+            estimate=sum(per_node.values()),
+            exact_count=instance.exact_count(lam),
+            lam=lam,
+            per_node_release=per_node,
+            # one value uploaded per (node, incident edge), one noisy weight
+            # downloaded per assigned triangle, one count uploaded per node
+            tallies=CommunicationTallies(
+                2 * graph.edge_count, len(instance.edge_ids), graph.node_count
+            ),
+            budget_ledger=dict.fromkeys(range(graph.node_count), entries),
+            per_node_sensitivity=sens,
+        )
+
+
 def run_two_step(
     graph: WeightedGraph,
     lam: int,
@@ -207,59 +373,12 @@ def run_two_step(
 
     ``triangles`` (the (T, 3) array of ``enumerate_triangles``) and
     ``assignment`` may be precomputed (they depend only on the public
-    topology) to amortize repeated trials; the exact count reads the
-    assignment's rows, which hold every triangle once.
+    topology).  To share the instance and the step-1 release across runs,
+    use ``run_methods``.
     """
-    if not isinstance(budget, PrivacyBudget):
-        raise ValueError("budget must be a PrivacyBudget")
+    method = TwoStep(budget, kind, mechanism)
     lam = check_threshold(lam)
-    if rng is None:
-        rng = RandomSource(0)
-    if assignment is None:
-        assignment = greedy_assign(graph, triangles)
-
-    noisy = release_step1(graph, budget.epsilon_1, rng)
-    counts, sens = local_step2(
-        graph, assignment, graph.weight_array, noisy, lam, kind, mechanism, budget
-    )
-    release = counts.copy()
-    noisy_nodes = np.flatnonzero(sens > 0.0)
-    streams = rng.node_streams(noisy_nodes, STEP2_ROUND)
-    # an epsilon_2 too small for the noise scale overflows here; the check
-    # below rejects the run
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mechanism is Mechanism.GLOBAL_LAPLACE:
-            query = "laplace"
-            for v, stream in zip(noisy_nodes.tolist(), streams):
-                release[v] += float(laplace_sample(sens[v] / budget.epsilon_2, stream))
-        else:
-            query = "smooth"
-            scaled = budget.smooth_noise_scale * sens[noisy_nodes]
-            release[noisy_nodes] += scaled * smooth_noise_sample(streams)
-    overflow = np.flatnonzero(~np.isfinite(release))
-    if overflow.size:
-        v = int(overflow[0])
-        raise ValueError(
-            f"epsilon_2 = {budget.epsilon_2} is too small: the step-2 release of "
-            f"node {v} is {release[v]}"
-        )
-
-    per_node = dict(enumerate(release.tolist()))
-    entries = (BudgetEntry("dlap", budget.epsilon_1), BudgetEntry(query, budget.epsilon_2))
-    exact = below_threshold_count(graph, graph.weight_array, lam, assignment.rows)
-    return RunReport(
-        estimate=sum(per_node.values()),
-        exact_count=exact,
-        lam=lam,
-        per_node_release=per_node,
-        # one value uploaded per (node, incident edge), one noisy weight
-        # downloaded per assigned triangle, one count uploaded per node
-        tallies=CommunicationTallies(
-            2 * graph.edge_count, len(assignment.rows), graph.node_count
-        ),
-        budget_ledger=dict.fromkeys(range(graph.node_count), entries),
-        per_node_sensitivity=sens,
-    )
+    return run_methods(TrialInstance(graph, triangles, assignment), lam, [method], rng)[0]
 
 
 def run_baseline(
@@ -270,23 +389,12 @@ def run_baseline(
     *,
     triangles: np.ndarray | None = None,
 ) -> RunReport:
-    """Non-interactive baseline: privatize all weights once, count on the noisy graph.
-
-    ``triangles`` may be the precomputed (T, 3) array of ``enumerate_triangles``.
-    """
-    check_dlap_epsilon(epsilon)
+    """``Baseline(epsilon)`` on one trial.  ``triangles`` may be the
+    precomputed (T, 3) array of ``enumerate_triangles``; one lookup of its
+    edge ids serves the noisy and the exact count."""
+    method = Baseline(epsilon)
     lam = check_threshold(lam)
-    if rng is None:
-        rng = RandomSource(0)
     if triangles is None:
         triangles = enumerate_triangles(graph)
-    noisy = release_step1(graph, epsilon, rng)
-    return RunReport(
-        estimate=float(below_threshold_count(graph, noisy, lam, triangles)),
-        exact_count=below_threshold_count(graph, graph.weight_array, lam, triangles),
-        lam=lam,
-        per_node_release={},
-        tallies=CommunicationTallies(2 * graph.edge_count, 0, 0),
-        budget_ledger=dict.fromkeys(range(graph.node_count), (BudgetEntry("dlap", epsilon),)),
-        per_node_sensitivity=np.zeros(0),
-    )
+    instance = TrialInstance.for_baseline(graph, triangles)
+    return run_methods(instance, lam, [method], rng)[0]

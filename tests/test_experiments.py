@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,10 @@ from lwdp_triangles.experiments import (
     sample_induced_subgraph,
     write_edge_list,
 )
+from lwdp_triangles import protocol
 from lwdp_triangles.protocol import Mechanism
+
+from conftest import random_graph
 
 
 def test_parse_single_edge(tmp_path):
@@ -238,3 +243,39 @@ def test_size_sweep_unbiased_improves_while_biased_stays_flat():
     assert unb[-1] < unb[0], unb
     # the biased estimator's relative error does not shrink with size
     assert bia[-1] > 0.5 * bia[0], bia
+
+
+def test_sweep_looks_up_edge_ids_once_and_shares_step_1_per_epsilon_1(monkeypatch):
+    g = generate_synthetic(12, 0.6, seed=1)
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(protocol, "triangle_edge_ids", counting("ids", protocol.triangle_edge_ids))
+    monkeypatch.setattr(protocol, "release_step1", counting("release", protocol.release_step1))
+    trials = 3
+    run_sweep(ExperimentConfig(axis="eps", values=(2.0,), trials=trials, seed=3), g)
+    # the baseline spends epsilon whole and the four two-step methods half
+    # of it in step 1: two releases per trial, one lookup per axis point
+    assert calls == {"ids": 1, "release": 2 * trials}
+
+
+# recorded before the sweep shared one instance per axis point and one
+# step-1 release per epsilon_1 between its methods
+_GOLDEN_EPS_SWEEP = (
+    "x,naive_l2_rel,global_biased_l2_rel,global_unbiased_l2_rel,"
+    "smooth_biased_l2_rel,smooth_unbiased_l2_rel\n"
+    "1,0.1142857143,0.3166432884,2.433882649,0.3958131529,3.133379767\n"
+    "2,0.03571428571,0.03458403354,0.1767821288,0.06749704226,0.3167310905\n"
+)
+
+
+def test_eps_sweep_csv_matches_recorded_golden():
+    g = random_graph(random.Random(20), 20, 0.5, -1, 4)
+    cfg = ExperimentConfig(axis="eps", values=(1.0, 2.0), trials=2, seed=3, lam=5)
+    assert cfg.methods == METHODS
+    assert run_sweep(cfg, g).to_csv() == _GOLDEN_EPS_SWEEP

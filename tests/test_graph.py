@@ -11,7 +11,7 @@ from lwdp_triangles import (
     exact_below_threshold_count,
     triangle_weights,
 )
-from lwdp_triangles.graph import COUNT_CHUNK, below_threshold_count
+from lwdp_triangles.graph import COUNT_CHUNK, triangle_edge_ids
 
 from conftest import complete_graph, random_graph
 
@@ -188,10 +188,10 @@ def test_below_threshold_count_reads_rows_in_any_node_order():
     shuffled = np.array([rnd.sample(row, 3) for row in nodes.tolist()], dtype=np.int32)
     for lam in (-2, 0, 3):
         expected = exact_below_threshold_count(g, lam)
-        assert below_threshold_count(g, g.weight_array, lam, nodes) == expected
-        assert below_threshold_count(g, g.weight_array, lam, nodes.astype(np.int64)) == expected
-        assert below_threshold_count(g, g.weight_array, lam, shuffled) == expected
-    assert below_threshold_count(g, g.weight_array, 0, np.zeros((0, 3), np.int64)) == 0
+        assert exact_below_threshold_count(g, lam, nodes) == expected
+        assert exact_below_threshold_count(g, lam, nodes.astype(np.int64)) == expected
+        assert exact_below_threshold_count(g, lam, shuffled) == expected
+    assert exact_below_threshold_count(g, 0, np.zeros((0, 3), np.int64)) == 0
 
 
 def test_below_threshold_count_reads_the_given_weights_across_chunks():
@@ -207,7 +207,24 @@ def test_below_threshold_count_reads_the_given_weights_across_chunks():
     true_weights = [weight_of(g, t) for t in tris.tolist()]
     for lam in (-5, 0, 1, 6):
         expected = sum(1 for w in summed if w < lam)
-        assert below_threshold_count(g, array, lam, tris) == expected
+        assert np.count_nonzero(triangle_weights(g, array, tris) < lam) == expected
         assert exact_below_threshold_count(g, lam, tris) == sum(
             1 for w in true_weights if w < lam
         )
+
+
+def test_triangle_edge_ids_look_up_every_row_once_across_chunks():
+    rnd = random.Random(24)
+    g = random_graph(rnd, 50, 0.6, -3, 3)
+    tris = enumerate_triangles(g)
+    assert len(tris) > COUNT_CHUNK
+    ids = triangle_edge_ids(g, tris)
+    assert ids.dtype == np.int32 and ids.shape == tris.shape
+    edges = list(g.edges())
+    for (a, b, c), row in zip(tris.tolist(), ids.tolist()):
+        assert [edges[i] for i in row] == [(a, b), (a, c), (b, c)]
+    # rows in any node order give the same edge sets
+    assert triangle_edge_ids(g, tris[:, ::-1]).tolist() == ids[:, ::-1].tolist()
+    assert triangle_edge_ids(g, np.zeros((0, 3), np.int64)).shape == (0, 3)
+    with pytest.raises(GraphStructureError):
+        triangle_edge_ids(WeightedGraph(3, [(0, 1, 1), (1, 2, 1)]), np.array([[0, 1, 2]]))

@@ -153,7 +153,7 @@ def test_smooth_noise_config_derived_quantities():
 
 
 def test_privatize_weight_vector():
-    rng = RandomSource(9).node_stream(0, 1)
+    rng = RandomSource(9).stream(0, 1)
     w = [3, -1, 0, 12]
     noisy = privatize_weight_vector(w, 1.0, rng)
     assert noisy.shape == (len(w),) and noisy.dtype == np.int64
@@ -167,7 +167,7 @@ def test_privatize_weight_vector():
     acc = np.zeros(len(w))
     trials = 4000
     for s in range(trials):
-        acc += privatize_weight_vector(w, 1.0, RandomSource(50 + s).node_stream(0, 1))
+        acc += privatize_weight_vector(w, 1.0, RandomSource(50 + s).stream(0, 1))
     sigma = math.sqrt(2 * math.exp(-1) / (1 - math.exp(-1)) ** 2)
     se = sigma / math.sqrt(trials)
     assert np.all(np.abs(acc / trials - np.asarray(w)) <= 4 * se)
@@ -220,15 +220,15 @@ def test_budget_rejects_epsilon_2_whose_noise_scale_overflows(epsilon_2):
 
 def test_random_source_streams_are_keyed():
     rs = RandomSource(42)
-    a = rs.node_stream(1, 1).random(4)
-    b = rs.node_stream(1, 1).random(4)
-    c = rs.node_stream(2, 1).random(4)
-    d = rs.node_stream(1, 2).random(4)
+    a = rs.stream(1, 1).random(4)
+    b = rs.stream(1, 1).random(4)
+    c = rs.stream(2, 1).random(4)
+    d = rs.stream(1, 2).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
     sub = rs.subsource(3)
-    assert np.array_equal(sub.node_stream(1, 1).random(4), rs.stream(3, 1, 1).random(4))
+    assert np.array_equal(sub.stream(1, 1).random(4), rs.stream(3, 1, 1).random(4))
 
 
 # -- the seeding kernel against numpy's own SeedSequence ----------------------
@@ -261,7 +261,7 @@ def test_seeding_kernel_matches_numpy_seed_sequence():
                     checked += 1
                 v = rnd.choice(nodes)
                 assert_same_stream(
-                    source.node_stream(v, round_no), numpy_stream(seed, prefix + (v, round_no))
+                    source.stream(v, round_no), numpy_stream(seed, prefix + (v, round_no))
                 )
     # stream(*key) with keys of 0 to 4 entries, small and multi-word
     for _ in range(600):
@@ -300,7 +300,7 @@ def test_node_streams_are_fresh_generators_that_keep_their_own_state():
     streams = list(source.node_streams(nodes, 1))
     draws = [stream.random(3).tolist() for stream in reversed(streams)][::-1]
     for v, got in zip(nodes, draws):
-        assert got == source.node_stream(v, 1).random(3).tolist()
+        assert got == source.stream(v, 1).random(3).tolist()
     assert len({id(stream) for stream in streams}) == len(nodes)
 
 
@@ -311,7 +311,7 @@ def test_negative_seed_or_key_is_rejected_as_by_numpy():
         with pytest.raises(ValueError, match=str(theirs.value)):
             RandomSource(seed).stream(*key)
     with pytest.raises(ValueError, match="non-negative"):
-        RandomSource(1, (-2,)).node_stream(0, 1)
+        RandomSource(1, (-2,)).stream(0, 1)
     # node_streams checks every key when called, before any generator is built
     for source, nodes, round_no in (
         (RandomSource(1), [3, -1], 1),

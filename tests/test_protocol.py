@@ -17,21 +17,31 @@ from lwdp_triangles import (
     run_two_step,
 )
 from lwdp_triangles.estimators import expected_biased
-from lwdp_triangles.experiments import run_sweep
+from lwdp_triangles.experiments import METHODS, method_named, run_sweep
 from lwdp_triangles.graph import triangle_weights
 from lwdp_triangles.mechanisms import privatize_weight_vector, smooth_noise_sample
+from lwdp_triangles import protocol
 from lwdp_triangles.protocol import (
     SENSITIVITY_FLUSH_SIZE,
     STEP1_ROUND,
     STEP2_ROUND,
+    Baseline,
     Mechanism,
+    TrialInstance,
+    TwoStep,
     local_step2,
     release_step1,
+    run_methods,
 )
 
 from conftest import complete_graph, random_graph, reference_step2
 
 import random
+
+# step-2 batch size for the tests that need graphs spanning several batches:
+# small batches keep those graphs, and the per-node reference, small
+SMALL_FLUSH_SIZE = 2048
+assert SMALL_FLUSH_SIZE < SENSITIVITY_FLUSH_SIZE
 
 
 def test_large_budget_identity_all_methods():
@@ -59,8 +69,8 @@ def test_symmetrization_tie_break():
         noisy = release_step1(g, 1.0, RandomSource(seed))
         assert noisy.shape == (1,) and noisy.dtype == np.int64
         # the public weight is the release of the lower-id endpoint
-        own = privatize_weight_vector([5], 1.0, RandomSource(seed).node_stream(0, STEP1_ROUND))
-        other = privatize_weight_vector([5], 1.0, RandomSource(seed).node_stream(1, STEP1_ROUND))
+        own = privatize_weight_vector([5], 1.0, RandomSource(seed).stream(0, STEP1_ROUND))
+        other = privatize_weight_vector([5], 1.0, RandomSource(seed).stream(1, STEP1_ROUND))
         assert noisy[0] == own[0]
         told_apart += own[0] != other[0]
     assert told_apart  # some seeds give the two endpoints different releases
@@ -83,7 +93,7 @@ def reference_step1(g, epsilon_1, rng):
     public = {}
     for v in range(g.node_count):
         vector = [g.weight(v, u) for u in g.neighbors(v)]
-        noisy = privatize_weight_vector(vector, epsilon_1, rng.node_stream(v, STEP1_ROUND))
+        noisy = privatize_weight_vector(vector, epsilon_1, rng.stream(v, STEP1_ROUND))
         for u, w in zip(g.neighbors(v), noisy.tolist()):
             if v < u:
                 public[(v, u)] = w
@@ -211,6 +221,7 @@ def test_step2_isolation_from_other_nodes():
     rnd = random.Random(6)
     g = random_graph(rnd, 12, 0.6, -2, 2)
     assignment = greedy_assign(g)
+    instance = TrialInstance(g, assignment=assignment)
     noisy = release_step1(g, 1.0, RandomSource(8))
     received = {(y, z) for _, y, z in assignment.triangles_of(0).tolist()}
     assert received
@@ -227,8 +238,8 @@ def test_step2_isolation_from_other_nodes():
     for kind in EstimatorKind:
         for mechanism in Mechanism:
             args = (1, kind, mechanism, budget)
-            f, s = local_step2(g, assignment, g.weight_array, noisy, *args)
-            f2, s2 = local_step2(g, assignment, weights, tampered, *args)
+            f, s = local_step2(instance, g.weight_array, noisy, *args)
+            f2, s2 = local_step2(instance, weights, tampered, *args)
             assert (f2[0].hex(), s2[0].hex()) == (f[0].hex(), s[0].hex()), (kind, mechanism)
             # the tampering itself is observable at some other node
             assert (f2 != f).any() or (s2 != s).any(), (kind, mechanism)
@@ -255,19 +266,20 @@ def test_smooth_release_per_node_matches_one_node_at_a_time():
                 silent += 1
                 assert rep.per_node_release[v].hex() == counts[v].hex()
                 continue
-            z = smooth_noise_sample([rng.node_stream(v, STEP2_ROUND)])[0]
+            z = smooth_noise_sample([rng.stream(v, STEP2_ROUND)])[0]
             expected = counts[v] + budget.smooth_noise_scale * sens[v] * float(z)
             assert rep.per_node_release[v].hex() == expected.hex(), (kind, v)
         assert 0 < silent < g.node_count
 
 
-def test_per_node_sensitivity_matches_each_node():
+def test_per_node_sensitivity_matches_each_node(monkeypatch):
     # large enough that step 2 computes S_v in several batches
+    monkeypatch.setattr(protocol, "SENSITIVITY_FLUSH_SIZE", SMALL_FLUSH_SIZE)
     rnd = random.Random(9)
     g = random_graph(rnd, 40, 0.6, -2, 4)
     tris = enumerate_triangles(g)
     assignment = greedy_assign(g, tris)
-    assert 2 * len(tris) > 2 * SENSITIVITY_FLUSH_SIZE
+    assert 2 * len(tris) > 2 * SMALL_FLUSH_SIZE
     budget = PrivacyBudget(1.0, 1.0)
     lam = 4
     for kind in EstimatorKind:
@@ -284,16 +296,17 @@ def test_per_node_sensitivity_matches_each_node():
     assert baseline.per_node_sensitivity.size == 0
 
 
-def test_local_step2_matches_per_node_reference_bit_for_bit():
+def test_local_step2_matches_per_node_reference_bit_for_bit(monkeypatch):
     # negative weights, isolated and triangle-free nodes, thresholds on the
     # estimators' boundary cases, and one graph that spans several batches
+    monkeypatch.setattr(protocol, "SENSITIVITY_FLUSH_SIZE", SMALL_FLUSH_SIZE)
     rnd = random.Random(31)
     budget = PrivacyBudget(0.8, 1.3)
     graphs = [random_graph(rnd, rnd.randint(6, 22), rnd.uniform(0.1, 0.8), -6, 6)
               for _ in range(6)]
     graphs.append(WeightedGraph(7, [(0, 1, -3), (1, 2, 4), (0, 2, 0), (4, 5, 1)]))
     graphs.append(random_graph(rnd, 46, 0.6, -4, 5))
-    assert 2 * len(enumerate_triangles(graphs[-1])) > 2 * SENSITIVITY_FLUSH_SIZE
+    assert 2 * len(enumerate_triangles(graphs[-1])) > 2 * SMALL_FLUSH_SIZE
     seen_empty = 0
     for i, g in enumerate(graphs):
         assignment = greedy_assign(g)
@@ -302,8 +315,8 @@ def test_local_step2_matches_per_node_reference_bit_for_bit():
         lam = rnd.randint(-4, 8)
         for kind in EstimatorKind:
             for mechanism in Mechanism:
-                f, s = local_step2(g, assignment, g.weight_array, noisy,
-                                   lam, kind, mechanism, budget)
+                f, s = local_step2(TrialInstance(g, assignment=assignment), g.weight_array,
+                                   noisy, lam, kind, mechanism, budget)
                 ref_f, ref_s = reference_step2(g, assignment, noisy, lam, kind, mechanism, budget)
                 assert [float(x).hex() for x in f] == [x.hex() for x in ref_f], (i, kind, mechanism)
                 assert [float(x).hex() for x in s] == [x.hex() for x in ref_s], (i, kind, mechanism)
@@ -426,3 +439,81 @@ def test_baseline_worse_than_smooth_unbiased_on_dense_graph():
         smooth_err.append(abs(exact - rep.estimate) / exact)
         base_err.append(abs(exact - base.estimate) / exact)
     assert statistics.median(smooth_err) < statistics.median(base_err)
+
+
+def _report_fields(rep):
+    return (
+        rep.estimate.hex(),
+        rep.exact_count,
+        rep.lam,
+        {v: x.hex() for v, x in rep.per_node_release.items()},
+        [float(s).hex() for s in rep.per_node_sensitivity],
+        rep.tallies,
+        rep.budget_ledger,
+    )
+
+
+def test_run_methods_matches_the_one_method_wrappers():
+    # one shared instance and one step-1 release per epsilon_1 give the
+    # same reports as a separate run per method on the same random source
+    rnd = random.Random(44)
+    for i in range(3):
+        g = random_graph(rnd, rnd.randint(10, 30), rnd.uniform(0.3, 0.7), -3, 5)
+        instance = TrialInstance(g)
+        methods = [method_named(m, 2.0) for m in METHODS]
+        for seed in range(2):
+            rng = RandomSource(seed).subsource(i)
+            reports = run_methods(instance, 4, methods, rng)
+            assert len(reports) == len(methods)
+            for method, rep in zip(methods, reports):
+                if isinstance(method, Baseline):
+                    alone = run_baseline(g, 4, method.epsilon, rng)
+                else:
+                    alone = run_two_step(g, 4, method.budget, method.kind, method.mechanism, rng)
+                assert _report_fields(rep) == _report_fields(alone), (i, seed, method)
+
+
+def test_run_methods_reads_every_edge_id_from_the_instance(monkeypatch):
+    g = random_graph(random.Random(45), 20, 0.5, -2, 4)
+    instance = TrialInstance(g)
+    # the CSR adjacency is per-graph set-up, built by the first release
+    release_step1(g, 1.0, RandomSource(0))
+
+    def refuse(self, u, v):
+        raise AssertionError("a run looked up edge ids")
+
+    monkeypatch.setattr(WeightedGraph, "edge_ids", refuse)
+    methods = [method_named(m, 1.0) for m in METHODS]
+    reports = run_methods(instance, 5, methods, RandomSource(3))
+    assert [rep.exact_count for rep in reports] == [instance.exact_count(5)] * len(METHODS)
+
+
+def test_trial_instance_holds_every_rows_edge_ids_and_true_weight():
+    g = random_graph(random.Random(46), 16, 0.5, -3, 3)
+    tris = enumerate_triangles(g)
+    instance = TrialInstance(g, tris)
+    owner, y, z = instance.assignment.rows.T
+    expected = np.column_stack((g.edge_ids(owner, y), g.edge_ids(owner, z), g.edge_ids(y, z)))
+    assert instance.edge_ids.dtype == np.int32
+    assert instance.edge_ids.tolist() == expected.tolist()
+    weights = triangle_weights(g, g.weight_array, instance.assignment.rows)
+    assert instance.weights.dtype == np.int64
+    assert instance.weights.tolist() == weights.tolist()
+    for array in (instance.edge_ids, instance.weights):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    for lam in (-2, 1, 5, 9):
+        assert instance.exact_count(lam) == exact_below_threshold_count(g, lam, tris)
+    # the baseline's instance holds the given rows and no assignment
+    alone = TrialInstance.for_baseline(g, tris)
+    assert alone.assignment is None
+    assert alone.weights.tolist() == triangle_weights(g, g.weight_array, tris).tolist()
+    two_step = TwoStep(PrivacyBudget(1.0, 1.0), EstimatorKind.BIASED)
+    with pytest.raises(ValueError, match="assignment"):
+        run_methods(alone, 1, [two_step], RandomSource(0))
+
+
+def test_release_step1_is_read_only():
+    noisy = release_step1(complete_graph(4), 1.0, RandomSource(0))
+    with pytest.raises(ValueError):
+        noisy[0] = 0
