@@ -10,12 +10,14 @@ dashes replaced by underscores.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import WeightedGraph, canonical_edge, check_threshold
+from .graph import MAX_ABS_WEIGHT, WeightedGraph, canonical_edge, check_threshold, integral
 from .mechanisms import PrivacyBudget, RandomSource
 from .estimators import EstimatorKind
 from .protocol import Baseline, Mechanism, TrialInstance, TwoStep, run_methods
@@ -105,6 +107,135 @@ def milan_scale_weights(intensities: Sequence[float], total_calls: int) -> list[
     return out
 
 
+# most raw words read per chunk of the generator walk: 512 KiB, so a large
+# graph never holds its whole stream of 8-byte words at once
+_RAW_CHUNK = 1 << 16
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53
+_MASK32 = 0xFFFFFFFF
+
+
+class _RawWalk:
+    """Cursor over a PCG64 generator's raw 64-bit words, read in chunks.
+
+    Draws what numpy's ``Generator`` draws from the same words:
+    ``next_double`` is ``(word >> 11) * 2^-53``; ``next_uint32`` hands out
+    the low half of a fresh word and keeps the high half for its next call
+    (a kept half survives any number of doubles in between); ``bounded``
+    is ``random_bounded_uint64`` for one value, Lemire's method with
+    rejection.  ``next_edge`` reads the pair tests ``next_double <
+    density``, which are evaluated for a whole chunk at once.
+    """
+
+    def __init__(self, bit_generator, density: float, pairs: int):
+        self._bit_generator = bit_generator
+        self._density = density
+        self._pairs = pairs
+        self._tested = 0  # pair tests read
+        self._words = np.empty(0, dtype=np.uint64)
+        self._base = 0  # stream position of the chunk's first word
+        self._pos = 0  # stream position of the next unread word
+        self._hits: list[int] = []  # chunk offsets of passing pair tests
+        self._hit = 0  # first entry of _hits not yet passed
+        self._kept: int | None = None
+
+    def _next_chunk(self) -> None:
+        self._base += len(self._words)
+        # no more words than pair tests are left, so a chunk never reaches
+        # past the last pair's test: every passing double in it is a pair's
+        # (or falls inside a weight draw), and a small graph reads no waste
+        size = min(_RAW_CHUNK, max(self._pairs - self._tested, 1))
+        self._words = self._bit_generator.random_raw(size)
+        passing = (self._words >> np.uint64(11)) * _DOUBLE_UNIT < self._density
+        self._hits = np.flatnonzero(passing).tolist()
+        self._hit = 0
+
+    def next_edge(self) -> int | None:
+        """Row-major index of the next pair whose test passes, read along
+        with the failed tests before it; None when every pair is tested."""
+        while True:
+            hits, i, offset = self._hits, self._hit, self._pos - self._base
+            while i < len(hits) and hits[i] < offset:
+                i += 1  # a passing double inside a weight draw
+            if i < len(hits):
+                edge = self._tested + hits[i] - offset
+                self._tested = edge + 1
+                self._pos = self._base + hits[i] + 1
+                self._hit = i + 1
+                return edge
+            self._tested += len(self._words) - offset
+            if self._tested >= self._pairs:
+                return None
+            self._pos = self._base + len(self._words)
+            self._next_chunk()
+
+    def next_uint64(self) -> int:
+        if self._pos == self._base + len(self._words):
+            self._next_chunk()
+        word = self._words.item(self._pos - self._base)
+        self._pos += 1
+        return word
+
+    def next_double(self) -> float:
+        return (self.next_uint64() >> 11) * _DOUBLE_UNIT
+
+    def next_uint32(self) -> int:
+        if self._kept is not None:
+            half, self._kept = self._kept, None
+            return half
+        word = self.next_uint64()
+        self._kept = word >> 32
+        return word & _MASK32
+
+    def bounded(self, span: int) -> int:
+        """Uniform on [0, span], as ``Generator.integers(0, span + 1)``."""
+        if span == 0:
+            return 0
+        if span == _MASK32:
+            return self.next_uint32()
+        next_word, bits = (self.next_uint32, 32) if span < _MASK32 else (self.next_uint64, 64)
+        excl = span + 1
+        mask = (1 << bits) - 1
+        m = next_word() * excl
+        if m & mask < excl:
+            threshold = ((1 << bits) - excl) % excl
+            while m & mask < threshold:
+                m = next_word() * excl
+        return m >> bits
+
+
+def _weight_draw(weight_range, weight_values, weight_probs):
+    """Validated weight arguments as one edge's draw from a ``_RawWalk``."""
+    lo, hi = (integral(end, "weight_range end") for end in weight_range)
+    if lo > hi:
+        raise ValueError(f"weight_range {weight_range!r} has lo > hi")
+    if max(abs(lo), abs(hi)) > MAX_ABS_WEIGHT:
+        raise ValueError(f"weight_range {weight_range!r} leaves [-2^31, 2^31]")
+    if weight_values is None:
+        if weight_probs is not None:
+            raise ValueError("weight_probs given without weight_values")
+        return lambda walk: lo + walk.bounded(hi - lo)
+    values = np.asarray(weight_values)
+    if values.ndim != 1 or not values.size:
+        raise ValueError("weight_values must be a nonempty 1-d sequence")
+    values = [integral(v, "weight value") for v in values]
+    if max(abs(v) for v in values) > MAX_ABS_WEIGHT:
+        raise ValueError("weight_values must lie in [-2^31, 2^31]")
+    if weight_probs is None:
+        return lambda walk: values[walk.bounded(len(values) - 1)]
+    probs = np.asarray(weight_probs, dtype=np.float64)
+    if probs.shape != (len(values),):
+        raise ValueError("weight_probs must have one probability per weight value")
+    if np.isnan(probs).any() or (probs < 0).any():
+        raise ValueError("weight_probs must be nonnegative numbers")
+    # Generator.choice's tolerance, and its cdf with the last entry exactly 1
+    if abs(math.fsum(probs) - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("weight_probs must sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    return lambda walk: values[bisect_right(cdf, walk.next_double())]
+
+
 def generate_synthetic(
     node_count: int,
     density: float,
@@ -116,24 +247,40 @@ def generate_synthetic(
 ) -> WeightedGraph:
     """Reproducible G(n, p) graph with integer weights.
 
-    Weights are uniform over ``weight_range`` unless a categorical
-    distribution (``weight_values``/``weight_probs``) is given, which is how
+    Weights are uniform over ``weight_range`` (ends inclusive, inside
+    [-2^31, 2^31]) unless a categorical distribution (``weight_values``,
+    optionally with ``weight_probs``) is given, which is how
     threshold-heavy regimes (mass piled just below the threshold) are built.
+
+    The stream contract: ``default_rng(SeedSequence(seed))`` gives one
+    double per node pair (u, v), u < v, in row-major order, and the pair is
+    an edge when that double is below ``density``; each edge's weight is
+    drawn right after its double, as ``rng.integers(lo, hi + 1)`` (values
+    without probs: ``rng.choice(values)``) or ``rng.choice(values,
+    p=probs)`` would draw it.  The graph is built by one walk over the
+    generator's raw words that reproduces numpy's ``next_double``,
+    ``next_uint32`` and Lemire sampling, so it is bit-identical to the
+    per-pair loop while Python runs once per edge, not once per pair.
     """
+    node_count = integral(node_count, "node_count")
+    if node_count < 0:
+        raise ValueError("node_count must be nonnegative")
     if not (0.0 <= density <= 1.0):
         raise ValueError("density must lie in [0,1]")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    edges = []
-    lo, hi = weight_range
-    for u in range(node_count):
-        for v in range(u + 1, node_count):
-            if rng.random() < density:
-                if weight_values is not None:
-                    w = int(rng.choice(np.asarray(weight_values), p=weight_probs))
-                else:
-                    w = int(rng.integers(lo, hi + 1))
-                edges.append((u, v, w))
-    return WeightedGraph(node_count, edges)
+    draw = _weight_draw(weight_range, weight_values, weight_probs)
+    bit_generator = np.random.default_rng(np.random.SeedSequence(seed)).bit_generator
+    walk = _RawWalk(bit_generator, density, node_count * (node_count - 1) // 2)
+    keys = array("q")  # row-major pair index of every edge, as int64
+    weights: list[int] = []
+    while (key := walk.next_edge()) is not None:
+        keys.append(key)
+        weights.append(draw(walk))
+    rows = np.arange(node_count, dtype=np.int64)
+    starts = rows * node_count - rows * (rows + 1) // 2  # first pair index of row u
+    ks = np.frombuffer(keys, dtype=np.int64)
+    us = np.searchsorted(starts, ks, side="right") - 1
+    vs = ks - starts[us] + us + 1
+    return WeightedGraph(node_count, zip(us.tolist(), vs.tolist(), weights))
 
 
 def induced_subgraph(graph: WeightedGraph, nodes: Iterable[int]) -> WeightedGraph:

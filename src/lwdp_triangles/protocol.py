@@ -97,11 +97,6 @@ class RunReport:
     def spent(self, node: int) -> float:
         return sum(entry.epsilon for entry in self.budget_ledger.get(node, ()))
 
-    def relative_error(self) -> float:
-        if self.exact_count == 0:
-            raise ZeroDivisionError("relative error undefined for a zero true count")
-        return abs(self.exact_count - self.estimate) / self.exact_count
-
 
 class TrialInstance:
     """The public part of every run on one graph, computed once.

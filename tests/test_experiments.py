@@ -1,7 +1,9 @@
+import hashlib
 import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,6 +118,135 @@ def test_generate_synthetic_deterministic():
     c = generate_synthetic(20, 0.4, weight_range=(-3, 3), seed=10)
     assert a == b
     assert a != c
+
+
+def _reference_generate_synthetic(
+    node_count, density, weight_range=(0, 8), seed=0, *, weight_values=None, weight_probs=None
+):
+    """The per-pair loop the generator replaced: one ``rng.random()`` per
+    node pair in row-major order, then one numpy weight draw per edge."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    edges = []
+    lo, hi = weight_range
+    for u in range(node_count):
+        for v in range(u + 1, node_count):
+            if rng.random() < density:
+                if weight_values is not None:
+                    w = int(rng.choice(np.asarray(weight_values), p=weight_probs))
+                else:
+                    w = int(rng.integers(lo, hi + 1))
+                edges.append((u, v, w))
+    return WeightedGraph(node_count, edges)
+
+
+def _assert_same_graph(got, want):
+    assert got == want
+    # the same weighted edges, inserted in the same order
+    assert list(got.edge_weights().items()) == list(want.edge_weights().items())
+
+
+_BENCH_WEIGHTS = dict(weight_values=(0, 1, 2, 3, 8), weight_probs=(0.55, 0.2, 0.12, 0.08, 0.05))
+
+# every branch of numpy's bounded-integer draw: no draw (5, 5), 32-bit
+# Lemire (0, 8) and (-3, 3), Lemire rejecting about half its draws
+# (0, 2^31), a bare next_uint32 (-2^31, 2^31 - 1), 32-bit Lemire at its
+# widest (-2^31, 2^31 - 2) and 64-bit Lemire (-2^31, 2^31); then
+# categorical weights with and without probabilities
+_WEIGHT_KINDS = {
+    "range-0-8": dict(weight_range=(0, 8)),
+    "range-sym": dict(weight_range=(-3, 3)),
+    "range-point": dict(weight_range=(5, 5)),
+    "range-lemire-reject": dict(weight_range=(0, 2**31)),
+    "range-uint32": dict(weight_range=(-(2**31), 2**31 - 1)),
+    "range-widest-32": dict(weight_range=(-(2**31), 2**31 - 2)),
+    "range-64": dict(weight_range=(-(2**31), 2**31)),
+    "categorical": _BENCH_WEIGHTS,
+    "categorical-zero-prob": dict(weight_values=[4, 7, 9], weight_probs=[0.5, 0.0, 0.5]),
+    "categorical-single": dict(weight_values=[3], weight_probs=[1.0]),
+    "uniform-values": dict(weight_values=[0, 3, 40]),
+    "uniform-many-values": dict(weight_values=list(range(-7, 500))),
+}
+
+_GRID = [
+    (n, density, seed)
+    for n in (0, 1, 2, 4, 13, 60)
+    for density in (0.0, 0.03, 0.4, 0.5, 0.6, 0.97, 1.0)
+    for seed in (0, 7)
+] + [(300, density, 3) for density in (0.0, 0.03, 0.5)]
+
+
+@pytest.mark.parametrize("kind", sorted(_WEIGHT_KINDS))
+def test_generate_synthetic_matches_per_pair_reference(kind):
+    weights = _WEIGHT_KINDS[kind]
+    for n, density, seed in _GRID:
+        got = generate_synthetic(n, density, seed=seed, **weights)
+        _assert_same_graph(got, _reference_generate_synthetic(n, density, seed=seed, **weights))
+
+
+@pytest.mark.parametrize("weight_range", [(0, 2**31), (-(2**31), 2**31), (-(2**31), 2**31 - 2)])
+def test_generate_synthetic_matches_reference_where_lemire_rejects(weight_range):
+    # dense graphs, so that many weight draws (and their rejections and
+    # kept uint32 halves) fall between the pair tests, across chunk ends
+    for seed in range(16):
+        n, density = (40, 0.9) if seed % 4 else (300, 0.8)
+        got = generate_synthetic(n, density, weight_range=weight_range, seed=seed)
+        _assert_same_graph(
+            got, _reference_generate_synthetic(n, density, weight_range=weight_range, seed=seed)
+        )
+
+
+def _edge_list_digest(g):
+    text = "".join(f"{u} {v} {g.weight(u, v)}\n" for u, v in g.edges())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# recorded with the per-pair loop, before the generator walked the raw stream
+@pytest.mark.parametrize(
+    "args, kwargs, digest",
+    [
+        ((180, 0.5), dict(seed=5, **_BENCH_WEIGHTS),
+         "3f54e34ccecd435a842a65858efdf60e5839951a9c7e03e189b976346f9e0bd9"),
+        ((3000, 0.006), dict(seed=5, **_BENCH_WEIGHTS),
+         "734a589b309a9795212223fe12df5c8719e9c2183b046f4ddc3e7fea268ee02c"),
+        ((60, 0.4), dict(weight_range=(0, 5), seed=1),
+         "27fe2d1b8ec6dd4bb6affaa5b792247e5651baa764a851efd47db60bc484eb1a"),
+    ],
+)
+def test_generate_synthetic_matches_recorded_digest(args, kwargs, digest):
+    assert _edge_list_digest(generate_synthetic(*args, **kwargs)) == digest
+
+
+# density 0 draws no weight, so each of these must be caught where it enters
+@pytest.mark.parametrize(
+    "node_count, kwargs, message",
+    [
+        (-1, {}, "node_count must be nonnegative"),
+        (2.5, {}, "integer node_count"),
+        (5, dict(weight_range=(3, 2)), "lo > hi"),
+        (5, dict(weight_range=(0, 2.5)), "integer weight_range end"),
+        (5, dict(weight_range=(0, 2**31 + 1)), r"leaves \[-2\^31, 2\^31\]"),
+        (5, dict(weight_range=(-(2**31) - 1, 0)), r"leaves \[-2\^31, 2\^31\]"),
+        (5, dict(weight_probs=[1.0]), "weight_probs given without weight_values"),
+        (5, dict(weight_values=[]), "nonempty"),
+        (5, dict(weight_values=[1.5, 2]), "integer weight value"),
+        (5, dict(weight_values=[1, 2**31 + 1]), r"weight_values must lie in"),
+        (5, dict(weight_values=[1, 2], weight_probs=[1.0]), "one probability per weight value"),
+        (5, dict(weight_values=[1, 2], weight_probs=[1.5, -0.5]), "nonnegative"),
+        (5, dict(weight_values=[1, 2], weight_probs=[float("nan"), 1.0]), "nonnegative"),
+        (5, dict(weight_values=[1, 2], weight_probs=[0.5, 0.4]), "sum to 1"),
+    ],
+)
+def test_generate_synthetic_rejects_bad_inputs_up_front(node_count, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic(node_count, 0.0, **kwargs)
+
+
+def test_generate_synthetic_accepts_probs_within_numpy_tolerance():
+    # Generator.choice accepts a sum within sqrt(eps) of 1, and so does the walk
+    probs = [0.3, 0.7 + 1e-9]
+    got = generate_synthetic(30, 0.5, seed=2, weight_values=[1, 2], weight_probs=probs)
+    want = _reference_generate_synthetic(30, 0.5, seed=2, weight_values=[1, 2], weight_probs=probs)
+    _assert_same_graph(got, want)
 
 
 def test_induced_subgraph_keeps_exactly_internal_triangles():
