@@ -79,8 +79,8 @@ def parse_edge_list(path) -> WeightedGraph:
 
 def write_edge_list(graph: WeightedGraph, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for u, v in graph.edges():
-            handle.write(f"{u} {v} {graph.weight(u, v)}\n")
+        for (u, v), w in zip(graph.edges(), graph.weight_array.tolist()):
+            handle.write(f"{u} {v} {w}\n")
 
 
 def milan_scale_weights(intensities: Sequence[float], total_calls: int) -> list[int]:
@@ -288,9 +288,9 @@ def induced_subgraph(graph: WeightedGraph, nodes: Iterable[int]) -> WeightedGrap
     kept = sorted(set(nodes))
     relabel = {v: i for i, v in enumerate(kept)}
     edges = []
-    for u, v in graph.edges():
+    for (u, v), w in zip(graph.edges(), graph.weight_array.tolist()):
         if u in relabel and v in relabel:
-            edges.append((relabel[u], relabel[v], graph.weight(u, v)))
+            edges.append((relabel[u], relabel[v], w))
     return WeightedGraph(len(kept), edges)
 
 

@@ -6,11 +6,12 @@ weights and their noise stay far inside int64; negative weights are
 first-class.  Node ids are dense integers in [0, n); ingestion-side
 relabeling for sparse external ids lives in :mod:`lwdp_triangles.experiments`.
 
-Every edge has an id, its position in sorted canonical order, so a weight
-assignment to all edges (the true weights, or a noisy release of them) is one
-int64 array indexed by edge id.  The CSR adjacency lists every node's
-neighbour slots in neighbour order, with the edge id of each slot, so a
-node's incident weights are one gather.
+A graph is nothing but arrays.  Every edge has an id, the position of its
+key ``u*n + v`` (u < v) among the sorted keys, so a weight assignment to all
+edges (the true weights, or a noisy release of them) is one int64 array
+indexed by edge id.  The CSR adjacency lists every node's neighbour slots in
+neighbour order, with the edge id of each slot, so a node's incident
+weights are one gather.
 
 A set of triangles has one format throughout the library: a (T, 3) integer
 node array with one triangle per row.  ``enumerate_triangles`` returns every
@@ -24,8 +25,6 @@ threshold.
 
 from __future__ import annotations
 
-import functools
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -81,43 +80,55 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
 class WeightedGraph:
     """Undirected graph with symmetric integer edge weights.
 
-    Construction validates the structural invariants (no self-loops, no
-    duplicate edges, node ids inside [0, n)) and builds the edge-id arrays
-    once.  Instances are immutable and safe to share across threads.
+    Construction validates the structural invariants (integer node ids
+    inside [0, n), no self-loops, no duplicate edges) and builds, once, the
+    arrays that are the graph's only representation: the sorted edge keys
+    ``u*n + v`` (u < v), whose positions are the edge ids, the weights by
+    edge id, and the CSR adjacency.  Every accessor answers from them.
+    Instances are immutable and safe to share across threads.
     """
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, int]]):
         if node_count < 0:
             raise GraphStructureError("node_count must be nonnegative")
-        self._n = node_count
-        weights: dict[tuple[int, int], int] = {}
-        adj: list[list[int]] = [[] for _ in range(node_count)]
+        self._n = n = node_count
+        flat: list[int] = []
         for u, v, w in edges:
+            u = integral(u, "node id", GraphStructureError)
+            v = integral(v, "node id", GraphStructureError)
             if u == v:
                 raise GraphStructureError(f"self-loop at node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise GraphStructureError(f"edge ({u},{v}) outside [0,{node_count})")
-            key = canonical_edge(u, v)
-            if key in weights:
-                raise GraphStructureError(f"duplicate edge {key}")
-            w = integral(w, f"weight on edge {key}", GraphStructureError)
-            if abs(w) > MAX_ABS_WEIGHT:
-                raise GraphStructureError(
-                    f"weight {w} on edge {key} exceeds the bound |w| <= 2^31"
-                )
-            weights[key] = w
-            adj[u].append(v)
-            adj[v].append(u)
-        self._weights = weights
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        # edge ids: the key u*n + v of every canonical edge, ascending
-        m = len(weights)
-        pairs = np.fromiter(chain.from_iterable(weights), np.int64, 2 * m).reshape(m, 2)
-        keys = pairs[:, 0] * node_count + pairs[:, 1]
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphStructureError(f"edge ({u},{v}) outside [0,{n})")
+            try:
+                w = integral(w, "weight", GraphStructureError)
+                if abs(w) > MAX_ABS_WEIGHT:
+                    raise GraphStructureError(f"weight {w} exceeds the bound |w| <= 2^31")
+            except GraphStructureError as error:
+                raise GraphStructureError(f"edge {canonical_edge(u, v)}: {error}") from None
+            flat += (u, v, w)
+        u, v, w = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
         order = np.argsort(keys)
-        self._edge_keys = keys[order]
-        self._weight_array = np.fromiter(weights.values(), np.int64, m)[order]
-        self._weight_array.flags.writeable = False
+        keys = keys[order]
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            raise GraphStructureError(f"duplicate edge {divmod(int(keys[repeated[0]]), n)}")
+        # slots keyed owner*n + neighbour: every edge's lower end, then its upper end
+        lower, upper = np.divmod(keys, n)
+        slot_keys = np.concatenate((keys, upper * n + lower))
+        slots = np.argsort(slot_keys)
+        slot_keys = slot_keys[slots]
+        # a key past every pair's, so that the key at any search position can be read
+        self._keys_and_sentinel = np.append(keys, np.iinfo(np.int64).max)
+        self._edge_keys, self._weight_array = self._keys_and_sentinel[:-1], w[order]
+        self._indptr = slot_keys.searchsorted(np.arange(n + 1) * n)
+        self._neighbours = slot_keys % n
+        self._slot_edges = slots % len(keys)
+        self._lower_slots = np.flatnonzero(slots < len(keys))
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
     # -- basic accessors ---------------------------------------------------
 
@@ -127,91 +138,88 @@ class WeightedGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._weights)
+        return len(self._edge_keys)
 
     @property
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return int(np.diff(self._indptr).max(initial=0))
+
+    def _slots(self, v: int) -> slice:
+        if not 0 <= v < self._n:
+            raise GraphStructureError(f"node {v} outside [0,{self._n})")
+        return slice(self._indptr[v], self._indptr[v + 1])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._neighbours[self._slots(v)])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(self._neighbours[self._slots(v)].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self._weights
+        return bool(self._search(*canonical_edge(u, v))[1])
 
     def weight(self, u: int, v: int) -> int:
-        try:
-            return self._weights[canonical_edge(u, v)]
-        except KeyError:
-            raise GraphStructureError(f"no edge ({u},{v})") from None
+        edge, found = self._search(*canonical_edge(u, v))
+        if not found:
+            raise GraphStructureError(f"no edge ({u},{v})")
+        return int(self._weight_array[edge])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Canonical edges in sorted order (deterministic)."""
-        return iter(sorted(self._weights))
+        lower, upper = np.divmod(self._edge_keys, self._n)
+        return zip(lower.tolist(), upper.tolist())
 
     def edge_weights(self) -> dict[tuple[int, int], int]:
         """Copy of the weight map, keyed by canonical edge."""
-        return dict(self._weights)
+        return dict(zip(self.edges(), self._weight_array.tolist()))
 
     @property
     def weight_array(self) -> np.ndarray:
         """Read-only int64 weights indexed by edge id (the order of ``edges()``)."""
         return self._weight_array
 
-    @functools.cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # built on first use: a graph that never releases step 1 (and every
-        # set-up before its first run) holds no slot arrays
-        degrees = np.fromiter(map(len, self._adj), np.int64, self._n)
-        indptr = np.concatenate(([0], np.cumsum(degrees)))
-        owner = np.repeat(np.arange(self._n), degrees)
-        neighbour = np.fromiter(chain.from_iterable(self._adj), np.int64, int(indptr[-1]))
-        slot_edges = self.edge_ids(owner, neighbour)
-        # slots (v, u) with v < u come in sorted canonical order, by edge id
-        lower_slots = np.flatnonzero(owner < neighbour)
-        for array in (indptr, slot_edges, lower_slots):
-            array.flags.writeable = False
-        return indptr, slot_edges, lower_slots
-
     @property
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only CSR adjacency ``(indptr, slot_edges)``, built once.
+        """Read-only CSR adjacency ``(indptr, slot_edges)``.
 
         Node v's slots are ``indptr[v]:indptr[v+1]``, one per neighbour in
         the order of ``neighbors(v)``, and ``slot_edges[s]`` is the edge id
         of slot s, so ``weight_array[slot_edges[indptr[v]:indptr[v+1]]]``
         is v's incident-weight vector, its private data.
         """
-        return self._csr[:2]
+        return self._indptr, self._slot_edges
 
     @property
     def lower_slots(self) -> np.ndarray:
         """Read-only slot of every edge at its lower-id endpoint, by edge id."""
-        return self._csr[2]
+        return self._lower_slots
+
+    def _search(self, lower, upper):
+        """Position of the key ``lower*n + upper`` of each pair lower <= upper
+        (node ids, or integer arrays of them with ``lower`` int64) among the
+        edge keys, and whether the pair is an edge; a pair with a node id
+        outside [0, n) never is."""
+        keys = lower * self._n + upper
+        ids = self._edge_keys.searchsorted(keys)
+        inside = (lower >= 0) & (upper < self._n)
+        return ids, inside & (self._keys_and_sentinel[ids] == keys)
 
     def edge_ids(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Edge id of every pair (u[i], v[i]); raises if a pair is not an edge."""
-        keys = np.minimum(u, v).astype(np.int64) * self._n + np.maximum(u, v)
-        ids = np.searchsorted(self._edge_keys, keys)
-        if keys.size and (
-            not self.edge_count
-            or not np.array_equal(self._edge_keys.take(ids, mode="clip"), keys)
-        ):
-            raise GraphStructureError("some node pairs are not edges of the graph")
+        ids, found = self._search(np.minimum(u, v).astype(np.int64), np.maximum(u, v))
+        if not found.all():
+            i = int(np.argmin(found))
+            raise GraphStructureError(f"node pair ({u[i]},{v[i]}) is not an edge of the graph")
         return ids
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self._n == other._n and self._weights == other._weights
+        same = self._n == other._n and np.array_equal(self._edge_keys, other._edge_keys)
+        return same and np.array_equal(self._weight_array, other._weight_array)
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self._n}, m={self.edge_count})"
-
-
 
 
 def enumerate_triangles(graph: WeightedGraph) -> np.ndarray:
@@ -224,10 +232,8 @@ def enumerate_triangles(graph: WeightedGraph) -> np.ndarray:
     intersecting out-neighborhoods, so the work is O(m^{3/2}).
     """
     n = graph.node_count
-    rank = sorted(range(n), key=lambda v: (graph.degree(v), v))
-    pos = [0] * n
-    for i, v in enumerate(rank):
-        pos[v] = i
+    # rank of every node by (degree, id)
+    pos = np.argsort(np.argsort(np.diff(graph.adjacency[0]), kind="stable")).tolist()
     out: list[set[int]] = [set() for _ in range(n)]
     for u, v in graph.edges():
         if pos[u] < pos[v]:

@@ -118,14 +118,12 @@ def build_instance(
     w_vy = graph.weight_array[graph.edge_ids(owner, y)]
     w_vz = graph.weight_array[graph.edge_ids(owner, z)]
     # the edge (node, y) carries w(node, z) + w'(y, z), and vice versa
-    sums: dict[int, list[int]] = {}
-    pairs = zip(y.tolist(), z.tolist(), (w_vz + received).tolist(), (w_vy + received).tolist())
-    for u, x, c_u, c_x in pairs:
-        sums.setdefault(u, []).append(c_u)
-        sums.setdefault(x, []).append(c_x)
-    views = tuple(
-        EdgeLocalView(graph.weight(node, u), tuple(c)) for u, c in sorted(sums.items())
-    )
+    sums: dict[tuple[int, int], list[int]] = {}  # (neighbour, incident weight) -> sums
+    rows = zip(y.tolist(), z.tolist(), w_vy.tolist(), w_vz.tolist(), received.tolist())
+    for u, x, w_u, w_x, r in rows:
+        sums.setdefault((u, w_u), []).append(w_x + r)
+        sums.setdefault((x, w_x), []).append(w_u + r)
+    views = tuple(EdgeLocalView(w, tuple(c)) for (_, w), c in sorted(sums.items()))
     return SmoothSensInstance(node, lam, beta, kind, p, views)
 
 

@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lwdp_triangles import (
+    Assignment,
     GraphStructureError,
     WeightedGraph,
     enumerate_triangles,
@@ -12,6 +14,7 @@ from lwdp_triangles import (
     triangle_weights,
 )
 from lwdp_triangles.graph import COUNT_CHUNK, triangle_edge_ids
+from lwdp_triangles.protocol import TrialInstance
 
 from conftest import complete_graph, random_graph
 
@@ -111,6 +114,22 @@ def test_structure_validation():
         WeightedGraph(3, [(0, 1, 1), (1, 0, 2)])
     with pytest.raises(GraphStructureError):
         WeightedGraph(2, [(0, 5, 1)])
+
+
+@pytest.mark.parametrize(
+    "edge", [(0.5, 1, 1), ("0", 1, 1), (1, None, 1), (0, math.nan, 1), (math.inf, 1, 1)]
+)
+def test_non_integral_node_id_is_rejected(edge):
+    with pytest.raises(GraphStructureError, match="integer node id"):
+        WeightedGraph(3, [edge])
+
+
+@pytest.mark.parametrize("u, v", [(1.0, 2), (np.int64(1), 2.0), (True, np.int32(2))])
+def test_integral_node_ids_are_the_same_nodes(u, v):
+    # the weights' integer rule: 1.0, numpy integers and True are the integer 1
+    g = WeightedGraph(3, [(u, v, 3.0), (0, 1, 4)])
+    assert g == WeightedGraph(3, [(0, 1, 4), (1, 2, 3)])
+    assert g.edge_weights() == {(0, 1): 4, (1, 2): 3}
 
 
 def test_non_integral_weight_is_rejected():
@@ -228,3 +247,93 @@ def test_triangle_edge_ids_look_up_every_row_once_across_chunks():
     assert triangle_edge_ids(g, np.zeros((0, 3), np.int64)).shape == (0, 3)
     with pytest.raises(GraphStructureError):
         triangle_edge_ids(WeightedGraph(3, [(0, 1, 1), (1, 2, 1)]), np.array([[0, 1, 2]]))
+
+
+def test_edge_ids_reject_node_ids_outside_the_graph():
+    g = complete_graph(4)
+    # with keys u*4 + v, (0, 7) would alias the edge (1, 3) and (1, 7) the
+    # edge (2, 3), so the row (0, 1, 7) would count as a triangle
+    aliasing = np.array([[0, 1, 7]])
+    with pytest.raises(GraphStructureError, match=r"\(0,7\)"):
+        triangle_edge_ids(g, aliasing)
+    with pytest.raises(GraphStructureError):
+        exact_below_threshold_count(g, 10, aliasing)
+    with pytest.raises(GraphStructureError):
+        TrialInstance(g, assignment=Assignment(aliasing))
+    # (-1, 5) would alias the edge (0, 1)
+    for u, v in ((-1, 5), (5, -1), (-1, 0), (0, 4), (-2, -1)):
+        with pytest.raises(GraphStructureError, match=rf"\({u},{v}\)"):
+            g.edge_ids(np.array([0, u]), np.array([1, v]))
+        assert not g.has_edge(u, v)
+        with pytest.raises(GraphStructureError, match="no edge"):
+            g.weight(u, v)
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and a list of distinct edges in random order, each
+    endpoint pair either way round, with weights anywhere in the bound."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.integers(-(2**31), 2**31)
+    return n, [
+        (*((u, v) if draw(st.booleans()) else (v, u)), draw(weights)) for u, v in chosen
+    ]
+
+
+@given(edge_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_graph_answers_like_a_dict_reference(drawn, rnd):
+    n, edges = drawn
+    g = WeightedGraph(n, edges)
+    weights = {(min(u, v), max(u, v)): w for u, v, w in edges}
+    adjacent = [set() for _ in range(n)]
+    for u, v in weights:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    canonical = sorted(weights)
+    assert list(g.edges()) == canonical and g.edge_count == len(canonical)
+    assert list(g.edge_weights().items()) == [(e, weights[e]) for e in canonical]
+    assert g.weight_array.tolist() == [weights[e] for e in canonical]
+    # every pair, node ids outside [0, n) included
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            key = (min(u, v), max(u, v))
+            assert g.has_edge(u, v) == (key in weights)
+            if key in weights:
+                assert g.weight(u, v) == weights[key]
+                assert g.edge_ids(np.array([u]), np.array([v])).tolist() == [
+                    canonical.index(key)
+                ]
+            else:
+                with pytest.raises(GraphStructureError):
+                    g.weight(u, v)
+                with pytest.raises(GraphStructureError):
+                    g.edge_ids(np.array([u]), np.array([v]))
+    assert [g.neighbors(v) for v in range(n)] == [tuple(sorted(a)) for a in adjacent]
+    assert [g.degree(v) for v in range(n)] == [len(a) for a in adjacent]
+    assert g.max_degree == max(map(len, adjacent), default=0)
+    for v in (-1, n):
+        with pytest.raises(GraphStructureError, match="outside"):
+            g.degree(v)
+        with pytest.raises(GraphStructureError, match="outside"):
+            g.neighbors(v)
+    indptr, slot_edges = g.adjacency
+    assert [
+        [canonical[e] for e in slot_edges[indptr[v]:indptr[v + 1]]] for v in range(n)
+    ] == [[(min(v, u), max(v, u)) for u in sorted(a)] for v, a in enumerate(adjacent)]
+    lower = g.lower_slots
+    assert slot_edges[lower].tolist() == list(range(len(canonical)))
+    assert [int(np.searchsorted(indptr, s, "right")) - 1 for s in lower] == [
+        u for u, _ in canonical
+    ]
+    # equality depends on the edges and weights, not on their order or orientation
+    shuffled = [(v, u, w) if rnd.random() < 0.5 else (u, v, w) for u, v, w in edges]
+    rnd.shuffle(shuffled)
+    assert WeightedGraph(n, shuffled) == g
+    assert WeightedGraph(n + 1, edges) != g
+    if edges:
+        u, v, w = edges[0]
+        assert WeightedGraph(n, [(u, v, w + (1 if w < 2**31 else -1))] + edges[1:]) != g
+        assert WeightedGraph(n, edges[1:]) != g

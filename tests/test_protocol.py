@@ -476,8 +476,6 @@ def test_run_methods_matches_the_one_method_wrappers():
 def test_run_methods_reads_every_edge_id_from_the_instance(monkeypatch):
     g = random_graph(random.Random(45), 20, 0.5, -2, 4)
     instance = TrialInstance(g)
-    # the CSR adjacency is per-graph set-up, built by the first release
-    release_step1(g, 1.0, RandomSource(0))
 
     def refuse(self, u, v):
         raise AssertionError("a run looked up edge ids")
