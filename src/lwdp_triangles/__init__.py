@@ -44,7 +44,6 @@ from .protocol import (
     Baseline,
     Mechanism,
     RunReport,
-    TrialInstance,
     TwoStep,
     run_baseline,
     run_methods,

@@ -5,9 +5,11 @@ is the "noisy" edge whose privatized weight the node will consume.  Two
 assigned triangles sharing their noisy edge form a covariance pair, and the
 number of such pairs is sum_e C(l(e), 2) over the edge loads l(e).
 
-Triangles come in as the (T, 3) node arrays of ``enumerate_triangles``, and
-an ``Assignment`` holds one array too: its owner-sorted (owner, y, z) rows,
-the one store that step 2, the loads and the per-node views all read.
+Triangles come in as the (T, 3) node arrays of ``enumerate_triangles``.  An
+``Assignment`` is bound to its graph and is the public instance of every run
+on it: its owner-sorted (owner, y, z) rows and the ids of each row's three
+edges, looked up once, are what step 2, the baseline, the exact count, the
+loads and the per-node views all read.
 """
 
 from __future__ import annotations
@@ -15,44 +17,54 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .graph import COUNT_CHUNK, WeightedGraph, enumerate_triangles, triangle_edge_ids
+from .graph import (
+    COUNT_CHUNK,
+    WeightedGraph,
+    edge_id_sums,
+    enumerate_triangles,
+    triangle_edge_ids,
+)
 
 
 class InstanceTooLargeError(ValueError):
     """Raised when an exhaustive-search helper is asked for an oversized instance."""
 
 
-@dataclass(frozen=True, eq=False)
 class Assignment:
-    """Every triangle with its responsible node.
+    """Triangles of ``graph``, each with its responsible node.
 
     ``rows`` is an int32 array with one (owner, y, z) row per triangle: y < z
     are the owner's two neighbours in the triangle, so (y, z) is its noisy
     edge.  Rows are sorted by owner and then by triangle.  The constructor
     takes the rows in any order, with y and z either way round, and stores
-    them read-only in that form.
+    a read-only copy in that form.  ``edge_ids`` holds, read-only int32, the
+    ids of the edges (owner, y), (owner, z) and (y, z) of every row, looked
+    up once; a row that is not a triangle of ``graph`` raises.
     """
 
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.int32)
+    def __init__(self, graph: WeightedGraph, rows: np.ndarray):
+        rows = np.asarray(rows, dtype=np.int32)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError(f"assignment rows must have shape (T, 3), got {rows.shape}")
         owner, y, z = rows.T
         if ((owner == y) | (owner == z) | (y == z)).any():
             raise ValueError("every assignment row must hold three distinct nodes")
-        y, z = np.minimum(y, z), np.maximum(y, z)
-        # with the owner fixed, the order of (y, z) is the order of the
-        # triangles {owner, y, z}
-        rows = np.column_stack((owner, y, z))[np.lexsort((z, y, owner))]
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        ids = triangle_edge_ids(graph, rows)
+        # edge ids follow canonical order, so with the owner fixed the order
+        # of the ids of (y, z) is the order of the triangles {owner, y, z};
+        # rows with equal keys are equal, so the sort need not be stable
+        order = np.argsort(owner.astype(np.int64) * graph.edge_count + ids[:, 2])
+        # the gathers copy, so the caller's rows are never written to
+        rows, ids = rows[order], ids[order]
+        swapped = rows[:, 1] > rows[:, 2]
+        rows[swapped, 1:] = rows[swapped, :0:-1]
+        ids[swapped, :2] = ids[swapped, 1::-1]
+        rows.flags.writeable = ids.flags.writeable = False
+        self.graph, self.rows, self.edge_ids = graph, rows, ids
 
     @functools.cached_property
     def loads(self) -> dict[tuple[int, int], int]:
@@ -61,16 +73,25 @@ class Assignment:
         edges, counts = np.unique(self.rows[:, 1:], axis=0, return_counts=True)
         return dict(zip(map(tuple, edges.tolist()), counts.tolist()))
 
+    def span(self, node: int) -> slice:
+        """Where ``node``'s rows lie in ``rows`` and ``edge_ids``."""
+        lo, hi = np.searchsorted(self.rows[:, 0], (node, node + 1))
+        return slice(lo, hi)
+
     def triangles_of(self, node: int) -> np.ndarray:
         """``node``'s (node, y, z) rows, in triangle order."""
-        lo, hi = np.searchsorted(self.rows[:, 0], (node, node + 1))
-        return self.rows[lo:hi]
+        return self.rows[self.span(node)]
 
     def load(self, edge: tuple[int, int]) -> int:
         return self.loads.get(edge, 0)
 
     def squared_load(self) -> int:
         return sum(l * l for l in self.loads.values())
+
+    def exact_count(self, lam: int) -> int:
+        """Number of triangles with true weight strictly below ``lam``."""
+        weights = edge_id_sums(self.graph.weight_array, self.edge_ids)
+        return int(np.count_nonzero(weights < lam))
 
 
 def count_c4_instances(assignment: Assignment) -> int:
@@ -114,11 +135,11 @@ def greedy_assign(
     index = np.array(owner_at, dtype=np.int64)
     # (owner, y, z) is (a, b, c), (b, a, c) or (c, a, b)
     columns = [np.choose(index, nodes) for nodes in ((a, b, c), (b, a, a), (c, c, b))]
-    return Assignment(np.column_stack(columns))
+    return Assignment(graph, np.column_stack(columns))
 
 
 def assignment_from_choices(
-    triangles: np.ndarray, choices: Iterable[tuple[int, int]]
+    graph: WeightedGraph, triangles: np.ndarray, choices: Iterable[tuple[int, int]]
 ) -> Assignment:
     """Build an Assignment from an explicit noisy-edge choice per row of the
     (T, 3) node array ``triangles``; each choice must be an edge of its row."""
@@ -129,7 +150,7 @@ def assignment_from_choices(
     chosen = np.sort(np.column_stack((edges, owner)), axis=1)
     if not np.array_equal(chosen, np.sort(triangles, axis=1)):
         raise ValueError("every chosen edge must be an edge of its triangle")
-    return Assignment(np.column_stack((owner, edges)))
+    return Assignment(graph, np.column_stack((owner, edges)))
 
 
 def brute_force_optimal_assign(
@@ -155,4 +176,4 @@ def brute_force_optimal_assign(
         sq = sum(l * l for l in Counter(choices).values())
         if best_sq is None or sq < best_sq:
             best_choices, best_sq = choices, sq
-    return assignment_from_choices(triangles, best_choices), best_sq
+    return assignment_from_choices(graph, triangles, best_choices), best_sq

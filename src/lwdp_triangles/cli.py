@@ -6,7 +6,7 @@ import argparse
 import sys
 from collections import Counter
 
-from .assignment import count_c4_instances, greedy_assign
+from .assignment import Assignment, count_c4_instances, greedy_assign
 from .estimators import EstimatorKind
 from .experiments import (
     ExperimentConfig,
@@ -16,7 +16,7 @@ from .experiments import (
 )
 from .graph import check_threshold, enumerate_triangles
 from .mechanisms import PrivacyBudget, RandomSource, check_dlap_epsilon
-from .protocol import Baseline, Mechanism, TrialInstance, TwoStep, release_step1, run_methods
+from .protocol import Baseline, Mechanism, TwoStep, release_step1, run_methods
 from .sensitivity import (
     build_instance,
     global_sensitivity,
@@ -56,13 +56,12 @@ def _cmd_sensitivity(args) -> int:
         print(f"node {args.node} out of range", file=sys.stderr)
         return 2
     kind = EstimatorKind(args.estimator)
-    triangles = enumerate_triangles(graph)
-    assignment = greedy_assign(graph, triangles)
+    assignment = greedy_assign(graph)
     noisy = release_step1(graph, args.eps1, RandomSource(args.seed))
     p = None if kind is EstimatorKind.BIASED else PrivacyBudget(args.eps1, 1.0).p
     inst = _usage_checked(
         args, build_instance,
-        graph, assignment, noisy, args.node, args.lam, args.beta, kind, p=p,
+        assignment, noisy, args.node, args.lam, args.beta, kind, p=p,
     )
     gs = global_sensitivity(args.node, assignment, kind, p=p)
     fast = smooth_sensitivity(inst)
@@ -83,13 +82,13 @@ def _budget_from_args(args) -> PrivacyBudget:
     return PrivacyBudget.even_split(args.eps)
 
 
-def _print_trials(args, instance, method) -> int:
+def _print_trials(args, assignment, method) -> int:
     """Print the exact count, then ``method``'s estimate for each seeded trial."""
-    exact = instance.exact_count(args.lam)
+    exact = assignment.exact_count(args.lam)
     print(f"f_exact: {exact}")
     for trial in range(args.trials):
         rng = RandomSource(args.seed).subsource(trial)
-        report = run_methods(instance, args.lam, [method], rng)[0]
+        report = run_methods(assignment, args.lam, [method], rng)[0]
         rel = abs(exact - report.estimate) / exact if exact else float("nan")
         print(f"trial {trial}: estimate={report.estimate:.6f} rel_error={rel:.6g}")
     tallies = report.tallies
@@ -105,15 +104,15 @@ def _cmd_count(args) -> int:
     _usage_checked(args, check_threshold, args.lam)
     graph = parse_edge_list(args.graph)
     method = TwoStep(budget, EstimatorKind(args.estimator), Mechanism(args.mechanism))
-    return _print_trials(args, TrialInstance(graph), method)
+    return _print_trials(args, greedy_assign(graph), method)
 
 
 def _cmd_baseline(args) -> int:
     method = _usage_checked(args, Baseline, args.eps)
     _usage_checked(args, check_threshold, args.lam)
     graph = parse_edge_list(args.graph)
-    instance = TrialInstance.for_baseline(graph, enumerate_triangles(graph))
-    return _print_trials(args, instance, method)
+    # the baseline reads only edge ids, so any assignment of the triangles serves
+    return _print_trials(args, Assignment(graph, enumerate_triangles(graph)), method)
 
 
 def _experiment_config(args) -> ExperimentConfig:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .mechanisms import dlap_cdf, dlap_pmf
+from .mechanisms import check_p, dlap_cdf, dlap_pmf
 
 
 class EstimatorKind(str, enum.Enum):
@@ -21,15 +21,9 @@ class EstimatorKind(str, enum.Enum):
     UNBIASED = "unbiased"
 
 
-def _check_p(p: float, allow_zero: bool = False) -> None:
-    lo_ok = p >= 0.0 if allow_zero else p > 0.0
-    if not (lo_ok and p < 1.0):
-        raise ValueError(f"p must lie in {'[0,1)' if allow_zero else '(0,1)'}, got {p}")
-
-
 def unbiased_correction(p: float) -> float:
     """The h-function correction x = p/(1-p)^2."""
-    _check_p(p, allow_zero=True)
+    check_p(p, allow_zero=True)
     return p / (1.0 - p) ** 2
 
 
@@ -82,7 +76,7 @@ def estimator_step_bound(kind: EstimatorKind, p: float) -> float:
 
 def expected_biased(w_T: int, lam: int, p: float) -> float:
     """E[B'_T] = Pr[DLap(p) < lam - w_T], in the two-case closed form."""
-    _check_p(p)
+    check_p(p)
     if w_T < lam:
         return 1.0 - p ** (lam - w_T) / (1.0 + p)
     return p ** (w_T - lam + 1) / (1.0 + p)
@@ -100,7 +94,7 @@ def covariance_biased(w_T: int, w_T_prime: int, lam: int, p: float) -> float:
     Both indicators fire together exactly when the shared noise is below
     lam - max(w_T, w_T'), so the covariance is a difference of strict CDFs.
     """
-    _check_p(p)
+    check_p(p)
     joint = dlap_cdf(lam - max(w_T, w_T_prime), p)
     return joint - dlap_cdf(lam - w_T, p) * dlap_cdf(lam - w_T_prime, p)
 
@@ -111,7 +105,7 @@ def variance_unbiased(w_T: int, lam: int, p: float) -> float:
     Derived by summing the geometric series over the four pieces of h; the
     boundary values at w_T = lam and w_T = lam - 1 coincide.
     """
-    _check_p(p)
+    check_p(p)
     x = unbiased_correction(p)
     if w_T >= lam:
         d = w_T - lam
@@ -122,7 +116,7 @@ def variance_unbiased(w_T: int, lam: int, p: float) -> float:
 
 def unbiased_variance_cap(p: float) -> float:
     """Boundary-case cap 4p(p/(1-p)^3 + 1 - p), dominating Var[U'_T] for every w_T."""
-    _check_p(p)
+    check_p(p)
     return 4.0 * p * (p / (1.0 - p) ** 3 + 1.0 - p)
 
 
@@ -164,7 +158,7 @@ def expectation_by_summation(
     kind: EstimatorKind, w_T: int, lam: int, p: float, tol: float = 1e-12
 ) -> float:
     """E[g(w_T + Z)] by direct truncated summation over the DLap(p) pmf."""
-    _check_p(p)
+    check_p(p)
     x = unbiased_correction(p)
     magnitude = 1.0 + 2.0 * x if kind is EstimatorKind.UNBIASED else 1.0
     radius = _truncation_radius(lam, w_T, p, magnitude, tol)
@@ -178,7 +172,7 @@ def variance_by_summation(
     kind: EstimatorKind, w_T: int, lam: int, p: float, tol: float = 1e-12
 ) -> float:
     """Var[g(w_T + Z)] by truncated summation; oracle for the closed forms."""
-    _check_p(p)
+    check_p(p)
     x = unbiased_correction(p)
     magnitude = (1.0 + 2.0 * x) ** 2 if kind is EstimatorKind.UNBIASED else 1.0
     radius = _truncation_radius(lam, w_T, p, magnitude, tol)

@@ -17,10 +17,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import MAX_ABS_WEIGHT, WeightedGraph, canonical_edge, check_threshold, integral
+from .assignment import greedy_assign
+from .graph import (
+    MAX_ABS_WEIGHT,
+    WeightedGraph,
+    canonical_edge,
+    check_threshold,
+    edge_id_sums,
+    integral,
+)
 from .mechanisms import PrivacyBudget, RandomSource
 from .estimators import EstimatorKind
-from .protocol import Baseline, Mechanism, TrialInstance, TwoStep, run_methods
+from .protocol import Baseline, Mechanism, TwoStep, run_methods
 
 METHODS = (
     "baseline",
@@ -383,8 +391,8 @@ def method_named(name: str, epsilon: float) -> Baseline | TwoStep:
 def run_sweep(cfg: ExperimentConfig, graph: WeightedGraph) -> ErrorReport:
     """Mean relative error per (axis value, method) over paired-seed trials.
 
-    The public work (triangle enumeration, assignment, every triangle's
-    edge ids and the exact count) is one ``TrialInstance`` per axis point.
+    The public work (triangle enumeration, and the assignment with every
+    triangle's edge ids) is one ``greedy_assign`` per axis point.
     Each trial runs every method through one ``run_methods`` call on the
     same random source, so methods that spend the same epsilon_1 read one
     shared step-1 release and method differences stay isolated.
@@ -398,20 +406,20 @@ def run_sweep(cfg: ExperimentConfig, graph: WeightedGraph) -> ErrorReport:
         else:
             g = graph
         epsilon = float(value) if cfg.axis == "eps" else cfg.epsilon
-        instance = TrialInstance(g)
+        assignment = greedy_assign(g)
         if cfg.axis == "lambda":
             lam = int(value)
         elif cfg.lam is not None:
             lam = cfg.lam
         else:
-            lam = default_lambda(instance.weights)
+            lam = default_lambda(edge_id_sums(g.weight_array, assignment.edge_ids))
         methods = [method_named(m, epsilon) for m in cfg.methods]
-        exact = instance.exact_count(lam)
+        exact = assignment.exact_count(lam)
         sums = {m: 0.0 for m in cfg.methods}
         flagged = exact == 0
         for trial in range(cfg.trials):
             rng = RandomSource(cfg.seed).subsource(axis_idx, trial)
-            reports = run_methods(instance, lam, methods, rng)
+            reports = run_methods(assignment, lam, methods, rng)
             if not flagged:
                 for m, report in zip(cfg.methods, reports):
                     sums[m] += abs(exact - report.estimate) / exact

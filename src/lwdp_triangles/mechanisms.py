@@ -252,20 +252,21 @@ class RandomSource:
 # -- discrete Laplace (geometric mechanism) --------------------------------
 
 
-def _check_p(p: float) -> None:
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0,1), got {p}")
+def check_p(p: float, allow_zero: bool = False) -> None:
+    """Raise unless p lies in (0,1), or in [0,1) with ``allow_zero``."""
+    if not ((p >= 0.0 if allow_zero else p > 0.0) and p < 1.0):
+        raise ValueError(f"p must lie in {'[0,1)' if allow_zero else '(0,1)'}, got {p}")
 
 
 def dlap_pmf(i: int, p: float) -> float:
     """Pr[Z = i] for Z ~ DLap(p): (1-p)/(1+p) * p^|i|."""
-    _check_p(p)
+    check_p(p)
     return (1.0 - p) / (1.0 + p) * p ** abs(i)
 
 
 def dlap_cdf(k: int, p: float) -> float:
     """Pr[Z < k] (strict) for Z ~ DLap(p), via the geometric-series closed form."""
-    _check_p(p)
+    check_p(p)
     if k >= 1:
         return 1.0 - p ** k / (1.0 + p)
     return p ** (1 - k) / (1.0 + p)
@@ -277,7 +278,7 @@ def dlap_sample(p: float, rng: np.random.Generator, size: int | None = None):
     No floating-point rounding of the pmf is involved; the difference of two
     iid geometric(1-p) failure counts has exactly the two-sided pmf.
     """
-    _check_p(p)
+    check_p(p)
     g1 = rng.geometric(1.0 - p, size=size)
     g2 = rng.geometric(1.0 - p, size=size)
     if size is None:

@@ -6,8 +6,8 @@ substreams in one batched pass, and message tallies model the three
 communication flows (vector uploads, noisy-weight downloads, count uploads).
 
 The topology is public, and so is all that follows from it: the triangles,
-the assignment and the ids of every assigned triangle's three edges.  A
-``TrialInstance`` holds them, computed once per graph, and ``run_methods``
+the assignment and the ids of every assigned triangle's three edges.  An
+``Assignment`` holds them, computed once per graph, and ``run_methods``
 runs a list of methods (``Baseline``, ``TwoStep``) on one trial of it.
 Step 1 depends only on the graph, epsilon_1 and the trial's substreams, so
 it is released once per distinct epsilon_1 and every method spending that
@@ -16,7 +16,7 @@ epsilon_1 reads the same read-only release.
 In step 1 every node noises its slice of the CSR slot weights from its own
 substream, and the server keeps the lower-id endpoint's value of each edge.
 Step 2 runs as array passes over batches of the assignment's owner-sorted
-rows, gathering through the instance's edge ids, so node v's count f'_v and
+rows, gathering through the assignment's edge ids, so node v's count f'_v and
 sensitivity S_v read only v's own weights, the noisy weights sent to v and
 public data.  The release pass then turns every S_v > 0 into noise drawn
 from v's own step-2 substream.
@@ -33,13 +33,7 @@ import numpy as np
 
 from .assignment import Assignment, greedy_assign
 from .estimators import EstimatorKind, estimate_array, estimator_step_bound
-from .graph import (
-    WeightedGraph,
-    check_threshold,
-    edge_id_sums,
-    enumerate_triangles,
-    triangle_edge_ids,
-)
+from .graph import WeightedGraph, check_threshold, edge_id_sums, enumerate_triangles
 from .mechanisms import (
     PrivacyBudget,
     RandomSource,
@@ -98,46 +92,6 @@ class RunReport:
         return sum(entry.epsilon for entry in self.budget_ledger.get(node, ()))
 
 
-class TrialInstance:
-    """The public part of every run on one graph, computed once.
-
-    ``edge_ids`` holds, read-only int32, the ids of the edges (v, y), (v, z)
-    and (y, z) of every owner-sorted row (v, y, z) of ``assignment``
-    (by default ``greedy_assign(graph, triangles)``); step 2 slices it by
-    node batch.  ``weights`` holds every row's true triangle weight,
-    read-only int64: the ground truth that reports are scored against.  An
-    instance ``for_baseline`` holds the ids of the rows of ``triangles``
-    and no assignment, and only the baseline runs on it.
-    """
-
-    def __init__(
-        self,
-        graph: WeightedGraph,
-        triangles: np.ndarray | None = None,
-        assignment: Assignment | None = None,
-    ):
-        if assignment is None:
-            assignment = greedy_assign(graph, triangles)
-        self._look_up(graph, assignment, assignment.rows)
-
-    @classmethod
-    def for_baseline(cls, graph: WeightedGraph, triangles: np.ndarray) -> TrialInstance:
-        instance = cls.__new__(cls)
-        instance._look_up(graph, None, triangles)
-        return instance
-
-    def _look_up(self, graph, assignment, rows) -> None:
-        self.graph = graph
-        self.assignment = assignment
-        self.edge_ids = triangle_edge_ids(graph, rows)
-        self.weights = edge_id_sums(graph.weight_array, self.edge_ids)
-        self.edge_ids.flags.writeable = self.weights.flags.writeable = False
-
-    def exact_count(self, lam: int) -> int:
-        """Number of triangles with true weight strictly below ``lam``."""
-        return int(np.count_nonzero(self.weights < lam))
-
-
 def release_step1(graph: WeightedGraph, epsilon_1: float, rng: RandomSource) -> np.ndarray:
     """Every node privatizes its incident-weight vector; the server symmetrizes.
 
@@ -174,7 +128,7 @@ def _node_batches(owner: np.ndarray, node_count: int):
 
 
 def local_step2(
-    instance: TrialInstance,
+    assignment: Assignment,
     weights: np.ndarray,
     noisy: np.ndarray,
     lam: int,
@@ -187,23 +141,23 @@ def local_step2(
     ``weights`` and ``noisy`` are edge-indexed: the true weights, of which
     node v reads only its incident ones, and the step-1 release, of which v
     reads only the edges opposite it in its assigned triangles, both read
-    through the instance's edge ids.  f'_v is ``np.bincount`` of the
+    through the assignment's edge ids.  f'_v is ``np.bincount`` of the
     per-triangle estimates, which adds in triangle order like a per-node
     loop; S_v is one ``segment_smooth_sensitivities`` call per batch over
     one segment per (v, incident edge), and GS_v is the estimator step
     bound times v's longest segment.
     """
-    n = instance.graph.node_count
+    n = assignment.graph.node_count
     counts = np.zeros(n)
     sens = np.zeros(n)
-    rows = instance.assignment.rows
+    rows = assignment.rows
     p = budget.p
     step = estimator_step_bound(kind, p)
     for first, end, lo, hi in _node_batches(rows[:, 0], n):
         if lo == hi:
             continue  # f'_v and S_v stay 0 for nodes without triangles
         owner, y, z = rows[lo:hi].T.astype(np.int64)
-        vy, vz, yz = instance.edge_ids[lo:hi].T
+        vy, vz, yz = assignment.edge_ids[lo:hi].T
         w_vy = weights[vy]
         w_vz = weights[vz]
         received = noisy[yz]
@@ -236,7 +190,7 @@ def local_step2(
 
 
 def run_methods(
-    instance: TrialInstance,
+    assignment: Assignment,
     lam: int,
     methods: Sequence[Baseline | TwoStep],
     rng: RandomSource | None = None,
@@ -254,8 +208,8 @@ def run_methods(
     reports = []
     for method in methods:
         if method.epsilon_1 not in releases:
-            releases[method.epsilon_1] = release_step1(instance.graph, method.epsilon_1, rng)
-        reports.append(method.run(instance, lam, releases[method.epsilon_1], rng))
+            releases[method.epsilon_1] = release_step1(assignment.graph, method.epsilon_1, rng)
+        reports.append(method.run(assignment, lam, releases[method.epsilon_1], rng))
     return reports
 
 
@@ -273,12 +227,12 @@ class Baseline:
     def epsilon_1(self) -> float:
         return self.epsilon
 
-    def run(self, instance: TrialInstance, lam: int, noisy: np.ndarray, rng) -> RunReport:
-        graph = instance.graph
-        estimate = np.count_nonzero(edge_id_sums(noisy, instance.edge_ids) < lam)
+    def run(self, assignment: Assignment, lam: int, noisy: np.ndarray, rng) -> RunReport:
+        graph = assignment.graph
+        estimate = np.count_nonzero(edge_id_sums(noisy, assignment.edge_ids) < lam)
         return RunReport(
             estimate=float(estimate),
-            exact_count=instance.exact_count(lam),
+            exact_count=assignment.exact_count(lam),
             lam=lam,
             per_node_release={},
             tallies=CommunicationTallies(2 * graph.edge_count, 0, 0),
@@ -306,13 +260,11 @@ class TwoStep:
         return self.budget.epsilon_1
 
     def run(
-        self, instance: TrialInstance, lam: int, noisy: np.ndarray, rng: RandomSource
+        self, assignment: Assignment, lam: int, noisy: np.ndarray, rng: RandomSource
     ) -> RunReport:
-        if instance.assignment is None:
-            raise ValueError("the two-step protocol needs an instance with an assignment")
-        graph, budget, mechanism = instance.graph, self.budget, self.mechanism
+        graph, budget, mechanism = assignment.graph, self.budget, self.mechanism
         counts, sens = local_step2(
-            instance, graph.weight_array, noisy, lam, self.kind, mechanism, budget
+            assignment, graph.weight_array, noisy, lam, self.kind, mechanism, budget
         )
         release = counts.copy()
         noisy_nodes = np.flatnonzero(sens > 0.0)
@@ -340,13 +292,13 @@ class TwoStep:
         entries = (BudgetEntry("dlap", budget.epsilon_1), BudgetEntry(query, budget.epsilon_2))
         return RunReport(
             estimate=sum(per_node.values()),
-            exact_count=instance.exact_count(lam),
+            exact_count=assignment.exact_count(lam),
             lam=lam,
             per_node_release=per_node,
             # one value uploaded per (node, incident edge), one noisy weight
             # downloaded per assigned triangle, one count uploaded per node
             tallies=CommunicationTallies(
-                2 * graph.edge_count, len(instance.edge_ids), graph.node_count
+                2 * graph.edge_count, len(assignment.edge_ids), graph.node_count
             ),
             budget_ledger=dict.fromkeys(range(graph.node_count), entries),
             per_node_sensitivity=sens,
@@ -366,14 +318,19 @@ def run_two_step(
 ) -> RunReport:
     """One full protocol execution; deterministic under a fixed master seed.
 
-    ``triangles`` (the (T, 3) array of ``enumerate_triangles``) and
-    ``assignment`` may be precomputed (they depend only on the public
-    topology).  To share the instance and the step-1 release across runs,
-    use ``run_methods``.
+    ``assignment`` may be precomputed on ``graph`` (it depends only on the
+    public topology), else it is ``greedy_assign(graph, triangles)``, where
+    ``triangles`` may be the precomputed (T, 3) array of
+    ``enumerate_triangles``.  To share the assignment and the step-1 release
+    across runs, use ``run_methods``.
     """
     method = TwoStep(budget, kind, mechanism)
     lam = check_threshold(lam)
-    return run_methods(TrialInstance(graph, triangles, assignment), lam, [method], rng)[0]
+    if assignment is None:
+        assignment = greedy_assign(graph, triangles)
+    elif assignment.graph != graph:
+        raise ValueError("the assignment was built on another graph")
+    return run_methods(assignment, lam, [method], rng)[0]
 
 
 def run_baseline(
@@ -385,11 +342,11 @@ def run_baseline(
     triangles: np.ndarray | None = None,
 ) -> RunReport:
     """``Baseline(epsilon)`` on one trial.  ``triangles`` may be the
-    precomputed (T, 3) array of ``enumerate_triangles``; one lookup of its
-    edge ids serves the noisy and the exact count."""
+    precomputed (T, 3) array of ``enumerate_triangles``.  The baseline reads
+    only the triangles' edge ids, so it runs on the assignment that gives
+    every row to its first node, and no greedy pass runs."""
     method = Baseline(epsilon)
     lam = check_threshold(lam)
     if triangles is None:
         triangles = enumerate_triangles(graph)
-    instance = TrialInstance.for_baseline(graph, triangles)
-    return run_methods(instance, lam, [method], rng)[0]
+    return run_methods(Assignment(graph, triangles), lam, [method], rng)[0]

@@ -40,7 +40,7 @@ import numpy as np
 
 from .assignment import Assignment, InstanceTooLargeError
 from .estimators import EstimatorKind, estimator_step_bound, unbiased_correction
-from .graph import WeightedGraph, check_threshold
+from .graph import check_threshold
 
 
 # -- global sensitivity ------------------------------------------------------
@@ -101,7 +101,6 @@ class SmoothSensInstance:
 
 
 def build_instance(
-    graph: WeightedGraph,
     assignment: Assignment,
     noisy_weights: np.ndarray,
     node: int,
@@ -112,11 +111,14 @@ def build_instance(
 ) -> SmoothSensInstance:
     """``node``'s instance from exactly the data it holds in step 2: its
     incident weights, its assigned rows, and the step-1 release
-    ``noisy_weights`` (indexed by edge id) at the edges opposite it."""
-    owner, y, z = assignment.triangles_of(node).T.astype(np.int64)
-    received = noisy_weights[graph.edge_ids(y, z)]
-    w_vy = graph.weight_array[graph.edge_ids(owner, y)]
-    w_vz = graph.weight_array[graph.edge_ids(owner, z)]
+    ``noisy_weights`` (indexed by edge id) at the edges opposite it, all
+    read through the assignment's edge ids."""
+    span = assignment.span(node)
+    _, y, z = assignment.rows[span].T
+    vy, vz, yz = assignment.edge_ids[span].T
+    received = noisy_weights[yz]
+    w_vy = assignment.graph.weight_array[vy]
+    w_vz = assignment.graph.weight_array[vz]
     # the edge (node, y) carries w(node, z) + w'(y, z), and vice versa
     sums: dict[tuple[int, int], list[int]] = {}  # (neighbour, incident weight) -> sums
     rows = zip(y.tolist(), z.tolist(), w_vy.tolist(), w_vz.tolist(), received.tolist())

@@ -51,11 +51,11 @@ EMPTY = np.zeros((0, 3), np.int32)
 
 
 def test_count_c4_from_loads():
-    a = Assignment(EMPTY)
-    assert count_c4_instances(a) == 0
     g = book_graph(3)
+    a = Assignment(g, EMPTY)
+    assert count_c4_instances(a) == 0
     tris = enumerate_triangles(g)
-    forced = assignment_from_choices(tris, [(0, 1)] * 3)  # all on the spine edge
+    forced = assignment_from_choices(g, tris, [(0, 1)] * 3)  # all on the spine edge
     assert count_c4_instances(forced) == 3  # C(3, 2)
     spread = greedy_assign(g, tris)
     assert all(l <= 1 for l in spread.loads.values())
@@ -164,7 +164,7 @@ def test_rows_list_each_owners_triangles_in_order():
     g = random_graph(random.Random(23), 15, 0.55, -2, 2)
     tris = enumerate_triangles(g)[::-1]  # choices in reverse triangle order
     edges = [((a, b), (a, c), (b, c))[i % 3] for i, (a, b, c) in enumerate(tris.tolist())]
-    a = assignment_from_choices(tris, edges)
+    a = assignment_from_choices(g, tris, edges)
     owned = {v: [] for v in range(15)}
     for t, (y, z) in zip(tris.tolist(), edges):
         owner = sum(t) - y - z
@@ -176,22 +176,25 @@ def test_rows_list_each_owners_triangles_in_order():
         assert [tuple(r) for r in a.triangles_of(v).tolist()] == [r for r in expected if r[0] == v]
     with pytest.raises(ValueError):
         a.rows[0, 0] = 1  # read-only
-    assert Assignment(EMPTY).rows.shape == (0, 3)
-    assert Assignment(EMPTY).triangles_of(0).shape == (0, 3)
+    assert Assignment(g, EMPTY).rows.shape == (0, 3)
+    assert Assignment(g, EMPTY).triangles_of(0).shape == (0, 3)
 
 
 def test_assignment_rows_take_any_order_and_reject_malformed_rows():
-    a = Assignment(np.array([[3, 2, 1], [0, 2, 1], [3, 1, 0]]))
+    g = complete_graph(4)
+    a = Assignment(g, np.array([[3, 2, 1], [0, 2, 1], [3, 1, 0]]))
     assert a.rows.tolist() == [[0, 1, 2], [3, 0, 1], [3, 1, 2]]
     assert a.loads == {(0, 1): 1, (1, 2): 2}
     for bad in (np.array([[0, 0, 1]]), np.array([[0, 1, 1]]), np.zeros((2, 2)), np.zeros(3)):
         with pytest.raises(ValueError):
-            Assignment(bad)
+            Assignment(g, bad)
+    with pytest.raises(ValueError):
+        Assignment(book_graph(2), np.array([[0, 2, 3]]))  # not a triangle of the graph
     tris = np.array([[0, 1, 2]])
     with pytest.raises(ValueError):
-        assignment_from_choices(tris, [(0, 3)])  # not an edge of the triangle
+        assignment_from_choices(g, tris, [(0, 3)])  # not an edge of the triangle
     with pytest.raises(ValueError):
-        assignment_from_choices(tris, [])
+        assignment_from_choices(g, tris, [])
 
 
 def test_greedy_matches_per_triangle_reference_on_tie_heavy_graphs():
@@ -203,3 +206,28 @@ def test_greedy_matches_per_triangle_reference_on_tie_heavy_graphs():
         tris = enumerate_triangles(g)
         assert owners(greedy_assign(g, tris)) == greedy_reference(tris), g
         assert owners(greedy_assign(g)) == greedy_reference(tris), g
+
+
+def test_assignment_sorts_rows_like_a_three_key_lexsort_and_keeps_their_edge_ids():
+    rnd = random.Random(33)
+    for _ in range(8):
+        g = random_graph(rnd, rnd.randint(6, 30), rnd.uniform(0.3, 0.9), -2, 2)
+        tris = enumerate_triangles(g)
+        # every row under a random one of its nodes, y and z either way
+        # round, in shuffled order
+        rows = np.array([rnd.sample(row, 3) for row in tris.tolist()], dtype=np.int64)
+        rows = rows[rnd.sample(range(len(rows)), len(rows))].reshape(-1, 3)
+        given = rows.copy()
+        a = Assignment(g, rows)
+        assert np.array_equal(rows, given)  # the caller's rows are untouched
+        owner, y, z = rows.T
+        y, z = np.minimum(y, z), np.maximum(y, z)
+        expected = np.column_stack((owner, y, z))[np.lexsort((z, y, owner))]
+        assert a.rows.dtype == np.int32 and a.rows.tolist() == expected.tolist()
+        owner, y, z = a.rows.T
+        ids = np.column_stack((g.edge_ids(owner, y), g.edge_ids(owner, z), g.edge_ids(y, z)))
+        assert a.edge_ids.dtype == np.int32 and a.edge_ids.tolist() == ids.tolist()
+        for array in (a.rows, a.edge_ids):
+            assert not np.shares_memory(array, rows)
+            with pytest.raises(ValueError):
+                array[0] = 0

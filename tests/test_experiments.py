@@ -32,7 +32,7 @@ from lwdp_triangles.experiments import (
     sample_induced_subgraph,
     write_edge_list,
 )
-from lwdp_triangles import protocol
+from lwdp_triangles import assignment as assignment_mod, protocol
 from lwdp_triangles.protocol import Mechanism
 
 from conftest import random_graph
@@ -386,13 +386,16 @@ def test_sweep_looks_up_edge_ids_once_and_shares_step_1_per_epsilon_1(monkeypatc
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(protocol, "triangle_edge_ids", counting("ids", protocol.triangle_edge_ids))
+    ids = counting("ids", assignment_mod.triangle_edge_ids)
+    monkeypatch.setattr(assignment_mod, "triangle_edge_ids", ids)
     monkeypatch.setattr(protocol, "release_step1", counting("release", protocol.release_step1))
     trials = 3
     run_sweep(ExperimentConfig(axis="eps", values=(2.0,), trials=trials, seed=3), g)
     # the baseline spends epsilon whole and the four two-step methods half
-    # of it in step 1: two releases per trial, one lookup per axis point
-    assert calls == {"ids": 1, "release": 2 * trials}
+    # of it in step 1: two releases per trial; per axis point, the greedy
+    # pass looks up the ids of its one chunk of triangles and the assignment
+    # those of its rows, and no run looks up any
+    assert calls == {"ids": 2, "release": 2 * trials}
 
 
 # recorded before the sweep shared one instance per axis point and one

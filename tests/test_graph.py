@@ -14,7 +14,6 @@ from lwdp_triangles import (
     triangle_weights,
 )
 from lwdp_triangles.graph import COUNT_CHUNK, triangle_edge_ids
-from lwdp_triangles.protocol import TrialInstance
 
 from conftest import complete_graph, random_graph
 
@@ -259,7 +258,7 @@ def test_edge_ids_reject_node_ids_outside_the_graph():
     with pytest.raises(GraphStructureError):
         exact_below_threshold_count(g, 10, aliasing)
     with pytest.raises(GraphStructureError):
-        TrialInstance(g, assignment=Assignment(aliasing))
+        Assignment(g, aliasing)
     # (-1, 5) would alias the edge (0, 1)
     for u, v in ((-1, 5), (5, -1), (-1, 0), (0, 4), (-2, -1)):
         with pytest.raises(GraphStructureError, match=rf"\({u},{v}\)"):

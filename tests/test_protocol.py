@@ -18,7 +18,8 @@ from lwdp_triangles import (
 )
 from lwdp_triangles.estimators import expected_biased
 from lwdp_triangles.experiments import METHODS, method_named, run_sweep
-from lwdp_triangles.graph import triangle_weights
+from lwdp_triangles.assignment import Assignment
+from lwdp_triangles.graph import triangle_edge_ids, triangle_weights
 from lwdp_triangles.mechanisms import privatize_weight_vector, smooth_noise_sample
 from lwdp_triangles import protocol
 from lwdp_triangles.protocol import (
@@ -27,7 +28,6 @@ from lwdp_triangles.protocol import (
     STEP2_ROUND,
     Baseline,
     Mechanism,
-    TrialInstance,
     TwoStep,
     local_step2,
     release_step1,
@@ -221,7 +221,6 @@ def test_step2_isolation_from_other_nodes():
     rnd = random.Random(6)
     g = random_graph(rnd, 12, 0.6, -2, 2)
     assignment = greedy_assign(g)
-    instance = TrialInstance(g, assignment=assignment)
     noisy = release_step1(g, 1.0, RandomSource(8))
     received = {(y, z) for _, y, z in assignment.triangles_of(0).tolist()}
     assert received
@@ -238,8 +237,8 @@ def test_step2_isolation_from_other_nodes():
     for kind in EstimatorKind:
         for mechanism in Mechanism:
             args = (1, kind, mechanism, budget)
-            f, s = local_step2(instance, g.weight_array, noisy, *args)
-            f2, s2 = local_step2(instance, weights, tampered, *args)
+            f, s = local_step2(assignment, g.weight_array, noisy, *args)
+            f2, s2 = local_step2(assignment, weights, tampered, *args)
             assert (f2[0].hex(), s2[0].hex()) == (f[0].hex(), s[0].hex()), (kind, mechanism)
             # the tampering itself is observable at some other node
             assert (f2 != f).any() or (s2 != s).any(), (kind, mechanism)
@@ -315,8 +314,8 @@ def test_local_step2_matches_per_node_reference_bit_for_bit(monkeypatch):
         lam = rnd.randint(-4, 8)
         for kind in EstimatorKind:
             for mechanism in Mechanism:
-                f, s = local_step2(TrialInstance(g, assignment=assignment), g.weight_array,
-                                   noisy, lam, kind, mechanism, budget)
+                f, s = local_step2(assignment, g.weight_array, noisy, lam, kind, mechanism,
+                                   budget)
                 ref_f, ref_s = reference_step2(g, assignment, noisy, lam, kind, mechanism, budget)
                 assert [float(x).hex() for x in f] == [x.hex() for x in ref_f], (i, kind, mechanism)
                 assert [float(x).hex() for x in s] == [x.hex() for x in ref_s], (i, kind, mechanism)
@@ -454,16 +453,16 @@ def _report_fields(rep):
 
 
 def test_run_methods_matches_the_one_method_wrappers():
-    # one shared instance and one step-1 release per epsilon_1 give the
+    # one shared assignment and one step-1 release per epsilon_1 give the
     # same reports as a separate run per method on the same random source
     rnd = random.Random(44)
     for i in range(3):
         g = random_graph(rnd, rnd.randint(10, 30), rnd.uniform(0.3, 0.7), -3, 5)
-        instance = TrialInstance(g)
+        assignment = greedy_assign(g)
         methods = [method_named(m, 2.0) for m in METHODS]
         for seed in range(2):
             rng = RandomSource(seed).subsource(i)
-            reports = run_methods(instance, 4, methods, rng)
+            reports = run_methods(assignment, 4, methods, rng)
             assert len(reports) == len(methods)
             for method, rep in zip(methods, reports):
                 if isinstance(method, Baseline):
@@ -475,40 +474,52 @@ def test_run_methods_matches_the_one_method_wrappers():
 
 def test_run_methods_reads_every_edge_id_from_the_instance(monkeypatch):
     g = random_graph(random.Random(45), 20, 0.5, -2, 4)
-    instance = TrialInstance(g)
+    tris = enumerate_triangles(g)
+    assignment = greedy_assign(g, tris)
 
     def refuse(self, u, v):
         raise AssertionError("a run looked up edge ids")
 
     monkeypatch.setattr(WeightedGraph, "edge_ids", refuse)
     methods = [method_named(m, 1.0) for m in METHODS]
-    reports = run_methods(instance, 5, methods, RandomSource(3))
-    assert [rep.exact_count for rep in reports] == [instance.exact_count(5)] * len(METHODS)
+    reports = run_methods(assignment, 5, methods, RandomSource(3))
+    assert [rep.exact_count for rep in reports] == [assignment.exact_count(5)] * len(METHODS)
+    for method in methods[1:]:
+        run_two_step(g, 5, method.budget, method.kind, method.mechanism, RandomSource(3),
+                     triangles=tris, assignment=assignment)
 
 
-def test_trial_instance_holds_every_rows_edge_ids_and_true_weight():
+def test_assignment_holds_every_rows_edge_ids_and_counts_true_weights():
     g = random_graph(random.Random(46), 16, 0.5, -3, 3)
     tris = enumerate_triangles(g)
-    instance = TrialInstance(g, tris)
-    owner, y, z = instance.assignment.rows.T
+    assignment = greedy_assign(g, tris)
+    owner, y, z = assignment.rows.T
     expected = np.column_stack((g.edge_ids(owner, y), g.edge_ids(owner, z), g.edge_ids(y, z)))
-    assert instance.edge_ids.dtype == np.int32
-    assert instance.edge_ids.tolist() == expected.tolist()
-    weights = triangle_weights(g, g.weight_array, instance.assignment.rows)
-    assert instance.weights.dtype == np.int64
-    assert instance.weights.tolist() == weights.tolist()
-    for array in (instance.edge_ids, instance.weights):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    assert assignment.edge_ids.dtype == np.int32
+    assert assignment.edge_ids.tolist() == expected.tolist()
+    with pytest.raises(ValueError):
+        assignment.edge_ids[0] = 0
+    # the baseline's assignment gives every row to its first node
+    first = Assignment(g, tris)
+    assert first.rows.tolist() == tris.tolist()
+    assert first.edge_ids.tolist() == triangle_edge_ids(g, tris).tolist()
     for lam in (-2, 1, 5, 9):
-        assert instance.exact_count(lam) == exact_below_threshold_count(g, lam, tris)
-    # the baseline's instance holds the given rows and no assignment
-    alone = TrialInstance.for_baseline(g, tris)
-    assert alone.assignment is None
-    assert alone.weights.tolist() == triangle_weights(g, g.weight_array, tris).tolist()
-    two_step = TwoStep(PrivacyBudget(1.0, 1.0), EstimatorKind.BIASED)
-    with pytest.raises(ValueError, match="assignment"):
-        run_methods(alone, 1, [two_step], RandomSource(0))
+        expected = exact_below_threshold_count(g, lam, tris)
+        assert assignment.exact_count(lam) == first.exact_count(lam) == expected
+
+
+def test_run_two_step_rejects_an_assignment_built_on_another_graph():
+    g = random_graph(random.Random(47), 14, 0.6, -2, 2)
+    # the same edges with other weights
+    other = WeightedGraph(g.node_count, [(u, v, w + 1) for (u, v), w in g.edge_weights().items()])
+    budget = PrivacyBudget(1.0, 1.0)
+    with pytest.raises(ValueError, match="another graph"):
+        run_two_step(g, 3, budget, EstimatorKind.BIASED, assignment=greedy_assign(other))
+    # an equal graph built again is accepted
+    same = WeightedGraph(g.node_count, [(u, v, w) for (u, v), w in g.edge_weights().items()])
+    rep = run_two_step(g, 3, budget, EstimatorKind.BIASED, RandomSource(1),
+                       assignment=greedy_assign(same))
+    assert rep.estimate == run_two_step(g, 3, budget, EstimatorKind.BIASED, RandomSource(1)).estimate
 
 
 def test_release_step1_is_read_only():

@@ -33,7 +33,7 @@ def star_of_triangles(k):
     g = WeightedGraph(k + 2, edges)
     tris = enumerate_triangles(g)
     # force every triangle onto node 0 (noisy edge is the one opposite 0)
-    a = assignment_from_choices(tris, [(b, c) for _, b, c in tris.tolist()])
+    a = assignment_from_choices(g, tris, [(b, c) for _, b, c in tris.tolist()])
     return g, a
 
 
@@ -214,9 +214,7 @@ def test_local_sensitivity_matches_raw_estimator_differences():
         lam = rnd.randint(-3, 6)
         for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, math.exp(-1))):
             for v in range(g.node_count):
-                inst = build_instance(
-                    g, assignment, release, v, lam, 0.5, kind, p=p
-                )
+                inst = build_instance(assignment, release, v, lam, 0.5, kind, p=p)
                 base_w = {
                     canonical_edge(v, u): g.weight(v, u) for u in g.neighbors(v)
                 }
@@ -362,10 +360,10 @@ def test_oracle_accepts_explicit_radius():
 def test_build_instance_partial_sums():
     g = WeightedGraph(4, [(0, 1, 2), (0, 2, 3), (1, 2, 10), (0, 3, 4), (1, 3, 20)])
     tris = enumerate_triangles(g)  # {0,1,2} and {0,1,3}
-    a = assignment_from_choices(tris, [(b, c) for _, b, c in tris.tolist()])
+    a = assignment_from_choices(g, tris, [(b, c) for _, b, c in tris.tolist()])
     # the release is indexed by edge id: (0,1) (0,2) (0,3) (1,2) (1,3)
     release = np.array([-50, -50, -50, 11, 19])
-    inst = build_instance(g, a, release, 0, lam=9, beta=0.5, kind=EstimatorKind.BIASED)
+    inst = build_instance(a, release, 0, lam=9, beta=0.5, kind=EstimatorKind.BIASED)
     by_weight = {v.weight: sorted(v.partial_sums) for v in inst.edges}
     # edge (0,1) participates in both triangles: c = w_02 + w'_12 and w_03 + w'_13
     assert by_weight[2] == sorted([3 + 11, 4 + 19])
