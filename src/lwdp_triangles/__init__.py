@@ -22,7 +22,6 @@ from .mechanisms import (
     dlap_pmf,
     dlap_sample,
     laplace_sample,
-    privatize_weight_vector,
     smooth_noise_sample,
 )
 from .estimators import (
@@ -34,8 +33,6 @@ from .estimators import (
 from .sensitivity import (
     SmoothSensInstance,
     build_instance,
-    global_sensitivity,
-    local_sensitivity,
     smooth_sensitivities,
     smooth_sensitivity,
     smooth_sensitivity_bruteforce,

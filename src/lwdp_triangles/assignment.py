@@ -53,11 +53,13 @@ class Assignment:
         owner, y, z = rows.T
         if ((owner == y) | (owner == z) | (y == z)).any():
             raise ValueError("every assignment row must hold three distinct nodes")
-        ids = triangle_edge_ids(graph, rows)
+        self._store(graph, rows, triangle_edge_ids(graph, rows))
+
+    def _store(self, graph: WeightedGraph, rows: np.ndarray, ids: np.ndarray) -> None:
         # edge ids follow canonical order, so with the owner fixed the order
         # of the ids of (y, z) is the order of the triangles {owner, y, z};
         # rows with equal keys are equal, so the sort need not be stable
-        order = np.argsort(owner.astype(np.int64) * graph.edge_count + ids[:, 2])
+        order = np.argsort(rows[:, 0].astype(np.int64) * graph.edge_count + ids[:, 2])
         # the gathers copy, so the caller's rows are never written to
         rows, ids = rows[order], ids[order]
         swapped = rows[:, 1] > rows[:, 2]
@@ -113,6 +115,7 @@ def greedy_assign(
         triangles = enumerate_triangles(graph)
     ordered = np.sort(triangles, axis=1)
     a, b, c = ordered.T
+    ids = triangle_edge_ids(graph, ordered)
     loads = [0] * graph.edge_count
     owner_at = []  # the owner's index in (a, b, c), row by row
     # edge ids follow canonical order, so (a, b) < (a, c) < (b, c) by id too
@@ -120,8 +123,7 @@ def greedy_assign(
     # the ids become Python ints one chunk of rows at a time, so those of all
     # rows never exist at once
     for i in range(0, len(a), COUNT_CHUNK):
-        ids = triangle_edge_ids(graph, ordered[i:i + COUNT_CHUNK]).T.tolist()
-        for ab, ac, bc in zip(*ids):
+        for ab, ac, bc in zip(*ids[i:i + COUNT_CHUNK].T.tolist()):
             l_ab, l_ac, l_bc = loads[ab], loads[ac], loads[bc]
             if l_ab <= l_ac and l_ab <= l_bc:
                 loads[ab] = l_ab + 1
@@ -133,9 +135,14 @@ def greedy_assign(
                 loads[bc] = l_bc + 1
                 owner_at.append(0)
     index = np.array(owner_at, dtype=np.int64)
-    # (owner, y, z) is (a, b, c), (b, a, c) or (c, a, b)
-    columns = [np.choose(index, nodes) for nodes in ((a, b, c), (b, a, a), (c, c, b))]
-    return Assignment(graph, np.column_stack(columns))
+    # (owner, y, z) is (a, b, c), (b, a, c) or (c, a, b), and the ids of its
+    # edges (owner, y), (owner, z), (y, z) are (ab, ac, bc), (ab, bc, ac) or (ac, bc, ab)
+    ab, ac, bc = ids.T
+    ids = np.column_stack([np.choose(index, e) for e in ((ab, ab, ac), (ac, bc, bc), (bc, ac, ab))])
+    rows = np.column_stack([np.choose(index, v) for v in ((a, b, c), (b, a, a), (c, c, b))])
+    assignment = Assignment.__new__(Assignment)  # the rows are valid and their ids looked up
+    assignment._store(graph, rows.astype(np.int32, copy=False), ids)
+    return assignment
 
 
 def assignment_from_choices(

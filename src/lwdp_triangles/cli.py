@@ -16,13 +16,8 @@ from .experiments import (
 )
 from .graph import check_threshold, enumerate_triangles
 from .mechanisms import PrivacyBudget, RandomSource, check_dlap_epsilon
-from .protocol import Baseline, Mechanism, TwoStep, release_step1, run_methods
-from .sensitivity import (
-    build_instance,
-    global_sensitivity,
-    smooth_sensitivity,
-    smooth_sensitivity_bruteforce,
-)
+from .protocol import Baseline, Mechanism, TwoStep, local_step2, release_step1, run_methods
+from .sensitivity import build_instance, smooth_sensitivity, smooth_sensitivity_bruteforce
 
 
 def _cmd_assign(args) -> int:
@@ -50,7 +45,7 @@ def _usage_checked(args, check, *values, **options):
 
 
 def _cmd_sensitivity(args) -> int:
-    _usage_checked(args, check_dlap_epsilon, args.eps1)
+    budget = _usage_checked(args, PrivacyBudget, args.eps1, 1.0)
     graph = parse_edge_list(args.graph)
     if not (0 <= args.node < graph.node_count):
         print(f"node {args.node} out of range", file=sys.stderr)
@@ -58,18 +53,19 @@ def _cmd_sensitivity(args) -> int:
     kind = EstimatorKind(args.estimator)
     assignment = greedy_assign(graph)
     noisy = release_step1(graph, args.eps1, RandomSource(args.seed))
-    p = None if kind is EstimatorKind.BIASED else PrivacyBudget(args.eps1, 1.0).p
     inst = _usage_checked(
         args, build_instance,
-        assignment, noisy, args.node, args.lam, args.beta, kind, p=p,
+        assignment, noisy, args.node, args.lam, args.beta, kind, p=budget.p,
     )
-    gs = global_sensitivity(args.node, assignment, kind, p=p)
+    _, gs = local_step2(
+        assignment, graph.weight_array, noisy, args.lam, kind, Mechanism.GLOBAL_LAPLACE, budget
+    )
     fast = smooth_sensitivity(inst)
+    oracle = _usage_checked(args, smooth_sensitivity_bruteforce, inst) if args.oracle else None
     print(f"assigned_triangles: {len(assignment.triangles_of(args.node))}")
-    print(f"global_sensitivity: {gs:.12g}")
+    print(f"global_sensitivity: {gs[args.node]:.12g}")
     print(f"smooth_sensitivity: {fast:.12g}")
     if args.oracle:
-        oracle = smooth_sensitivity_bruteforce(inst)
         print(f"oracle: {oracle:.12g}")
     return 0
 

@@ -344,14 +344,3 @@ def smooth_noise_sample(rngs: Iterable[Generator]) -> np.ndarray:
     gives the uniforms of ``rng.random(n)``.
     """
     return _smooth_noise_inverse_cdf(np.fromiter(map(_open_uniform, rngs), dtype=float))
-
-
-def privatize_weight_vector(weights, epsilon_1: float, rng: Generator) -> np.ndarray:
-    """Step-1 release of one node: add iid DLap(e^{-epsilon_1}) noise to every
-    entry, and return the noisy weights as an int64 array.
-
-    ``protocol.release_step1`` makes the same draws for every node's slice
-    of the adjacency, with the budget checked once per release."""
-    check_dlap_epsilon(epsilon_1)
-    values = np.asarray(weights, dtype=np.int64)
-    return values + dlap_sample(math.exp(-epsilon_1), rng, size=len(values))

@@ -42,7 +42,7 @@ from .mechanisms import (
     laplace_sample,
     smooth_noise_sample,
 )
-from .sensitivity import segment_smooth_sensitivities
+from .sensitivity import Step2Segments, segment_smooth_sensitivities
 
 STEP1_ROUND = 1
 STEP2_ROUND = 2
@@ -144,8 +144,8 @@ def local_step2(
     through the assignment's edge ids.  f'_v is ``np.bincount`` of the
     per-triangle estimates, which adds in triangle order like a per-node
     loop; S_v is one ``segment_smooth_sensitivities`` call per batch over
-    one segment per (v, incident edge), and GS_v is the estimator step
-    bound times v's longest segment.
+    its ``Step2Segments``, one per (v, incident edge), and GS_v is the
+    estimator step bound times v's longest segment.
     """
     n = assignment.graph.node_count
     counts = np.zeros(n)
@@ -154,36 +154,23 @@ def local_step2(
     p = budget.p
     step = estimator_step_bound(kind, p)
     for first, end, lo, hi in _node_batches(rows[:, 0], n):
-        if lo == hi:
-            continue  # f'_v and S_v stay 0 for nodes without triangles
-        owner, y, z = rows[lo:hi].T.astype(np.int64)
+        owner, y, z = rows[lo:hi].T
         vy, vz, yz = assignment.edge_ids[lo:hi].T
-        w_vy = weights[vy]
-        w_vz = weights[vz]
-        received = noisy[yz]
+        w_vy, w_vz, received = weights[vy], weights[vz], noisy[yz]
         local = owner - first
         counts[first:end] = np.bincount(
             local,
             weights=estimate_array(kind, w_vy + w_vz + received, lam, p),
             minlength=end - first,
         )
-        # one segment per (owner, neighbour): the edge (v, y) carries the
-        # partial sum w(v, z) + w'(y, z) of every triangle, and vice versa
-        keys = np.concatenate((local * n + y, local * n + z))
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        lengths = np.diff(np.append(heads, len(keys)))
-        seg_owner = keys[heads] // n
+        seg = Step2Segments(local, y, z, w_vy, w_vz, received, n)
         if mechanism is Mechanism.GLOBAL_LAPLACE:
             longest = np.zeros(end - first, dtype=np.int64)
-            np.maximum.at(longest, seg_owner, lengths)
+            np.maximum.at(longest, seg.owner, seg.lengths)
             sens[first:end] = step * longest
         else:
-            sums = np.concatenate((w_vz + received, w_vy + received))[order]
-            edge_weight = np.concatenate((w_vy, w_vz))[order][heads]
             sens[first:end] = segment_smooth_sensitivities(
-                sums, lengths, lam - 1 - edge_weight, seg_owner, end - first,
+                seg.sums, seg.lengths, lam - 1 - seg.incident, seg.owner, end - first,
                 kind, budget.beta, p,
             )
     return counts, sens

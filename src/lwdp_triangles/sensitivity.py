@@ -1,4 +1,4 @@
-"""Global and beta-smooth sensitivity of a node's below-threshold triangle count.
+"""beta-smooth sensitivity of a node's below-threshold triangle count.
 
 The smooth computation reformulates sensitivity-at-distance as shifting the
 per-triangle partial sums c_j onto a moving integer target t at l1 cost,
@@ -19,9 +19,10 @@ edge), and scores them in one NumPy pass: the segments become one sorted
 int64 key array, searchsorted gives the counts at every candidate target,
 and the walks run as masked rounds.  Every e^{-beta n} is ``math.exp`` of an
 integer n, so the values are bit-identical to a per-target scalar
-evaluation.  The protocol builds the segments from its triangle arrays;
-``smooth_sensitivities`` flattens ``SmoothSensInstance`` objects into them,
-and ``smooth_sensitivity`` is the one-instance form.
+evaluation.  ``Step2Segments`` builds the segments of assigned rows, for step
+2's S_v and GS_v (the step bound times a node's longest segment) and for
+``build_instance``; ``smooth_sensitivities`` flattens ``SmoothSensInstance``
+objects into them, and ``smooth_sensitivity`` is the one-instance form.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target in an exact pruning radius and exhausts all shift counts
@@ -33,39 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
 
 from .assignment import Assignment, InstanceTooLargeError
-from .estimators import EstimatorKind, estimator_step_bound, unbiased_correction
+from .estimators import EstimatorKind, unbiased_correction
 from .graph import check_threshold
-
-
-# -- global sensitivity ------------------------------------------------------
-
-
-def global_sensitivity(
-    node: int,
-    assignment: Assignment,
-    kind: EstimatorKind,
-    p: float | None = None,
-) -> float:
-    """Worst-case change of the local count when one incident weight moves by 1.
-
-    Equals the estimator step bound times the largest number of assigned
-    triangles sharing a single incident edge, counted from the node's
-    assignment rows (public data).
-    """
-    if kind is EstimatorKind.UNBIASED and p is None:
-        raise ValueError("the unbiased estimator needs p = e^{-epsilon_1}")
-    rows = assignment.triangles_of(node)
-    if not len(rows):
-        return 0.0
-    # assigned triangles through each incident edge (node, u), by neighbour u
-    longest = int(np.bincount(rows[:, 1:].ravel()).max())
-    return estimator_step_bound(kind, 0.0 if p is None else p) * longest
 
 
 # -- per-node local view ------------------------------------------------------
@@ -100,6 +76,42 @@ class SmoothSensInstance:
             raise ValueError("the unbiased estimator needs p in [0,1)")
 
 
+class Step2Segments:
+    """The segments of a batch of assigned rows (owner, y, z), one per (owner, neighbour).
+
+    The owner v holds w(v, y), w(v, z) and the received w'(y, z) of each row:
+    the edge (v, y) carries the partial sum w(v, z) + w'(y, z), and the edge
+    (v, z) carries w(v, y) + w'(y, z).  Owners are batch-local ids >= 0.
+    ``owner`` and ``lengths`` list the segments in (owner, neighbour) order;
+    GS_v reads nothing else, so ``incident`` and ``sums`` are built when read.
+    """
+
+    def __init__(self, owner, y, z, w_vy, w_vz, received, node_count):
+        # in ``Assignment`` row order (owner, then (y, z) with y < z) the rows through
+        # z = u precede those through y = u, so each segment's sums come in row order
+        key = np.asarray(owner, dtype=np.int64) * node_count
+        keys = np.concatenate((key + z, key + y))
+        self._order = np.argsort(keys, kind="stable")
+        keys = keys[self._order]
+        # segments start at the first key (keys[:1] >= 0 is [] without rows) and key changes
+        self._heads = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
+        self.owner = keys[self._heads] // node_count
+        self.lengths = np.diff(self._heads, append=len(keys))
+        self._rows = w_vy, w_vz, received
+
+    @property
+    def incident(self) -> np.ndarray:
+        """Every segment's incident-edge weight."""
+        w_vy, w_vz, _ = self._rows
+        return np.concatenate((w_vz, w_vy))[self._order[self._heads]]
+
+    @property
+    def sums(self) -> np.ndarray:
+        """The int64 partial sums, grouped by segment."""
+        w_vy, w_vz, received = self._rows
+        return np.concatenate((w_vy + received, w_vz + received))[self._order]
+
+
 def build_instance(
     assignment: Assignment,
     noisy_weights: np.ndarray,
@@ -111,43 +123,17 @@ def build_instance(
 ) -> SmoothSensInstance:
     """``node``'s instance from exactly the data it holds in step 2: its
     incident weights, its assigned rows, and the step-1 release
-    ``noisy_weights`` (indexed by edge id) at the edges opposite it, all
-    read through the assignment's edge ids."""
+    ``noisy_weights`` (indexed by edge id) at the edges opposite it, read
+    through the assignment's edge ids; one view per segment."""
     span = assignment.span(node)
-    _, y, z = assignment.rows[span].T
+    owner, y, z = assignment.rows[span].T
     vy, vz, yz = assignment.edge_ids[span].T
-    received = noisy_weights[yz]
-    w_vy = assignment.graph.weight_array[vy]
-    w_vz = assignment.graph.weight_array[vz]
-    # the edge (node, y) carries w(node, z) + w'(y, z), and vice versa
-    sums: dict[tuple[int, int], list[int]] = {}  # (neighbour, incident weight) -> sums
-    rows = zip(y.tolist(), z.tolist(), w_vy.tolist(), w_vz.tolist(), received.tolist())
-    for u, x, w_u, w_x, r in rows:
-        sums.setdefault((u, w_u), []).append(w_x + r)
-        sums.setdefault((x, w_x), []).append(w_u + r)
-    views = tuple(EdgeLocalView(w, tuple(c)) for (_, w), c in sorted(sums.items()))
+    weights, n = assignment.graph.weight_array, assignment.graph.node_count
+    seg = Step2Segments(owner - node, y, z, weights[vy], weights[vz], noisy_weights[yz], n)
+    sums = iter(seg.sums.tolist())
+    cuts = zip(seg.incident.tolist(), seg.lengths.tolist())
+    views = tuple(EdgeLocalView(w, tuple(islice(sums, k))) for w, k in cuts)
     return SmoothSensInstance(node, lam, beta, kind, p, views)
-
-
-def _anchor_targets(view: EdgeLocalView, lam: int) -> tuple[int, int]:
-    # Initial target for a +1 step on this edge, and for a -1 step.
-    return lam - 1 - view.weight, lam - view.weight
-
-
-def local_sensitivity(inst: SmoothSensInstance) -> float:
-    """Sensitivity at the instance itself (the z = 0 term of the smooth max)."""
-    best = 0.0
-    x = unbiased_correction(inst.p) if inst.kind is EstimatorKind.UNBIASED else 0.0
-    for view in inst.edges:
-        c = view.partial_sums
-        for theta in _anchor_targets(view, inst.lam):
-            on = sum(1 for v in c if v == theta)
-            if inst.kind is EstimatorKind.BIASED:
-                best = max(best, float(on))
-            else:
-                adjacent = sum(1 for v in c if abs(v - theta) == 1)
-                best = max(best, abs(x * adjacent - (1.0 + 2.0 * x) * on))
-    return best
 
 
 # -- smooth sensitivity, batched over instances --------------------------------
@@ -353,7 +339,7 @@ def smooth_sensitivities(instances: Sequence[SmoothSensInstance]) -> np.ndarray:
             for view in inst.edges:
                 if view.partial_sums:
                     owners.append(i)
-                    anchors.append(_anchor_targets(view, inst.lam)[0])
+                    anchors.append(inst.lam - 1 - view.weight)
                     sums.append(view.partial_sums)
         lengths = np.fromiter(map(len, sums), np.int64, len(sums))
         try:
@@ -471,7 +457,8 @@ def smooth_sensitivity_bruteforce(inst: SmoothSensInstance, radius: int | None =
         if not view.partial_sums:
             continue
         c = sorted(view.partial_sums)
-        for theta in _anchor_targets(view, inst.lam):
+        # the initial targets of a +1 step on this edge and of a -1 step
+        for theta in (inst.lam - 1 - view.weight, inst.lam - view.weight):
             if inst.kind is EstimatorKind.BIASED:
                 best = max(best, _brute_biased_anchor(c, theta, inst.beta, radius))
             else:

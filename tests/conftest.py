@@ -6,15 +6,10 @@ from __future__ import annotations
 import random
 
 from lwdp_triangles import WeightedGraph
-from lwdp_triangles.estimators import EstimatorKind, estimate
+from lwdp_triangles.estimators import EstimatorKind, estimate, estimator_step_bound
 from lwdp_triangles.graph import canonical_edge
 from lwdp_triangles.protocol import Mechanism
-from lwdp_triangles.sensitivity import (
-    EdgeLocalView,
-    SmoothSensInstance,
-    global_sensitivity,
-    smooth_sensitivity,
-)
+from lwdp_triangles.sensitivity import EdgeLocalView, SmoothSensInstance, smooth_sensitivity
 
 
 def complete_graph(n: int, weight: int = 1) -> WeightedGraph:
@@ -95,7 +90,9 @@ def reference_step2(graph, assignment, noisy, lam, kind, mechanism, budget):
     Node v reads its incident weights and the noisy weights of the edges
     opposite it in its assigned triangles (``noisy`` is the step-1 release,
     indexed by edge id); f'_v is a per-triangle ``estimate`` loop and S_v the
-    smooth sensitivity of ``instance_from_node_data`` (GS_v under Laplace noise).
+    smooth sensitivity of ``instance_from_node_data``.  Under Laplace noise
+    it is GS_v: the estimator step bound times the instance's longest list
+    of partial sums.
     """
     noisy = dict(zip(graph.edges(), noisy.tolist()))
     owned: dict[int, list[tuple[int, int, int]]] = {}
@@ -115,11 +112,12 @@ def reference_step2(graph, assignment, noisy, lam, kind, mechanism, budget):
             )
             total += estimate(kind, noisy_sum, lam, budget.p)
         counts.append(total)
+        inst = instance_from_node_data(
+            v, incident, assigned, received, lam, budget.beta, kind, p=budget.p
+        )
         if mechanism is Mechanism.SMOOTH:
-            inst = instance_from_node_data(
-                v, incident, assigned, received, lam, budget.beta, kind, p=budget.p
-            )
             sens.append(smooth_sensitivity(inst))
         else:
-            sens.append(global_sensitivity(v, assignment, kind, p=budget.p))
+            longest = max((len(view.partial_sums) for view in inst.edges), default=0)
+            sens.append(estimator_step_bound(kind, budget.p) * longest)
     return counts, sens

@@ -231,3 +231,32 @@ def test_assignment_sorts_rows_like_a_three_key_lexsort_and_keeps_their_edge_ids
             assert not np.shares_memory(array, rows)
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+def test_greedy_looks_up_every_triangles_edge_ids_once(monkeypatch):
+    from lwdp_triangles import assignment as assignment_mod
+
+    looked_up = []
+
+    def counted(graph, rows):
+        looked_up.append(len(rows))
+        return lookup(graph, rows)
+
+    lookup = assignment_mod.triangle_edge_ids
+    monkeypatch.setattr(assignment_mod, "triangle_edge_ids", counted)
+    rnd = random.Random(35)
+    # K31 has 4,495 triangles: more than one chunk of the greedy pass
+    graphs = [WeightedGraph(5, []), complete_graph(5), complete_graph(31)]
+    graphs += [random_graph(rnd, rnd.randint(6, 30), rnd.uniform(0.3, 0.9), -2, 2)
+               for _ in range(8)]
+    for g in graphs:
+        tris = enumerate_triangles(g)
+        for given in (None, tris, tris.astype(np.int64)):
+            looked_up.clear()
+            greedy = greedy_assign(g, given)
+            assert sum(looked_up) == len(tris)
+            again = Assignment(g, greedy.rows)
+            for got, want in ((greedy.rows, again.rows), (greedy.edge_ids, again.edge_ids)):
+                assert got.dtype == np.int32 and np.array_equal(got, want)
+                with pytest.raises(ValueError):
+                    got[...] = 0

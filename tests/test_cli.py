@@ -64,6 +64,60 @@ def test_sensitivity_fast_matches_oracle(graph_file, capsys):
     assert float(values["global_sensitivity"]) >= float(values["smooth_sensitivity"]) - 1e-9
 
 
+
+@pytest.fixture()
+def ci_graph_file(tmp_path):
+    """The graph of the CI cross-process check: node 0 has no assigned
+    triangles, node 5 has 4 and node 54 has 14."""
+    path = tmp_path / "ci_graph.txt"
+    write_edge_list(generate_synthetic(80, 0.15, seed=3), path)
+    return str(path)
+
+
+def _sensitivity(graph_file, node, estimator, *extra):
+    return main([
+        "sensitivity", "--graph", graph_file, "--node", str(node), "--beta", "0.25",
+        "--estimator", estimator, "--lambda", "6", "--seed", "3", *extra,
+    ])
+
+
+# recorded before GS_v and the instance came from one segment builder
+_GOLDEN_SENSITIVITY = {
+    (0, "biased"): (0, "0", "0"),
+    (0, "unbiased"): (0, "0", "0"),
+    (5, "biased"): (4, "3", "0.735758882343"),
+    (5, "unbiased"): (4, "8.52404156525", "2.0905464317"),
+}
+
+
+@pytest.mark.parametrize("node,estimator", sorted(_GOLDEN_SENSITIVITY))
+def test_sensitivity_oracle_output_matches_recorded_golden(ci_graph_file, node, estimator, capsys):
+    assert _sensitivity(ci_graph_file, node, estimator, "--oracle") == 0
+    triangles, gs, smooth = _GOLDEN_SENSITIVITY[node, estimator]
+    assert capsys.readouterr().out == (
+        f"assigned_triangles: {triangles}\n"
+        f"global_sensitivity: {gs}\n"
+        f"smooth_sensitivity: {smooth}\n"
+        f"oracle: {smooth}\n"
+    )
+
+
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+def test_sensitivity_oracle_over_its_cap_is_a_usage_error(ci_graph_file, estimator, capsys):
+    # node 54's instance is over the oracle's 12-edge cap: the command used
+    # to print three lines and then fail with a traceback
+    with pytest.raises(SystemExit) as exc:
+        _sensitivity(ci_graph_file, 54, estimator, "--oracle")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lwdp-triangles sensitivity: error:" in captured.err
+    assert "capped at degree 12" in captured.err
+    # without the oracle the node runs
+    assert _sensitivity(ci_graph_file, 54, estimator) == 0
+    assert "assigned_triangles: 14\n" in capsys.readouterr().out
+
+
 def test_experiment_writes_csv(graph_file, tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     rc = main([

@@ -393,9 +393,9 @@ def test_sweep_looks_up_edge_ids_once_and_shares_step_1_per_epsilon_1(monkeypatc
     run_sweep(ExperimentConfig(axis="eps", values=(2.0,), trials=trials, seed=3), g)
     # the baseline spends epsilon whole and the four two-step methods half
     # of it in step 1: two releases per trial; per axis point, the greedy
-    # pass looks up the ids of its one chunk of triangles and the assignment
-    # those of its rows, and no run looks up any
-    assert calls == {"ids": 2, "release": 2 * trials}
+    # pass looks up the ids of its triangles once and hands them to the
+    # assignment, and no run looks up any
+    assert calls == {"ids": 1, "release": 2 * trials}
 
 
 # recorded before the sweep shared one instance per axis point and one

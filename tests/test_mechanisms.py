@@ -15,7 +15,6 @@ from lwdp_triangles.mechanisms import (
     dlap_pmf,
     dlap_sample,
     laplace_sample,
-    privatize_weight_vector,
     smooth_noise_cdf,
     smooth_noise_pdf,
     smooth_noise_sample,
@@ -152,22 +151,25 @@ def test_smooth_noise_config_derived_quantities():
     assert PrivacyBudget(1.0, 2.0).beta == pytest.approx(1 / 3)
 
 
-def test_privatize_weight_vector():
+def test_dlap_sample_noises_a_weight_vector():
+    # step 1 adds one dlap_sample(e^{-epsilon_1}, stream, size=d) to each
+    # node's d incident weights
     rng = RandomSource(9).stream(0, 1)
     w = [3, -1, 0, 12]
-    noisy = privatize_weight_vector(w, 1.0, rng)
-    assert noisy.shape == (len(w),) and noisy.dtype == np.int64
+    noise = dlap_sample(math.exp(-1.0), rng, size=len(w))
+    assert noise.shape == (len(w),) and noise.dtype == np.int64
     # e^{-700} > 0 but 1 - e^{-700} == 1.0, so every DLap draw is exactly 0
-    assert privatize_weight_vector(w, 700.0, rng).tolist() == w
-    # a read-only slice (as step 1 passes) is noised, not written to
+    assert dlap_sample(math.exp(-700.0), rng, size=len(w)).tolist() == [0] * len(w)
+    # a read-only slice is noised into a new array, not written to
     view = np.array(w, dtype=np.int64)
     view.flags.writeable = False
-    assert privatize_weight_vector(view[1:], 700.0, rng).tolist() == w[1:]
+    noisy = view[1:] + dlap_sample(math.exp(-700.0), rng, size=len(view[1:]))
+    assert noisy.tolist() == w[1:] and view.tolist() == w
     # per-entry empirical mean recovers the true weight
     acc = np.zeros(len(w))
     trials = 4000
     for s in range(trials):
-        acc += privatize_weight_vector(w, 1.0, RandomSource(50 + s).stream(0, 1))
+        acc += w + dlap_sample(math.exp(-1.0), RandomSource(50 + s).stream(0, 1), size=len(w))
     sigma = math.sqrt(2 * math.exp(-1) / (1 - math.exp(-1)) ** 2)
     se = sigma / math.sqrt(trials)
     assert np.all(np.abs(acc / trials - np.asarray(w)) <= 4 * se)

@@ -20,7 +20,7 @@ from lwdp_triangles.estimators import expected_biased
 from lwdp_triangles.experiments import METHODS, method_named, run_sweep
 from lwdp_triangles.assignment import Assignment
 from lwdp_triangles.graph import triangle_edge_ids, triangle_weights
-from lwdp_triangles.mechanisms import privatize_weight_vector, smooth_noise_sample
+from lwdp_triangles.mechanisms import dlap_sample, smooth_noise_sample
 from lwdp_triangles import protocol
 from lwdp_triangles.protocol import (
     SENSITIVITY_FLUSH_SIZE,
@@ -69,8 +69,8 @@ def test_symmetrization_tie_break():
         noisy = release_step1(g, 1.0, RandomSource(seed))
         assert noisy.shape == (1,) and noisy.dtype == np.int64
         # the public weight is the release of the lower-id endpoint
-        own = privatize_weight_vector([5], 1.0, RandomSource(seed).stream(0, STEP1_ROUND))
-        other = privatize_weight_vector([5], 1.0, RandomSource(seed).stream(1, STEP1_ROUND))
+        own = 5 + dlap_sample(math.exp(-1.0), RandomSource(seed).stream(0, STEP1_ROUND), size=1)
+        other = 5 + dlap_sample(math.exp(-1.0), RandomSource(seed).stream(1, STEP1_ROUND), size=1)
         assert noisy[0] == own[0]
         told_apart += own[0] != other[0]
     assert told_apart  # some seeds give the two endpoints different releases
@@ -93,7 +93,10 @@ def reference_step1(g, epsilon_1, rng):
     public = {}
     for v in range(g.node_count):
         vector = [g.weight(v, u) for u in g.neighbors(v)]
-        noisy = privatize_weight_vector(vector, epsilon_1, rng.stream(v, STEP1_ROUND))
+        stream = rng.stream(v, STEP1_ROUND)
+        noisy = np.array(vector, dtype=np.int64) + dlap_sample(
+            math.exp(-epsilon_1), stream, size=len(vector)
+        )
         for u, w in zip(g.neighbors(v), noisy.tolist()):
             if v < u:
                 public[(v, u)] = w
@@ -378,7 +381,7 @@ def test_invalid_budget_is_configuration_error():
 
 def test_privacy_facing_signatures_have_no_private_parameters():
     # debug-only switches do not belong in privacy-facing signatures
-    for fn in (run_two_step, run_baseline, release_step1, privatize_weight_vector, run_sweep):
+    for fn in (run_two_step, run_baseline, release_step1, run_sweep):
         private = [name for name in inspect.signature(fn).parameters if name.startswith("_")]
         assert private == [], f"{fn.__name__} takes {private}"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -6,20 +7,25 @@ import numpy as np
 import pytest
 
 from lwdp_triangles import WeightedGraph, enumerate_triangles
-from lwdp_triangles.assignment import InstanceTooLargeError, assignment_from_choices
+from lwdp_triangles.assignment import (
+    InstanceTooLargeError,
+    assignment_from_choices,
+    greedy_assign,
+)
 from lwdp_triangles.estimators import EstimatorKind, unbiased_correction
+from lwdp_triangles.graph import canonical_edge
+from lwdp_triangles.mechanisms import PrivacyBudget, RandomSource
+from lwdp_triangles.protocol import Mechanism, local_step2, release_step1
 from lwdp_triangles.sensitivity import (
     EdgeLocalView,
     SmoothSensInstance,
     build_instance,
-    global_sensitivity,
-    local_sensitivity,
     smooth_sensitivities,
     smooth_sensitivity,
     smooth_sensitivity_bruteforce,
 )
 
-from conftest import random_local_instance
+from conftest import instance_from_node_data, random_graph, random_local_instance
 
 PS = (math.exp(-0.5), math.exp(-1.0), math.exp(-2.0))
 
@@ -48,21 +54,23 @@ def single_triangle_instance(kind, lam, w1, w2, w_prime, beta, p=None):
 # -- global sensitivity -------------------------------------------------------
 
 
+def step2_global_sensitivity(assignment, kind, p):
+    """Every node's GS_v as the protocol's step 2 computes it under Laplace noise."""
+    g = assignment.graph
+    budget = PrivacyBudget(-math.log(p), 1.0)
+    mechanism = Mechanism.GLOBAL_LAPLACE
+    return local_step2(assignment, g.weight_array, g.weight_array, 0, kind, mechanism, budget)[1]
+
+
 def test_global_sensitivity_shared_edge():
     _, a = star_of_triangles(5)
-    assert global_sensitivity(0, a, EstimatorKind.BIASED) == 5.0
-    assert global_sensitivity(0, a, EstimatorKind.UNBIASED, p=0.5) == pytest.approx(25.0)
+    assert step2_global_sensitivity(a, EstimatorKind.BIASED, 0.5)[0] == 5.0
+    assert step2_global_sensitivity(a, EstimatorKind.UNBIASED, 0.5)[0] == pytest.approx(25.0)
 
 
 def test_global_sensitivity_empty():
     _, a = star_of_triangles(3)
-    assert global_sensitivity(2, a, EstimatorKind.BIASED) == 0.0
-
-
-def test_global_sensitivity_requires_p_for_unbiased():
-    _, a = star_of_triangles(2)
-    with pytest.raises(ValueError):
-        global_sensitivity(0, a, EstimatorKind.UNBIASED)
+    assert step2_global_sensitivity(a, EstimatorKind.BIASED, 0.5)[2] == 0.0
 
 
 # -- smooth sensitivity: worked examples --------------------------------------
@@ -114,7 +122,6 @@ def test_empty_instance_is_zero():
     inst = SmoothSensInstance(0, 3, 0.5, EstimatorKind.UNBIASED, 0.5, ())
     assert smooth_sensitivity(inst) == 0.0
     assert smooth_sensitivity_bruteforce(inst) == 0.0
-    assert local_sensitivity(inst) == 0.0
 
 
 def test_kind_dispatch_guards():
@@ -164,7 +171,9 @@ def test_smooth_dominates_local_sensitivity_and_respects_global_cap():
         p = None if kind is EstimatorKind.BIASED else PS[i % 3]
         inst = random_local_instance(rnd, kind, p=p)
         fast = smooth_sensitivity(inst)
-        assert fast >= local_sensitivity(inst) - 1e-12
+        # at beta = 50 every term at distance z >= 1 is below e^{-50}: the
+        # local sensitivity
+        assert fast >= smooth_sensitivity(dataclasses.replace(inst, beta=50.0)) - 1e-12
         step = 1.0 if kind is EstimatorKind.BIASED else 1.0 + 2.0 * unbiased_correction(p)
         cap = step * max((len(v.partial_sums) for v in inst.edges), default=0)
         assert fast <= cap + 1e-9
@@ -186,13 +195,9 @@ def test_beta_monotonicity():
 
 def test_local_sensitivity_matches_raw_estimator_differences():
     # ties the c_j / anchor reformulation back to max_{w ~ w'} |f'_v(w) - f'_v(w')|
-    # computed directly from the estimator sums on real graphs
-    from lwdp_triangles.assignment import greedy_assign
+    # computed directly from the estimator sums on real graphs: the smooth
+    # sensitivity dominates it, and at beta = 50 equals it
     from lwdp_triangles.estimators import estimate
-    from lwdp_triangles.graph import canonical_edge
-    from lwdp_triangles.mechanisms import RandomSource
-    from lwdp_triangles.protocol import release_step1
-    from conftest import random_graph
 
     def raw_local_count(graph, assigned, node, weights, noisy, lam, kind, p):
         total = 0.0
@@ -230,7 +235,9 @@ def test_local_sensitivity_matches_raw_estimator_differences():
                             g, assigned, v, bumped, noisy, lam, kind, p_eff
                         )
                         worst = max(worst, abs(f1 - f0))
-                assert local_sensitivity(inst) == pytest.approx(worst, abs=1e-9)
+                assert smooth_sensitivity(inst) >= worst - 1e-12
+                local = smooth_sensitivity(dataclasses.replace(inst, beta=50.0))
+                assert local == pytest.approx(worst, abs=1e-9)
 
 
 def test_fast_matches_oracle_adversarial_parameters():
@@ -373,6 +380,33 @@ def test_build_instance_partial_sums():
         0, 9, 0.5, EstimatorKind.BIASED, None,
         (EdgeLocalView(2, (14, 23)), EdgeLocalView(3, (13,)), EdgeLocalView(4, (21,))),
     )
+
+
+
+def test_build_instance_equals_the_per_node_reference_on_every_node():
+    # nodes with no assigned triangles, negative weights and both estimators:
+    # the views, their order and the order of every view's sums are exact
+    rnd = random.Random(77)
+    seen_empty = 0
+    for trial in range(24):
+        g = random_graph(rnd, rnd.randint(4, 16), rnd.uniform(0.2, 0.8), -5, 5)
+        assignment = greedy_assign(g)
+        release = release_step1(g, 0.7, RandomSource(trial))
+        noisy = dict(zip(g.edges(), release.tolist()))
+        lam = rnd.randint(-4, 8)
+        for v in range(g.node_count):
+            incident = {canonical_edge(v, u): g.weight(v, u) for u in g.neighbors(v)}
+            assigned = sorted(tuple(sorted(t)) for t in assignment.triangles_of(v).tolist())
+            received = {}
+            for t in assigned:
+                y, z = (u for u in t if u != v)
+                received[(y, z)] = noisy[(y, z)]
+            seen_empty += not assigned
+            for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, 0.4)):
+                got = build_instance(assignment, release, v, lam, 0.3, kind, p=p)
+                want = instance_from_node_data(v, incident, assigned, received, lam, 0.3, kind, p)
+                assert got == want, (trial, v, kind)
+    assert seen_empty > 0
 
 
 def test_instance_validation():
