@@ -76,7 +76,10 @@ class Assignment:
         return dict(zip(map(tuple, edges.tolist()), counts.tolist()))
 
     def span(self, node: int) -> slice:
-        """Where ``node``'s rows lie in ``rows`` and ``edge_ids``."""
+        """Where ``node``'s rows lie in ``rows`` and ``edge_ids``; a node
+        outside [0, n) raises ``ValueError``."""
+        if not 0 <= node < self.graph.node_count:
+            raise ValueError(f"node {node} is not in [0, {self.graph.node_count})")
         lo, hi = np.searchsorted(self.rows[:, 0], (node, node + 1))
         return slice(lo, hi)
 

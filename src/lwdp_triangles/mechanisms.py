@@ -1,28 +1,20 @@
 """Randomized primitives: discrete Laplace, continuous Laplace, smooth-sensitivity noise.
 
-All samplers draw from explicit ``numpy.random.Generator`` streams.  The
-protocol derives one independent substream per (node, round) pair from a
-single master seed, so runs are bit-identical under a fixed seed and
-per-node work never contends on a shared generator.
-
-Every substream is the stream ``default_rng(SeedSequence(seed,
-spawn_key=key))`` would give, bit for bit, but ``RandomSource`` does not
-build a ``SeedSequence`` per key.  It runs numpy's published SeedSequence
-hash (``hashmix``/``mix`` over a pool of four 32-bit words, then
-``generate_state(4, uint64)``) itself, once for a whole batch of keys: the
-words shared by every key are hashed once as Python ints and the per-key
-words as uint64 arrays.  Each key's four seed words then seed a fresh
-``PCG64``.  ``test_mechanisms::test_seeding_kernel_matches_numpy_seed_sequence``
-checks the kernel against numpy's own ``SeedSequence`` on more than 10,000
-keys, so a change of numpy's seeding would fail there first.
-
-The smooth-noise sampler takes one stream per draw: every node's uniform
-still comes from its own substream, and one batched inverse CDF serves all
-of them.
+Every draw comes from one substream per (node, round) pair, derived from a
+single master seed: the stream ``default_rng(SeedSequence(seed,
+spawn_key=key))`` would give, bit for bit.  ``RandomSource`` runs numpy's
+SeedSequence hash for a whole batch of keys at once (shared words as Python
+ints, per-key words as uint64 arrays), and ``node_raw`` runs numpy's PCG64
+on the seeds in blocked uint64 array passes, so the protocol builds no
+generator per node.  The node samplers repeat numpy's own DLap (its
+geometric search, from epsilon = ln 1.5 up; below, each node draws from its
+own generator), Laplace and uniform draws on those outputs; ``test_mechanisms``
+checks the hash and every sampler against numpy itself on over 10,000 keys.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -194,6 +186,69 @@ def _generator(words: np.ndarray) -> Generator:
     return Generator(PCG64(_SeedWords(words)))
 
 
+# -- numpy's PCG64, batched over streams ---------------------------------------
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# (stream, draw) lanes of one kernel block at most: this bounds its temporary arrays
+KERNEL_LANES = 8192
+
+
+def _mul128(ah, al, bh, bl):
+    """(a * b) mod 2^128 of (high, low) uint64 words, by 32-bit halves."""
+    a1, a0, b1, b0 = al >> 32, al & _MASK32, bl >> 32, bl & _MASK32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    carry = (mid & _MASK32) + a0 * b1
+    return a1 * b1 + (mid >> 32) + (carry >> 32) + ah * bl + al * bh, al * bl
+
+
+def _add128(ah, al, bh, bl):
+    low = al + bl
+    return ah + bh + (low < al), low
+
+
+@functools.lru_cache(maxsize=None)
+def _jumps(steps: int) -> tuple[np.ndarray, ...]:
+    # the (high, low) uint64 words of a^k and of a^(k-1) + ... + 1 for k = 1..steps;
+    # callers ask for powers of two, so few tables are ever built
+    power, total, words = 1, 0, []
+    for _ in range(steps):
+        power, total = power * _PCG_MULT % (1 << 128), (total * _PCG_MULT + 1) % (1 << 128)
+        words.append((*divmod(power, 1 << 64), *divmod(total, 1 << 64)))
+    return tuple(np.array(words, dtype=np.uint64).reshape(-1, 4).T)
+
+
+def _pcg64_raw(seeds: np.ndarray, counts: np.ndarray):
+    """Blocks (rows, draws, raw): raw[k, i] is output draws[k] of the PCG64
+    seeded by ``seeds[i]``, for the rows i < rows still drawing (rows sorted
+    by decreasing count), and padding past counts[i].
+
+    ``pcg64_set_seed`` reads the state from words 0-1 and the sequence from
+    2-3, high word first; ``srandom`` sets inc = 2 seq + 1, steps from state
+    0, adds the state and steps.  Output k is XSL-RR of s_k = a^k s_0 +
+    (a^(k-1) + ... + 1) inc; a block takes J steps for all its rows at once.
+    """
+    top = int(counts.max(initial=0))
+    ah, al, gh, gl = _jumps(1 << (min(top, KERNEL_LANES) - 1).bit_length())
+    ch, cl = seeds[:, 2] << 1 | seeds[:, 3] >> 63, seeds[:, 3] << 1 | 1
+    sh, sl = _add128(ch, cl, seeds[:, 0], seeds[:, 1])
+    sh, sl = _add128(*_mul128(sh, sl, ah[:1], al[:1]), ch, cl)
+    # the terms (a^(k-1) + ... + 1) inc of every row, the same in every block
+    th = tl = np.empty((0, counts.size), dtype=np.uint64)
+    done = 0  # draws made by every row still drawing
+    while done < top:
+        rows = int(np.searchsorted(-counts, -done))  # the rows with count > done
+        j = min(max(KERNEL_LANES // rows, 1), top - done)
+        if j > len(th):
+            more = _mul128(ch[:rows], cl[:rows], gh[len(th):j, None], gl[len(th):j, None])
+            th, tl = (np.concatenate((old[:, :rows], new)) for old, new in zip((th, tl), more))
+        high, low = _mul128(sh[:rows], sl[:rows], ah[:j, None], al[:j, None])
+        high, low = _add128(high, low, th[:j, :rows], tl[:j, :rows])
+        sh, sl, mixed, rot = high[-1], low[-1], high ^ low, high >> 58
+        yield rows, np.arange(done, done + j), mixed >> rot | mixed << (64 - rot & 63)
+        done += j
+
+
 class RandomSource:
     """Master seed plus a deterministic substream per (node, round) pair.
 
@@ -202,8 +257,8 @@ class RandomSource:
     another key level (used to pair trials across methods in experiments).
     ``stream(*key)`` equals ``default_rng(SeedSequence(seed,
     spawn_key=prefix + key))`` bit for bit, and rejects what that rejects (a
-    negative seed or key entry).  ``node_streams`` gives the streams of many
-    nodes from one batched pass of the same seeding kernel.
+    negative seed or key entry).  ``node_streams`` and ``node_raw`` give the
+    streams and the outputs of many nodes from one batched hash.
     """
 
     def __init__(self, seed: int, prefix: tuple[int, ...] = ()):
@@ -229,6 +284,23 @@ class RandomSource:
         All keys are hashed at once, here; each generator is a fresh one,
         built only when the iterator reaches it.
         """
+        return (_generator(words) for words in self._seed_rows(nodes, round_no))
+
+    def node_raw(self, nodes, round_no: int, counts):
+        """Blocks (positions, draws, raw) that together give every i's
+        ``stream(nodes[i], round_no).bit_generator.random_raw(counts[i])``:
+        raw[k, r] is output draws[k] of ``nodes[positions[r]]`` (padding past
+        its count), from ``_pcg64_raw`` on ``KERNEL_LANES`` streams at a time."""
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        seeds = self._seed_rows(nodes, round_no)
+        if counts.shape != seeds[:, 0].shape or (counts < 0).any():
+            raise ValueError("expected one non-negative draw count per node")
+        for chunk in np.split(np.argsort(-counts), range(KERNEL_LANES, counts.size, KERNEL_LANES)):
+            for rows, draws, raw in _pcg64_raw(seeds[chunk], counts[chunk]):
+                yield chunk[:rows], draws, raw
+
+    def _seed_rows(self, nodes, round_no: int) -> np.ndarray:
+        # the PCG64 seed words of stream(v, round_no) for every v, as rows
         ids = np.asarray(nodes, dtype=np.int64).reshape(-1)
         if ids.size and ids.min() < 0:
             raise ValueError("expected non-negative integer")
@@ -243,7 +315,7 @@ class RandomSource:
             if rows.size:
                 words = [low[rows], high[rows]] if wide else [low[rows]]
                 seeds[rows] = _pcg64_seeds(head + words + tail)
-        return (_generator(words) for words in seeds)
+        return seeds
 
     def subsource(self, *key: int) -> "RandomSource":
         return RandomSource(self.seed, self.prefix + tuple(int(k) for k in key))
@@ -286,11 +358,90 @@ def dlap_sample(p: float, rng: np.random.Generator, size: int | None = None):
     return (g1 - g2).astype(np.int64)
 
 
+# numpy's geometric(q) searches cumulative sums for q at least this, and
+# inverts a ziggurat exponential below it (random_geometric in distributions.c)
+_GEOMETRIC_SEARCH_MIN = 0.333333333333333333333333
+# a uniform's bucket of width 2^-_BUCKET_BITS is its output's top bits
+_BUCKET_BITS = 10
+
+
+def _geometric_search(q: float):
+    """numpy's geometric(q) search as a function of raw outputs: one plus
+    the number of sums q, q + q(1-q), ... (numpy's float recurrence) below u,
+    read per bucket of u or, where a sum splits the bucket, searched.  The
+    sums end at one of at least 1 - 2^-53, the largest u, or where they stop
+    growing: for some q (about 1.2% of epsilon in [ln 1.5, 50]) below it,
+    and numpy's loop never ends for a u above the last sum; the search gives
+    len(sums) + 1 there."""
+    sums, total, prod = [q], q, q
+    while total < 1.0 - 2.0**-53 and total + prod * (1.0 - q) != total:
+        prod *= 1.0 - q
+        total += prod
+        sums.append(total)
+    sums = np.array(sums)
+    edges = sums.searchsorted(np.arange((1 << _BUCKET_BITS) + 1) / (1 << _BUCKET_BITS))
+    below = np.where(edges[1:] == edges[:-1], edges[:-1], -1)
+
+    def draws(raw: np.ndarray) -> np.ndarray:
+        counts = below[raw >> 64 - _BUCKET_BITS]
+        search = np.flatnonzero(counts < 0)
+        counts[search] = sums.searchsorted((raw[search] >> 11) * 2.0**-53)
+        return counts + 1
+
+    return draws
+
+
+def add_dlap_node_noise(out, indptr, p: float, rng: RandomSource, round_no: int) -> None:
+    """Add ``dlap_sample(p, rng.stream(v, round_no), size=k)`` to every node
+    v's k slots ``out[indptr[v]:indptr[v+1]]``, bit for bit: g1 from the
+    stream's first k draws, g2 from the next k.  For 1 - p >= 1/3 (epsilon
+    >= ln 1.5) each draw searches one of the kernel's outputs, and every
+    block adds its noise to its slots; below, each node calls ``dlap_sample``.
+    """
+    check_p(p)
+    nodes, sizes = np.arange(len(indptr) - 1), np.diff(indptr)
+    if 1.0 - p < _GEOMETRIC_SEARCH_MIN:
+        bounds = indptr.tolist()
+        for v, stream in enumerate(rng.node_streams(nodes, round_no)):
+            out[bounds[v]:bounds[v + 1]] += dlap_sample(p, stream, size=int(sizes[v]))
+        return
+    geometric = _geometric_search(1.0 - p)
+    for v, draws, raw in rng.node_raw(nodes, round_no, 2 * sizes):
+        size, draws = sizes[v], draws[:, None]
+        keep, second = draws < 2 * size, draws >= size
+        g = geometric(raw[keep])
+        np.add.at(out, (indptr[v] + draws - size * second)[keep], np.where(second[keep], -g, g))
+
+
 def laplace_sample(scale: float, rng: np.random.Generator, size: int | None = None):
     """Continuous Laplace with the given scale (variance 2*scale^2)."""
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     return rng.laplace(0.0, scale, size=size)
+
+
+def _node_open_uniforms(rng: RandomSource, nodes: np.ndarray, round_no: int) -> np.ndarray:
+    # the first nonzero double of every node's stream, as _open_uniform reads it
+    u = np.empty(len(nodes))
+    for i, _, raw in rng.node_raw(nodes, round_no, np.ones(len(nodes), dtype=np.int64)):
+        u[i] = (raw[0] >> 11) * 2.0**-53  # numpy's next_double
+    for i in np.flatnonzero(u == 0.0):  # measure zero: the stream itself redraws
+        u[i] = _open_uniform(rng.stream(int(nodes[i]), round_no))
+    return u
+
+
+def laplace_node_noise(scales: np.ndarray, rng: RandomSource, nodes, round_no: int) -> np.ndarray:
+    """``laplace_sample(scales[i], rng.stream(nodes[i], round_no))`` for
+    every i, bit for bit: numpy's ``random_laplace`` on the stream's first
+    nonzero double, with the libm ``log`` numpy calls (``np.log`` rounds
+    some inputs differently); ``0.0 -`` keeps numpy's sign of zero."""
+    scales = np.asarray(scales, dtype=float)
+    if not (scales > 0).all():
+        raise ValueError("scales must be positive")
+    return np.array([
+        0.0 - s * math.log(2.0 - u - u) if u >= 0.5 else 0.0 + s * math.log(u + u)
+        for s, u in zip(scales.tolist(), _node_open_uniforms(rng, nodes, round_no).tolist())
+    ])
 
 
 # -- smooth-sensitivity noise Z with density sqrt(2)/pi / (1+z^4) ----------
@@ -335,12 +486,14 @@ def _open_uniform(rng: Generator) -> float:
 def smooth_noise_sample(rngs: Iterable[Generator]) -> np.ndarray:
     """One draw of Z from each stream, in order; Var[Z] = 1.
 
-    Each stream gives one uniform in (0, 1), redrawn from the same stream
-    on the measure-zero event u == 0, as the iterable reaches it, so a lazy
-    iterable of streams never holds more than one.  One inverse-CDF
-    bisection to ~1e-12 then turns all uniforms into draws, so a caller
-    batching many streams pays for about one bisection.  Sequential scalar
-    draws equal ``rng.random(n)`` bit for bit, so one stream passed n times
-    gives the uniforms of ``rng.random(n)``.
+    Each stream gives one uniform in (0, 1) (redrawn on u == 0) as the
+    iterable reaches it, and one inverse-CDF bisection to ~1e-12 turns all
+    of them into draws; one stream passed n times reads ``rng.random(n)``.
     """
     return _smooth_noise_inverse_cdf(np.fromiter(map(_open_uniform, rngs), dtype=float))
+
+
+def smooth_node_noise(rng: RandomSource, nodes: np.ndarray, round_no: int) -> np.ndarray:
+    """``smooth_noise_sample(rng.node_streams(nodes, round_no))`` bit for
+    bit, with every uniform from one kernel pass."""
+    return _smooth_noise_inverse_cdf(_node_open_uniforms(rng, nodes, round_no))

@@ -1,8 +1,8 @@
 """Single-process simulation of the two-step counting protocol and the baseline.
 
 Nodes and the server are logical parties: per-node randomness comes from
-substreams keyed by (node, round), each round seeding all its node
-substreams in one batched pass, and message tallies model the three
+substreams keyed by (node, round), each round seeding and drawing from all
+its node substreams in batched array passes, and message tallies model the three
 communication flows (vector uploads, noisy-weight downloads, count uploads).
 
 The topology is public, and so is all that follows from it: the triangles,
@@ -37,10 +37,10 @@ from .graph import WeightedGraph, check_threshold, edge_id_sums, enumerate_trian
 from .mechanisms import (
     PrivacyBudget,
     RandomSource,
+    add_dlap_node_noise,
     check_dlap_epsilon,
-    dlap_sample,
-    laplace_sample,
-    smooth_noise_sample,
+    laplace_node_noise,
+    smooth_node_noise,
 )
 from .sensitivity import Step2Segments, segment_smooth_sensitivities
 
@@ -101,14 +101,9 @@ def release_step1(graph: WeightedGraph, epsilon_1: float, rng: RandomSource) -> 
     Every node uploads one value per incident edge, 2m in all.
     """
     check_dlap_epsilon(epsilon_1)
-    p = math.exp(-epsilon_1)
     indptr, slot_edges = graph.adjacency
     released = graph.weight_array[slot_edges]
-    bounds = indptr.tolist()
-    streams = rng.node_streams(np.arange(graph.node_count), STEP1_ROUND)
-    for v, stream in enumerate(streams):
-        lo, hi = bounds[v], bounds[v + 1]
-        released[lo:hi] += dlap_sample(p, stream, size=hi - lo)
+    add_dlap_node_noise(released, indptr, math.exp(-epsilon_1), rng, STEP1_ROUND)
     released = released[graph.lower_slots]
     released.flags.writeable = False  # every method of a trial reads it
     return released
@@ -255,18 +250,17 @@ class TwoStep:
         )
         release = counts.copy()
         noisy_nodes = np.flatnonzero(sens > 0.0)
-        streams = rng.node_streams(noisy_nodes, STEP2_ROUND)
         # an epsilon_2 too small for the noise scale overflows here; the
         # check below rejects the run
         with np.errstate(over="ignore", invalid="ignore"):
             if mechanism is Mechanism.GLOBAL_LAPLACE:
                 query = "laplace"
-                for v, stream in zip(noisy_nodes.tolist(), streams):
-                    release[v] += float(laplace_sample(sens[v] / budget.epsilon_2, stream))
+                scales = sens[noisy_nodes] / budget.epsilon_2
+                release[noisy_nodes] += laplace_node_noise(scales, rng, noisy_nodes, STEP2_ROUND)
             else:
                 query = "smooth"
                 scaled = budget.smooth_noise_scale * sens[noisy_nodes]
-                release[noisy_nodes] += scaled * smooth_noise_sample(streams)
+                release[noisy_nodes] += scaled * smooth_node_noise(rng, noisy_nodes, STEP2_ROUND)
         overflow = np.flatnonzero(~np.isfinite(release))
         if overflow.size:
             v = int(overflow[0])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from lwdp_triangles.mechanisms import (
+    _geometric_search,
     _smooth_noise_inverse_cdf,
     PrivacyBudget,
     RandomSource,
@@ -14,7 +15,9 @@ from lwdp_triangles.mechanisms import (
     dlap_cdf,
     dlap_pmf,
     dlap_sample,
+    laplace_node_noise,
     laplace_sample,
+    smooth_node_noise,
     smooth_noise_cdf,
     smooth_noise_pdf,
     smooth_noise_sample,
@@ -335,3 +338,165 @@ def test_precomputed_seed_serves_only_the_pcg64_request():
     for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
         with pytest.raises(ValueError, match="PCG64"):
             seed_seq.generate_state(n_words, dtype)
+
+
+# -- the PCG64 kernel and the samplers built on it ------------------------------
+
+
+def kernel_outputs(source, nodes, round_no, counts):
+    """The kernel's raw outputs of every node, concatenated in node order;
+    every (node, draw) lane below the node's count must come exactly once."""
+    counts = np.asarray(counts)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    flat, seen = np.zeros(offsets[-1], dtype=np.uint64), np.zeros(offsets[-1], dtype=int)
+    for pos, draws, raw in source.node_raw(nodes, round_no, counts):
+        assert raw.shape == (len(draws), len(pos)) and raw.dtype == np.uint64
+        keep = draws[:, None] < counts[pos]
+        lanes = (offsets[pos] + draws[:, None])[keep]
+        flat[lanes] = raw[keep]
+        np.add.at(seen, lanes, 1)
+    assert (seen == 1).all()
+    return flat
+
+
+def next_double(raw):
+    return (raw >> 11) * 2.0**-53
+
+
+def test_kernel_outputs_match_numpy_streams():
+    rnd = np.random.default_rng(20)
+    # more nodes than one kernel chunk, one- and two-word node ids
+    nodes = np.concatenate((
+        rnd.permutation(9000)[:8500],
+        2**32 + rnd.integers(0, 2**40, 1800),
+        [0, 2**32 - 1, 2**32, 2**63 - 1],
+    ))
+    counts = rnd.integers(0, 201, len(nodes))
+    counts[:40] = 0
+    counts[40:50] = 200
+    assert len(nodes) > 10_000
+    for source, round_no in ((RandomSource(5).subsource(0, 3), 1), (RandomSource(2**70), 2)):
+        got = kernel_outputs(source, nodes, round_no, counts)
+        streams = list(zip(source.node_streams(nodes, round_no), counts.tolist()))
+        raw = np.concatenate([stream.bit_generator.random_raw(k) for stream, k in streams])
+        assert got.tobytes() == raw.tobytes()
+        doubles = [source.stream(v, round_no).random(k) for v, k in zip(nodes[::7], counts[::7])]
+        mine = np.split(next_double(got), np.cumsum(counts)[:-1])[::7]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(mine, doubles))
+    # one stream with one long run of draws, and no stream at all
+    assert kernel_outputs(RandomSource(1), [7], 1, [10_000]).tobytes() == (
+        RandomSource(1).stream(7, 1).bit_generator.random_raw(10_000).tobytes())
+    assert list(RandomSource(1).node_raw([], 1, [])) == []
+    with pytest.raises(ValueError, match="draw count"):
+        list(RandomSource(1).node_raw([1, 2], 1, [3]))
+    with pytest.raises(ValueError, match="draw count"):
+        list(RandomSource(1).node_raw([1, 2], 1, [3, -1]))
+
+
+def raw_of(u, low_bits=0):
+    # raw outputs whose next_double is u, a multiple of 2^-53 in [0, 1)
+    return (np.asarray(u) * 2.0**53).astype(np.uint64) << 11 | np.uint64(low_bits)
+
+
+CAP = 100_000
+
+
+def numpy_geometric_search(q, u):
+    # random_geometric_search of numpy's distributions.c, capped at CAP steps
+    x, total, prod = 1, q, q
+    while u > total and x < CAP:
+        prod *= 1.0 - q
+        total += prod
+        x += 1
+    return x
+
+
+def stalled_sums(q):
+    # numpy's sums for q, if they stop growing below the largest uniform
+    total, prod, count = q, q, 1
+    while total < 1.0 - 2.0**-53:
+        prod *= 1.0 - q
+        if total + prod == total:
+            return total, count
+        total += prod
+        count += 1
+    return None
+
+
+def test_geometric_search_matches_numpys_loop_at_every_sum_and_bucket_edge():
+    low_bits = np.random.default_rng(7).integers(0, 2**11, 20_000, dtype=np.uint64)
+    for epsilon in (math.log(1.5), 0.5, 1.0, 2.0, 5.0, 40.0, 700.0):
+        q = 1.0 - math.exp(-epsilon)
+        draw = _geometric_search(q)
+        sums = np.unique(np.cumsum([q * (1.0 - q) ** k for k in range(200)]))
+        probes = np.concatenate((
+            sums, np.arange(1025) / 1024, np.random.default_rng(1).random(2000), [0.0, 1.0],
+        ))
+        # the uniforms on both sides of every probe
+        steps = np.floor(probes * 2.0**53)
+        u = np.unique(np.concatenate((steps - 1, steps, steps + 1)).clip(0, 2**53 - 1)) * 2.0**-53
+        expected = [numpy_geometric_search(q, x) for x in u.tolist()]
+        if CAP in expected:  # numpy never ends: the draw is one past the last sum
+            expected = [stalled_sums(q)[1] + 1 if x == CAP else x for x in expected]
+        assert draw(raw_of(u, low_bits[:len(u)])).tolist() == expected, epsilon
+
+
+def test_geometric_search_ends_where_the_sums_stop_growing():
+    # for about 1.2% of epsilon in [ln 1.5, 50] the float recurrence stops
+    # growing below the largest uniform 1 - 2^-53, and numpy's loop never
+    # ends for a uniform above the last sum
+    top = 1.0 - 2.0**-53
+    stalled = [
+        (q, stalled_sums(q)) for q in (1.0 - np.exp(-np.linspace(0.4057, 0.41, 400))).tolist()
+        if stalled_sums(q)
+    ]
+    assert stalled
+    for q, (last, count) in stalled[:5]:
+        assert numpy_geometric_search(q, top) == CAP
+        probes = raw_of([top, np.nextafter(last, 1.0), last, 0.0], 2**11 - 1)
+        assert _geometric_search(q)(probes).tolist() == [count + 1, count + 1, count, 1]
+
+
+def test_laplace_node_noise_matches_numpy_laplace_per_stream():
+    rnd = np.random.default_rng(21)
+    nodes = np.concatenate((np.arange(10_000), 2**32 + rnd.integers(0, 2**40, 500)))
+    scales = 10.0 ** rnd.uniform(-3, 3, len(nodes))
+    source = RandomSource(9).subsource(4)
+    got = laplace_node_noise(scales, source, nodes, 2)
+    expected = [
+        stream.laplace(0.0, s) for stream, s in zip(source.node_streams(nodes, 2), scales.tolist())
+    ]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
+    assert [float(laplace_sample(s, source.stream(v, 2))).hex()
+            for v, s in zip(nodes[:50].tolist(), scales[:50].tolist())] == [
+        x.hex() for x in got[:50].tolist()]
+    with pytest.raises(ValueError, match="positive"):
+        laplace_node_noise(np.array([1.0, 0.0]), source, np.array([1, 2]), 2)
+
+
+def test_smooth_node_noise_matches_the_per_stream_sampler():
+    nodes = np.concatenate((np.arange(0, 6000, 3), [2**32, 2**50]))
+    source = RandomSource(12).subsource(1)
+    got = smooth_node_noise(source, nodes, 2)
+    expected = smooth_noise_sample(source.node_streams(nodes, 2))
+    assert got.tobytes() == expected.tobytes()
+    assert smooth_node_noise(source, np.array([], dtype=np.int64), 2).shape == (0,)
+
+
+def test_a_zero_uniform_is_redrawn_from_the_nodes_own_stream(monkeypatch):
+    # u == 0 (probability 2^-53) is redrawn from the stream, as numpy does
+    nodes, source = np.array([3, 8, 11]), RandomSource(4)
+    scales = np.array([1.0, 2.0, 3.0])
+    laplace = laplace_node_noise(scales, source, nodes, 2)
+    smooth = smooth_node_noise(source, nodes, 2)
+    kernel = RandomSource.node_raw
+
+    def zero_first(self, *args):
+        for pos, draws, raw in kernel(self, *args):
+            yield pos, draws, np.where(pos == 1, raw & 2047, raw)  # a double of 0
+
+    monkeypatch.setattr(RandomSource, "node_raw", zero_first)
+    # the kernel now reads 0 for node 8; its stream's own first double is not 0
+    assert [float(x).hex() for x in laplace_node_noise(scales, source, nodes, 2)] == [
+        float(x).hex() for x in laplace]
+    assert smooth_node_noise(source, nodes, 2).tobytes() == smooth.tobytes()

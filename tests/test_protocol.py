@@ -118,6 +118,33 @@ def test_release_step1_matches_per_node_reference_edge_by_edge():
             assert noisy.tolist() == reference_step1(g, epsilon_1, rng), (i, epsilon_1)
 
 
+@pytest.mark.parametrize("epsilon_1", [math.log(1.5), 0.5, 1.0, 5.0, 700.0, 0.3])
+def test_release_step1_draws_every_nodes_noise_from_its_own_stream(epsilon_1, monkeypatch):
+    # from ln 1.5 up numpy's geometric reads one double per draw and the
+    # kernel serves every node; below it every node draws from its generator
+    search = 1.0 - math.exp(-epsilon_1) >= 0.333333333333333333333333
+    assert search == (epsilon_1 != 0.3)
+    if epsilon_1 == math.log(1.5):
+        assert 1.0 - math.exp(-epsilon_1) == 0.33333333333333337
+    rnd = random.Random(42)
+    graphs = [
+        # a hub of degree 150, so one node draws 300 doubles, and isolated nodes
+        WeightedGraph(160, [(0, v, v % 7 - 3) for v in range(1, 151)] + [(151, 152, 4)]),
+        WeightedGraph(3, []),
+    ] + [random_graph(rnd, rnd.randint(5, 60), rnd.uniform(0.05, 0.7), -9, 9) for _ in range(4)]
+
+    def refuse(*args):
+        raise AssertionError("took the other step-1 path")
+
+    unused = "node_streams" if search else "node_raw"
+    for i, g in enumerate(graphs):
+        rng = RandomSource(70 + i).subsource(2)
+        expected = reference_step1(g, epsilon_1, rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(RandomSource, unused, refuse)
+            assert release_step1(g, epsilon_1, rng).tolist() == expected, i
+
+
 @pytest.mark.parametrize("epsilon_1", [0.0, -1.0, math.nan, math.inf, 800.0])
 def test_release_step1_checks_the_budget_before_any_node(epsilon_1):
     # the budget is checked once per release, so even a graph with no node rejects it
@@ -218,6 +245,33 @@ def test_seeded_estimates_match_recorded_hex():
         assert rep.estimate.hex() == expected, (kind, mech, seed)
     for seed, expected in _GOLDEN_BASELINE.items():
         assert run_baseline(g, 5, 2.5, RandomSource(seed)).estimate.hex() == expected, seed
+
+
+# float.hex of seeded run_methods estimates at total epsilon 0.6: the two-step
+# methods spend epsilon_1 = 0.3, below ln 1.5, where numpy's geometric leaves
+# its search path, so this pins the per-node step-1 fallback
+_GOLDEN_EPS_06 = {
+    ("baseline", 3): "0x1.3000000000000p+6",
+    ("global-biased", 3): "0x1.f8fa0f86c0e43p+5",
+    ("global-unbiased", 3): "-0x1.619bbab555dd0p+7",
+    ("smooth-biased", 3): "0x1.28968a3f2835ap+4",
+    ("smooth-unbiased", 3): "-0x1.2d31c14db664bp+10",
+    ("baseline", 4): "0x1.5800000000000p+6",
+    ("global-biased", 4): "0x1.e4389ce0c74e2p+4",
+    ("global-unbiased", 4): "-0x1.2bc47e60c7566p+10",
+    ("smooth-biased", 4): "-0x1.ebef53c7a54d4p+2",
+    ("smooth-unbiased", 4): "-0x1.03420b9545b26p+11",
+}
+
+
+def test_run_methods_below_ln_1_5_match_recorded_hex():
+    g = random_graph(random.Random(20), 20, 0.5, -1, 4)
+    assignment = greedy_assign(g)
+    methods = [method_named(m, 0.6) for m in METHODS]
+    for seed in (3, 4):
+        reports = run_methods(assignment, 5, methods, RandomSource(seed))
+        for name, rep in zip(METHODS, reports):
+            assert rep.estimate.hex() == _GOLDEN_EPS_06[(name, seed)], (name, seed)
 
 
 def test_step2_isolation_from_other_nodes():

@@ -364,6 +364,21 @@ def test_oracle_accepts_explicit_radius():
 # -- instance construction from protocol data ----------------------------------
 
 
+def test_node_outside_the_graph_is_rejected():
+    g = random_graph(random.Random(48), 20, 0.5, -2, 3)
+    a = greedy_assign(g)
+    release = release_step1(g, 1.0, RandomSource(1))
+    for node in (-1, 20, 10**6):
+        with pytest.raises(ValueError, match="not in"):
+            build_instance(a, release, node, 6, 0.25, EstimatorKind.BIASED)
+        with pytest.raises(ValueError, match="not in"):
+            a.triangles_of(node)
+    # the first and the last node are inside
+    for node in (0, 19):
+        assert build_instance(a, release, node, 6, 0.25, EstimatorKind.BIASED).node == node
+        assert (a.triangles_of(node)[:, 0] == node).all()
+
+
 def test_build_instance_partial_sums():
     g = WeightedGraph(4, [(0, 1, 2), (0, 2, 3), (1, 2, 10), (0, 3, 4), (1, 3, 20)])
     tris = enumerate_triangles(g)  # {0,1,2} and {0,1,3}
