@@ -8,8 +8,8 @@ number of such pairs is sum_e C(l(e), 2) over the edge loads l(e).
 Triangles come in as the (T, 3) node arrays of ``enumerate_triangles``.  An
 ``Assignment`` is bound to its graph and is the public instance of every run
 on it: its owner-sorted (owner, y, z) rows and the ids of each row's three
-edges, looked up once, are what step 2, the baseline, the exact count, the
-loads and the per-node views all read.
+edges, looked up once, are what step 2 and its ``segments`` (built on first
+use), the baseline, the exact count, the loads and the per-node views read.
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ class Assignment:
         self.graph, self.rows, self.edge_ids = graph, rows, ids
 
     @functools.cached_property
+    def segments(self) -> Segments:
+        """The step-2 segments of the rows, built on first use."""
+        return Segments(self)
+
+    @functools.cached_property
     def loads(self) -> dict[tuple[int, int], int]:
         """Triangles per noisy edge, for every edge that carries one, in
         canonical order."""
@@ -97,6 +102,49 @@ class Assignment:
         """Number of triangles with true weight strictly below ``lam``."""
         weights = edge_id_sums(self.graph.weight_array, self.edge_ids)
         return int(np.count_nonzero(weights < lam))
+
+
+class Segments:
+    """Step 2's partial sums of an assignment, one segment per (owner, incident edge).
+
+    The owner v of a row (v, y, z) holds w(v, y), w(v, z) and the received
+    w'(y, z): the edge (v, y) carries the sum w(v, z) + w'(y, z), and the edge
+    (v, z) carries w(v, y) + w'(y, z).  The 2T sums run in (owner, neighbour)
+    order, each segment's in row order, so v's are [2 * span.start, 2 * span.stop).
+    No weight enters, and every array is read-only: per sum, the int32 edge ids
+    ``other`` and ``received`` of its terms; per segment, its ``heads`` (first
+    sum), ``owner``, ``lengths`` and ``incident`` edge id; per node, the
+    ``longest`` segment's length.
+    """
+
+    def __init__(self, assignment: Assignment):
+        rows, n = assignment.rows, assignment.graph.node_count
+        key = rows[:, 0].astype(np.int64) * n
+        # in row order (owner, then (y, z) with y < z) the rows through z = u precede
+        # those through y = u, so a stable sort keeps each segment's sums in row order
+        keys = np.concatenate((key + rows[:, 2], key + rows[:, 1]))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        # segments start at the first key (keys[:1] >= 0 is [] without rows) and key changes
+        self.heads = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
+        self.owner = keys[self.heads] // n
+        self.lengths = np.diff(self.heads, append=len(keys))
+        vy, vz, yz = assignment.edge_ids.T
+        self.other = np.concatenate((vy, vz))[order]
+        self.received = np.concatenate((yz, yz))[order]
+        self.incident = np.concatenate((vz, vy))[order[self.heads]]
+        self.longest = np.zeros(n, dtype=np.int64)
+        np.maximum.at(self.longest, self.owner, self.lengths)
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+    def gather(self, rows: slice, weights: np.ndarray, noisy: np.ndarray):
+        """(owner, lengths, incident weights, partial sums) of the segments of the
+        rows ``rows`` (whole nodes), from edge-indexed true weights and step-1 release."""
+        sums = slice(2 * rows.start, 2 * rows.stop)
+        a, b = np.searchsorted(self.heads, (sums.start, sums.stop))
+        return (self.owner[a:b], self.lengths[a:b], weights[self.incident[a:b]],
+                weights[self.other[sums]] + noisy[self.received[sums]])
 
 
 def count_c4_instances(assignment: Assignment) -> int:

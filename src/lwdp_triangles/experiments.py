@@ -27,8 +27,7 @@ from .graph import (
     integral,
 )
 from .mechanisms import PrivacyBudget, RandomSource
-from .estimators import EstimatorKind
-from .protocol import Baseline, Mechanism, TwoStep, run_methods
+from .protocol import Baseline, TwoStep, run_methods
 
 METHODS = (
     "baseline",
@@ -341,6 +340,9 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
+        for epsilon in self.values if self.axis == "eps" else (self.epsilon,):
+            for m in self.methods:
+                method_named(m, float(epsilon))
         for lam in self.values if self.axis == "lambda" else ():
             check_threshold(lam)
         if self.lam is not None:
@@ -383,8 +385,7 @@ def method_named(name: str, epsilon: float) -> Baseline | TwoStep:
     the baseline spends it whole, the two-step methods half in each round."""
     if name == "baseline":
         return Baseline(epsilon)
-    mechanism = Mechanism.GLOBAL_LAPLACE if name.startswith("global") else Mechanism.SMOOTH
-    kind = EstimatorKind.UNBIASED if name.endswith("unbiased") else EstimatorKind.BIASED
+    mechanism, kind = name.split("-")  # a Mechanism's and an EstimatorKind's value
     return TwoStep(PrivacyBudget.even_split(epsilon), kind, mechanism)
 
 

@@ -16,10 +16,10 @@ epsilon_1 reads the same read-only release.
 In step 1 every node noises its slice of the CSR slot weights from its own
 substream, and the server keeps the lower-id endpoint's value of each edge.
 Step 2 runs as array passes over batches of the assignment's owner-sorted
-rows, gathering through the assignment's edge ids, so node v's count f'_v and
-sensitivity S_v read only v's own weights, the noisy weights sent to v and
-public data.  The release pass then turns every S_v > 0 into noise drawn
-from v's own step-2 substream.
+rows, gathering through the assignment's edge ids and its segments (built
+once per assignment), so node v's count f'_v and sensitivity S_v read only
+v's own weights, the noisy weights sent to v and public data.  The release
+pass then turns every S_v > 0 into noise drawn from v's own step-2 substream.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .mechanisms import (
     laplace_node_noise,
     smooth_node_noise,
 )
-from .sensitivity import Step2Segments, segment_smooth_sensitivities
+from .sensitivity import segment_smooth_sensitivities
 
 STEP1_ROUND = 1
 STEP2_ROUND = 2
@@ -139,33 +139,25 @@ def local_step2(
     through the assignment's edge ids.  f'_v is ``np.bincount`` of the
     per-triangle estimates, which adds in triangle order like a per-node
     loop; S_v is one ``segment_smooth_sensitivities`` call per batch over
-    its ``Step2Segments``, one per (v, incident edge), and GS_v is the
-    estimator step bound times v's longest segment.
+    the assignment's ``segments``, one per (v, incident edge), and GS_v is
+    the estimator step bound times v's longest segment.
     """
     n = assignment.graph.node_count
+    rows, segments, p = assignment.rows, assignment.segments, budget.p
+    laplace = mechanism is Mechanism.GLOBAL_LAPLACE
     counts = np.zeros(n)
-    sens = np.zeros(n)
-    rows = assignment.rows
-    p = budget.p
-    step = estimator_step_bound(kind, p)
+    sens = estimator_step_bound(kind, p) * segments.longest if laplace else np.zeros(n)
     for first, end, lo, hi in _node_batches(rows[:, 0], n):
-        owner, y, z = rows[lo:hi].T
         vy, vz, yz = assignment.edge_ids[lo:hi].T
-        w_vy, w_vz, received = weights[vy], weights[vz], noisy[yz]
-        local = owner - first
         counts[first:end] = np.bincount(
-            local,
-            weights=estimate_array(kind, w_vy + w_vz + received, lam, p),
+            rows[lo:hi, 0] - first,
+            weights=estimate_array(kind, weights[vy] + weights[vz] + noisy[yz], lam, p),
             minlength=end - first,
         )
-        seg = Step2Segments(local, y, z, w_vy, w_vz, received, n)
-        if mechanism is Mechanism.GLOBAL_LAPLACE:
-            longest = np.zeros(end - first, dtype=np.int64)
-            np.maximum.at(longest, seg.owner, seg.lengths)
-            sens[first:end] = step * longest
-        else:
+        if not laplace:
+            owner, lengths, incident, sums = segments.gather(slice(lo, hi), weights, noisy)
             sens[first:end] = segment_smooth_sensitivities(
-                seg.sums, seg.lengths, lam - 1 - seg.incident, seg.owner, end - first,
+                sums, lengths, lam - 1 - incident, owner - first, end - first,
                 kind, budget.beta, p,
             )
     return counts, sens
@@ -175,17 +167,18 @@ def run_methods(
     assignment: Assignment,
     lam: int,
     methods: Sequence[Baseline | TwoStep],
-    rng: RandomSource | None = None,
+    rng: RandomSource,
 ) -> list[RunReport]:
     """One report per method of ``methods``, in order, all on one trial.
 
     Step 1 is released once per distinct epsilon_1: the release depends
     only on the graph, epsilon_1 and the substreams of ``rng``, so sharing
-    it equals one release per method bit for bit.
+    it equals one release per method bit for bit.  Every two-step method
+    draws its step-2 noise from the same (v, 2) substreams too, so the
+    reports are paired alternatives, not joint releases: each report's
+    ledger holds only when that report alone is published.
     """
     lam = check_threshold(lam)
-    if rng is None:
-        rng = RandomSource(0)
     releases: dict[float, np.ndarray] = {}
     reports = []
     for method in methods:
@@ -236,6 +229,8 @@ class TwoStep:
     def __post_init__(self):
         if not isinstance(self.budget, PrivacyBudget):
             raise ValueError("budget must be a PrivacyBudget")
+        object.__setattr__(self, "kind", EstimatorKind(self.kind))
+        object.__setattr__(self, "mechanism", Mechanism(self.mechanism))
 
     @property
     def epsilon_1(self) -> float:
@@ -291,8 +286,8 @@ def run_two_step(
     lam: int,
     budget: PrivacyBudget,
     kind: EstimatorKind,
-    mechanism: Mechanism = Mechanism.SMOOTH,
-    rng: RandomSource | None = None,
+    mechanism: Mechanism,
+    rng: RandomSource,
     *,
     triangles: np.ndarray | None = None,
     assignment: Assignment | None = None,
@@ -318,7 +313,7 @@ def run_baseline(
     graph: WeightedGraph,
     lam: int,
     epsilon: float,
-    rng: RandomSource | None = None,
+    rng: RandomSource,
     *,
     triangles: np.ndarray | None = None,
 ) -> RunReport:

@@ -19,10 +19,10 @@ edge), and scores them in one NumPy pass: the segments become one sorted
 int64 key array, searchsorted gives the counts at every candidate target,
 and the walks run as masked rounds.  Every e^{-beta n} is ``math.exp`` of an
 integer n, so the values are bit-identical to a per-target scalar
-evaluation.  ``Step2Segments`` builds the segments of assigned rows, for step
-2's S_v and GS_v (the step bound times a node's longest segment) and for
-``build_instance``; ``smooth_sensitivities`` flattens ``SmoothSensInstance``
-objects into them, and ``smooth_sensitivity`` is the one-instance form.
+evaluation.  Step 2 scores an ``Assignment``'s ``segments`` with it batch by
+batch, and ``build_instance`` cuts one node's segments into edge views;
+``smooth_sensitivities`` flattens ``SmoothSensInstance`` objects into
+segments, and ``smooth_sensitivity`` is the one-instance form.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target in an exact pruning radius and exhausts all shift counts
@@ -67,6 +67,7 @@ class SmoothSensInstance:
     edges: tuple[EdgeLocalView, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", EstimatorKind(self.kind))
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
         object.__setattr__(self, "lam", check_threshold(self.lam))
@@ -74,42 +75,6 @@ class SmoothSensInstance:
             self.p is not None and 0.0 <= self.p < 1.0
         ):
             raise ValueError("the unbiased estimator needs p in [0,1)")
-
-
-class Step2Segments:
-    """The segments of a batch of assigned rows (owner, y, z), one per (owner, neighbour).
-
-    The owner v holds w(v, y), w(v, z) and the received w'(y, z) of each row:
-    the edge (v, y) carries the partial sum w(v, z) + w'(y, z), and the edge
-    (v, z) carries w(v, y) + w'(y, z).  Owners are batch-local ids >= 0.
-    ``owner`` and ``lengths`` list the segments in (owner, neighbour) order;
-    GS_v reads nothing else, so ``incident`` and ``sums`` are built when read.
-    """
-
-    def __init__(self, owner, y, z, w_vy, w_vz, received, node_count):
-        # in ``Assignment`` row order (owner, then (y, z) with y < z) the rows through
-        # z = u precede those through y = u, so each segment's sums come in row order
-        key = np.asarray(owner, dtype=np.int64) * node_count
-        keys = np.concatenate((key + z, key + y))
-        self._order = np.argsort(keys, kind="stable")
-        keys = keys[self._order]
-        # segments start at the first key (keys[:1] >= 0 is [] without rows) and key changes
-        self._heads = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
-        self.owner = keys[self._heads] // node_count
-        self.lengths = np.diff(self._heads, append=len(keys))
-        self._rows = w_vy, w_vz, received
-
-    @property
-    def incident(self) -> np.ndarray:
-        """Every segment's incident-edge weight."""
-        w_vy, w_vz, _ = self._rows
-        return np.concatenate((w_vz, w_vy))[self._order[self._heads]]
-
-    @property
-    def sums(self) -> np.ndarray:
-        """The int64 partial sums, grouped by segment."""
-        w_vy, w_vz, received = self._rows
-        return np.concatenate((w_vy + received, w_vz + received))[self._order]
 
 
 def build_instance(
@@ -124,14 +89,12 @@ def build_instance(
     """``node``'s instance from exactly the data it holds in step 2: its
     incident weights, its assigned rows, and the step-1 release
     ``noisy_weights`` (indexed by edge id) at the edges opposite it, read
-    through the assignment's edge ids; one view per segment."""
-    span = assignment.span(node)
-    owner, y, z = assignment.rows[span].T
-    vy, vz, yz = assignment.edge_ids[span].T
-    weights, n = assignment.graph.weight_array, assignment.graph.node_count
-    seg = Step2Segments(owner - node, y, z, weights[vy], weights[vz], noisy_weights[yz], n)
-    sums = iter(seg.sums.tolist())
-    cuts = zip(seg.incident.tolist(), seg.lengths.tolist())
+    through the assignment's segments; one view per segment."""
+    _, lengths, incident, sums = assignment.segments.gather(
+        assignment.span(node), assignment.graph.weight_array, noisy_weights
+    )
+    sums = iter(sums.tolist())
+    cuts = zip(incident.tolist(), lengths.tolist())
     views = tuple(EdgeLocalView(w, tuple(islice(sums, k))) for w, k in cuts)
     return SmoothSensInstance(node, lam, beta, kind, p, views)
 

@@ -345,6 +345,16 @@ def test_config_validation():
         ExperimentConfig(axis="eps", values=(1.0,), trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(axis="eps", values=(1.0,), methods=("bogus",))
+    # every method's budget at every epsilon it will run: the axis values on
+    # eps, else ``epsilon``; the baseline spends it whole, the rest half each
+    with pytest.raises(ValueError, match="underflow"):
+        ExperimentConfig(axis="eps", values=(1.0, 800.0))
+    with pytest.raises(ValueError, match="underflow"):
+        ExperimentConfig(axis="eps", values=(1600.0,), methods=("smooth-biased",))
+    ExperimentConfig(axis="eps", values=(1000.0,), methods=("smooth-biased",))
+    with pytest.raises(ValueError, match="strictly positive"):
+        ExperimentConfig(axis="lambda", values=(4,), epsilon=-1.0)
+    ExperimentConfig(axis="eps", values=(1.0,), epsilon=-1.0)
 
 
 def test_eps_sweep_error_decreases_for_smooth_unbiased():

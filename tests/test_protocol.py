@@ -16,8 +16,9 @@ from lwdp_triangles import (
     run_baseline,
     run_two_step,
 )
-from lwdp_triangles.estimators import expected_biased
+from lwdp_triangles.estimators import estimator_step_bound, expected_biased
 from lwdp_triangles.experiments import METHODS, method_named, run_sweep
+from lwdp_triangles import assignment as assignment_module
 from lwdp_triangles.assignment import Assignment
 from lwdp_triangles.graph import triangle_edge_ids, triangle_weights
 from lwdp_triangles.mechanisms import dlap_sample, smooth_noise_sample
@@ -348,6 +349,11 @@ def test_per_node_sensitivity_matches_each_node(monkeypatch):
             _, expected = reference_step2(g, assignment, noisy, lam, kind, mechanism, budget)
             got = [float(s).hex() for s in rep.per_node_sensitivity]
             assert got == [s.hex() for s in expected], (kind, mechanism)
+            if mechanism is Mechanism.GLOBAL_LAPLACE:
+                step = estimator_step_bound(kind, budget.p)
+                longest = assignment.segments.longest
+                # GS_v / step is longest[v] up to the quotient's rounding
+                assert (np.rint(np.array(expected) / step) == longest).all(), kind
     baseline = run_baseline(g, lam, 1.0, RandomSource(10), triangles=tris)
     assert baseline.per_node_sensitivity.size == 0
 
@@ -420,17 +426,37 @@ def test_baseline_large_budget_identity_and_unreachable_threshold():
 
 def test_invalid_budget_is_configuration_error():
     g = complete_graph(4)
+    rng = RandomSource(1)
     with pytest.raises(ValueError):
-        run_two_step(g, 1, "not a budget", EstimatorKind.BIASED, Mechanism.SMOOTH)  # type: ignore[arg-type]
+        run_two_step(g, 1, "not a budget", EstimatorKind.BIASED, Mechanism.SMOOTH, rng)  # type: ignore[arg-type]
     with pytest.raises(ValueError, match="strictly positive"):
-        run_baseline(g, 1, -1.0)
+        run_baseline(g, 1, -1.0, rng)
     for epsilon in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            run_baseline(g, 1, epsilon)
+            run_baseline(g, 1, epsilon, rng)
     with pytest.raises(ValueError, match="underflow"):
-        run_baseline(g, 1, 800.0)
+        run_baseline(g, 1, 800.0, rng)
     with pytest.raises(ValueError, match="round to 1"):
-        run_baseline(g, 1, 1e-17)
+        run_baseline(g, 1, 1e-17, rng)
+
+
+def test_estimator_and_mechanism_are_checked_where_they_enter():
+    # a name is the member it names, and anything else is rejected; a string
+    # used to fail every ``is`` test and silently run the other branch
+    g = random_graph(random.Random(13), 16, 0.6, -2, 4)
+    budget = PrivacyBudget(1.0, 1.0)
+    for kind in EstimatorKind:
+        for mechanism in Mechanism:
+            by_name = run_two_step(g, 5, budget, kind.value, mechanism.value, RandomSource(3))
+            by_member = run_two_step(g, 5, budget, kind, mechanism, RandomSource(3))
+            assert by_name.estimate.hex() == by_member.estimate.hex(), (kind, mechanism)
+    assert TwoStep(budget, "unbiased", "global") == TwoStep(
+        budget, EstimatorKind.UNBIASED, Mechanism.GLOBAL_LAPLACE
+    )
+    with pytest.raises(ValueError, match="not a valid EstimatorKind"):
+        TwoStep(budget, "bogus", Mechanism.SMOOTH)
+    with pytest.raises(ValueError, match="not a valid Mechanism"):
+        TwoStep(budget, EstimatorKind.BIASED, "laplace")
 
 
 def test_privacy_facing_signatures_have_no_private_parameters():
@@ -438,6 +464,9 @@ def test_privacy_facing_signatures_have_no_private_parameters():
     for fn in (run_two_step, run_baseline, release_step1, run_sweep):
         private = [name for name in inspect.signature(fn).parameters if name.startswith("_")]
         assert private == [], f"{fn.__name__} takes {private}"
+    # no default seed, so two runs never share noise by accident
+    for fn in (run_methods, run_two_step, run_baseline):
+        assert inspect.signature(fn).parameters["rng"].default is inspect.Parameter.empty
 
 
 def test_fractional_threshold_is_rejected():
@@ -530,6 +559,7 @@ def test_run_methods_matches_the_one_method_wrappers():
 
 
 def test_run_methods_reads_every_edge_id_from_the_instance(monkeypatch):
+    # ...and builds the step-2 segments once per assignment, read-only
     g = random_graph(random.Random(45), 20, 0.5, -2, 4)
     tris = enumerate_triangles(g)
     assignment = greedy_assign(g, tris)
@@ -537,13 +567,27 @@ def test_run_methods_reads_every_edge_id_from_the_instance(monkeypatch):
     def refuse(self, u, v):
         raise AssertionError("a run looked up edge ids")
 
+    built = []
+
+    class CountedSegments(assignment_module.Segments):
+        def __init__(self, a):
+            built.append(a)
+            super().__init__(a)
+
     monkeypatch.setattr(WeightedGraph, "edge_ids", refuse)
+    monkeypatch.setattr(assignment_module, "Segments", CountedSegments)
     methods = [method_named(m, 1.0) for m in METHODS]
     reports = run_methods(assignment, 5, methods, RandomSource(3))
     assert [rep.exact_count for rep in reports] == [assignment.exact_count(5)] * len(METHODS)
+    segments = assignment.segments
     for method in methods[1:]:
         run_two_step(g, 5, method.budget, method.kind, method.mechanism, RandomSource(3),
                      triangles=tris, assignment=assignment)
+    run_methods(assignment, 6, methods, RandomSource(4))
+    assert built == [assignment] and assignment.segments is segments
+    for array in vars(segments).values():
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0
 
 
 def test_assignment_holds_every_rows_edge_ids_and_counts_true_weights():
@@ -570,13 +614,13 @@ def test_run_two_step_rejects_an_assignment_built_on_another_graph():
     # the same edges with other weights
     other = WeightedGraph(g.node_count, [(u, v, w + 1) for (u, v), w in g.edge_weights().items()])
     budget = PrivacyBudget(1.0, 1.0)
+    args = (g, 3, budget, EstimatorKind.BIASED, Mechanism.SMOOTH)
     with pytest.raises(ValueError, match="another graph"):
-        run_two_step(g, 3, budget, EstimatorKind.BIASED, assignment=greedy_assign(other))
+        run_two_step(*args, RandomSource(1), assignment=greedy_assign(other))
     # an equal graph built again is accepted
     same = WeightedGraph(g.node_count, [(u, v, w) for (u, v), w in g.edge_weights().items()])
-    rep = run_two_step(g, 3, budget, EstimatorKind.BIASED, RandomSource(1),
-                       assignment=greedy_assign(same))
-    assert rep.estimate == run_two_step(g, 3, budget, EstimatorKind.BIASED, RandomSource(1)).estimate
+    rep = run_two_step(*args, RandomSource(1), assignment=greedy_assign(same))
+    assert rep.estimate == run_two_step(*args, RandomSource(1)).estimate
 
 
 def test_release_step1_is_read_only():

@@ -429,6 +429,16 @@ def test_instance_validation():
         SmoothSensInstance(0, 0, 0.0, EstimatorKind.BIASED, None, ())
     with pytest.raises(ValueError):
         SmoothSensInstance(0, 0, 0.5, EstimatorKind.UNBIASED, None, ())
+    with pytest.raises(ValueError, match="not a valid EstimatorKind"):
+        SmoothSensInstance(0, 0, 0.5, "bogus", None, ())
+    # the estimator's name is the estimator: a string used to score as biased
+    inst = single_triangle_instance(EstimatorKind.UNBIASED, 5, 1, 1, 2, 0.5, p=0.4)
+    by_name = dataclasses.replace(inst, kind="unbiased")
+    assert by_name.kind is EstimatorKind.UNBIASED
+    assert smooth_sensitivity(by_name) == smooth_sensitivity(inst)
+    assert smooth_sensitivity(inst) != smooth_sensitivity(
+        dataclasses.replace(inst, kind=EstimatorKind.BIASED)
+    )
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf])
