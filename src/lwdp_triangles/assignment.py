@@ -140,11 +140,13 @@ class Segments:
 
     def gather(self, rows: slice, weights: np.ndarray, noisy: np.ndarray):
         """(owner, lengths, incident weights, partial sums) of the segments of the
-        rows ``rows`` (whole nodes), from edge-indexed true weights and step-1 release."""
-        sums = slice(2 * rows.start, 2 * rows.stop)
-        a, b = np.searchsorted(self.heads, (sums.start, sums.stop))
-        return (self.owner[a:b], self.lengths[a:b], weights[self.incident[a:b]],
-                weights[self.other[sums]] + noisy[self.received[sums]])
+        rows ``rows`` (whole nodes), from the edge-indexed int64 true weights and
+        step-1 release."""
+        span = slice(2 * rows.start, 2 * rows.stop)
+        a, b = np.searchsorted(self.heads, (span.start, span.stop))
+        sums = weights[self.other[span]]
+        sums += noisy[self.received[span]]
+        return self.owner[a:b], self.lengths[a:b], weights[self.incident[a:b]], sums
 
 
 def count_c4_instances(assignment: Assignment) -> int:

@@ -15,11 +15,12 @@ epsilon_1 reads the same read-only release.
 
 In step 1 every node noises its slice of the CSR slot weights from its own
 substream, and the server keeps the lower-id endpoint's value of each edge.
-Step 2 runs as array passes over batches of the assignment's owner-sorted
-rows, gathering through the assignment's edge ids and its segments (built
-once per assignment), so node v's count f'_v and sensitivity S_v read only
-v's own weights, the noisy weights sent to v and public data.  The release
-pass then turns every S_v > 0 into noise drawn from v's own step-2 substream.
+Step 2 is one array pass over all the assignment's owner-sorted rows,
+gathering through the assignment's edge ids and its segments (built once per
+assignment), so node v's count f'_v and sensitivity S_v read only v's own
+weights, the noisy weights sent to v and public data; the smooth sensitivity
+cuts the segments into chunks of whole segments by itself.  The release pass
+then turns every S_v > 0 into noise drawn from v's own step-2 substream.
 """
 
 from __future__ import annotations
@@ -47,17 +48,6 @@ from .sensitivity import segment_smooth_sensitivities
 STEP1_ROUND = 1
 STEP2_ROUND = 2
 
-# Step 2 takes consecutive nodes in batches that close once their partial
-# sums (two per assigned triangle) reach this many.  A batch's working memory
-# grows with its triangles and with the candidate targets of its smooth
-# sensitivity, and the count bounds it on sparse graphs as well as on dense
-# ones, where one node may fill a batch alone.  Smaller batches pay NumPy's
-# per-call overhead more often: on a 120k-triangle graph (2 vCPU) 8,192 ran
-# both smooth methods about a third faster than 2,048 at the same peak
-# memory, and 32,768 added 8 MB to it.
-SENSITIVITY_FLUSH_SIZE = 8192
-
-
 class Mechanism(str, enum.Enum):
     GLOBAL_LAPLACE = "global"
     SMOOTH = "smooth"
@@ -81,11 +71,12 @@ class RunReport:
     estimate: float
     exact_count: int
     lam: int
-    per_node_release: dict[int, float]
+    # read-only, indexed by node: the noisy count each node uploads in step 2
+    per_node_release: np.ndarray
     tallies: CommunicationTallies
     budget_ledger: dict[int, tuple[BudgetEntry, ...]]
     # indexed by node: S_v under the smooth mechanism, GS_v under Laplace
-    # noise; empty for the baseline, which has no step 2
+    # noise; both arrays are empty for the baseline, which has no step 2
     per_node_sensitivity: np.ndarray
 
     def spent(self, node: int) -> float:
@@ -109,19 +100,6 @@ def release_step1(graph: WeightedGraph, epsilon_1: float, rng: RandomSource) -> 
     return released
 
 
-def _node_batches(owner: np.ndarray, node_count: int):
-    """(first node, end node, first row, end row) of consecutive node batches
-    that close once their partial sums reach ``SENSITIVITY_FLUSH_SIZE``."""
-    starts = np.searchsorted(owner, np.arange(node_count + 1))
-    half = SENSITIVITY_FLUSH_SIZE // 2  # two partial sums per triangle
-    first = 0
-    while first < node_count:
-        end = int(np.searchsorted(starts, starts[first] + half))
-        end = min(max(end, first + 1), node_count)
-        yield first, end, int(starts[first]), int(starts[end])
-        first = end
-
-
 def local_step2(
     assignment: Assignment,
     weights: np.ndarray,
@@ -137,29 +115,26 @@ def local_step2(
     node v reads only its incident ones, and the step-1 release, of which v
     reads only the edges opposite it in its assigned triangles, both read
     through the assignment's edge ids.  f'_v is ``np.bincount`` of the
-    per-triangle estimates, which adds in triangle order like a per-node
-    loop; S_v is one ``segment_smooth_sensitivities`` call per batch over
-    the assignment's ``segments``, one per (v, incident edge), and GS_v is
-    the estimator step bound times v's longest segment.
+    per-triangle estimates over the owner-sorted rows, which adds in triangle
+    order like a per-node loop; S_v is one ``segment_smooth_sensitivities``
+    call over all the assignment's ``segments``, one per (v, incident edge),
+    and GS_v is the estimator step bound times v's longest segment.
     """
+    kind, mechanism = EstimatorKind(kind), Mechanism(mechanism)
     n = assignment.graph.node_count
     rows, segments, p = assignment.rows, assignment.segments, budget.p
-    laplace = mechanism is Mechanism.GLOBAL_LAPLACE
-    counts = np.zeros(n)
-    sens = estimator_step_bound(kind, p) * segments.longest if laplace else np.zeros(n)
-    for first, end, lo, hi in _node_batches(rows[:, 0], n):
-        vy, vz, yz = assignment.edge_ids[lo:hi].T
-        counts[first:end] = np.bincount(
-            rows[lo:hi, 0] - first,
-            weights=estimate_array(kind, weights[vy] + weights[vz] + noisy[yz], lam, p),
-            minlength=end - first,
-        )
-        if not laplace:
-            owner, lengths, incident, sums = segments.gather(slice(lo, hi), weights, noisy)
-            sens[first:end] = segment_smooth_sensitivities(
-                sums, lengths, lam - 1 - incident, owner - first, end - first,
-                kind, budget.beta, p,
-            )
+    vy, vz, yz = assignment.edge_ids.T
+    counts = np.bincount(
+        rows[:, 0],
+        weights=estimate_array(kind, weights[vy] + weights[vz] + noisy[yz], lam, p),
+        minlength=n,
+    ).astype(float, copy=False)  # without rows it is int64, which cannot take the noise
+    if mechanism is Mechanism.GLOBAL_LAPLACE:
+        return counts, estimator_step_bound(kind, p) * segments.longest
+    owner, lengths, incident, sums = segments.gather(slice(0, len(rows)), weights, noisy)
+    sens = segment_smooth_sensitivities(
+        sums, lengths, lam - 1 - incident, owner, n, kind, budget.beta, p
+    )
     return counts, sens
 
 
@@ -209,7 +184,7 @@ class Baseline:
             estimate=float(estimate),
             exact_count=assignment.exact_count(lam),
             lam=lam,
-            per_node_release={},
+            per_node_release=np.zeros(0),
             tallies=CommunicationTallies(2 * graph.edge_count, 0, 0),
             budget_ledger=dict.fromkeys(
                 range(graph.node_count), (BudgetEntry("dlap", self.epsilon),)
@@ -224,7 +199,7 @@ class TwoStep:
 
     budget: PrivacyBudget
     kind: EstimatorKind
-    mechanism: Mechanism = Mechanism.SMOOTH
+    mechanism: Mechanism
 
     def __post_init__(self):
         if not isinstance(self.budget, PrivacyBudget):
@@ -240,10 +215,9 @@ class TwoStep:
         self, assignment: Assignment, lam: int, noisy: np.ndarray, rng: RandomSource
     ) -> RunReport:
         graph, budget, mechanism = assignment.graph, self.budget, self.mechanism
-        counts, sens = local_step2(
+        release, sens = local_step2(
             assignment, graph.weight_array, noisy, lam, self.kind, mechanism, budget
         )
-        release = counts.copy()
         noisy_nodes = np.flatnonzero(sens > 0.0)
         # an epsilon_2 too small for the noise scale overflows here; the
         # check below rejects the run
@@ -264,13 +238,13 @@ class TwoStep:
                 f"node {v} is {release[v]}"
             )
 
-        per_node = dict(enumerate(release.tolist()))
+        release.flags.writeable = False
         entries = (BudgetEntry("dlap", budget.epsilon_1), BudgetEntry(query, budget.epsilon_2))
         return RunReport(
-            estimate=sum(per_node.values()),
+            estimate=sum(release.tolist()),
             exact_count=assignment.exact_count(lam),
             lam=lam,
-            per_node_release=per_node,
+            per_node_release=release,
             # one value uploaded per (node, incident edge), one noisy weight
             # downloaded per assigned triangle, one count uploaded per node
             tallies=CommunicationTallies(

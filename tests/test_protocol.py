@@ -12,6 +12,7 @@ from lwdp_triangles import (
     WeightedGraph,
     enumerate_triangles,
     exact_below_threshold_count,
+    generate_synthetic,
     greedy_assign,
     run_baseline,
     run_two_step,
@@ -22,9 +23,8 @@ from lwdp_triangles import assignment as assignment_module
 from lwdp_triangles.assignment import Assignment
 from lwdp_triangles.graph import triangle_edge_ids, triangle_weights
 from lwdp_triangles.mechanisms import dlap_sample, smooth_noise_sample
-from lwdp_triangles import protocol
+from lwdp_triangles import sensitivity
 from lwdp_triangles.protocol import (
-    SENSITIVITY_FLUSH_SIZE,
     STEP1_ROUND,
     STEP2_ROUND,
     Baseline,
@@ -34,13 +34,14 @@ from lwdp_triangles.protocol import (
     release_step1,
     run_methods,
 )
+from lwdp_triangles.sensitivity import SENSITIVITY_FLUSH_SIZE
 
 from conftest import complete_graph, random_graph, reference_step2
 
 import random
 
-# step-2 batch size for the tests that need graphs spanning several batches:
-# small batches keep those graphs, and the per-node reference, small
+# smooth-sensitivity chunk size for the tests that need graphs spanning
+# several chunks: small chunks keep those graphs, and the per-node reference, small
 SMALL_FLUSH_SIZE = 2048
 assert SMALL_FLUSH_SIZE < SENSITIVITY_FLUSH_SIZE
 
@@ -202,8 +203,10 @@ def test_estimate_is_sum_of_releases():
     g = complete_graph(6, weight=2)
     rep = run_two_step(g, 7, PrivacyBudget(1.0, 1.0), EstimatorKind.UNBIASED,
                        Mechanism.SMOOTH, RandomSource(9))
-    assert rep.estimate == sum(rep.per_node_release.values())
-    assert len(rep.per_node_release) == g.node_count
+    assert rep.estimate == sum(rep.per_node_release.tolist())
+    assert rep.per_node_release.shape == (g.node_count,)
+    assert rep.per_node_release.dtype == np.float64
+    assert not rep.per_node_release.flags.writeable
 
 
 def test_same_seed_reproduces_run():
@@ -216,7 +219,7 @@ def test_same_seed_reproduces_run():
     c = run_two_step(g, 1, PrivacyBudget(1.0, 1.0), EstimatorKind.UNBIASED,
                      Mechanism.SMOOTH, RandomSource(32))
     assert a.estimate == b.estimate
-    assert a.per_node_release == b.per_node_release
+    assert a.per_node_release.tolist() == b.per_node_release.tolist()
     assert a.estimate != c.estimate
 
 
@@ -330,8 +333,8 @@ def test_smooth_release_per_node_matches_one_node_at_a_time():
 
 
 def test_per_node_sensitivity_matches_each_node(monkeypatch):
-    # large enough that step 2 computes S_v in several batches
-    monkeypatch.setattr(protocol, "SENSITIVITY_FLUSH_SIZE", SMALL_FLUSH_SIZE)
+    # large enough that step 2 computes S_v in several chunks
+    monkeypatch.setattr(sensitivity, "SENSITIVITY_FLUSH_SIZE", SMALL_FLUSH_SIZE)
     rnd = random.Random(9)
     g = random_graph(rnd, 40, 0.6, -2, 4)
     tris = enumerate_triangles(g)
@@ -356,12 +359,13 @@ def test_per_node_sensitivity_matches_each_node(monkeypatch):
                 assert (np.rint(np.array(expected) / step) == longest).all(), kind
     baseline = run_baseline(g, lam, 1.0, RandomSource(10), triangles=tris)
     assert baseline.per_node_sensitivity.size == 0
+    assert baseline.per_node_release.size == 0
 
 
 def test_local_step2_matches_per_node_reference_bit_for_bit(monkeypatch):
     # negative weights, isolated and triangle-free nodes, thresholds on the
-    # estimators' boundary cases, and one graph that spans several batches
-    monkeypatch.setattr(protocol, "SENSITIVITY_FLUSH_SIZE", SMALL_FLUSH_SIZE)
+    # estimators' boundary cases, and one graph that spans several chunks
+    monkeypatch.setattr(sensitivity, "SENSITIVITY_FLUSH_SIZE", SMALL_FLUSH_SIZE)
     rnd = random.Random(31)
     budget = PrivacyBudget(0.8, 1.3)
     graphs = [random_graph(rnd, rnd.randint(6, 22), rnd.uniform(0.1, 0.8), -6, 6)
@@ -383,6 +387,74 @@ def test_local_step2_matches_per_node_reference_bit_for_bit(monkeypatch):
                 assert [float(x).hex() for x in f] == [x.hex() for x in ref_f], (i, kind, mechanism)
                 assert [float(x).hex() for x in s] == [x.hex() for x in ref_s], (i, kind, mechanism)
     assert seen_empty > 0
+
+
+def test_local_step2_is_the_reference_whatever_the_chunk_size(monkeypatch):
+    # the smooth sensitivity cuts the segments into chunks of whole segments;
+    # a node whose segments fall in several chunks must still get the maximum
+    # over all of them, so the chunk size cannot move any value
+    chunks = []
+    score = sensitivity._segment_maxima
+
+    def recording(keys, bounds, *args):
+        chunks.append(np.diff(bounds))
+        return score(keys, bounds, *args)
+
+    monkeypatch.setattr(sensitivity, "_segment_maxima", recording)
+    g = random_graph(random.Random(32), 46, 0.6, -4, 5)
+    assignment = greedy_assign(g)
+    segments = assignment.segments
+    budget = PrivacyBudget(0.9, 1.2)
+    noisy = release_step1(g, budget.epsilon_1, RandomSource(5))
+    lam = 3
+    expected = {
+        (kind, mechanism): reference_step2(g, assignment, noisy, lam, kind, mechanism, budget)
+        for kind in EstimatorKind
+        for mechanism in Mechanism
+    }
+    straddled = set()
+    for flush in (1, SMALL_FLUSH_SIZE, SENSITIVITY_FLUSH_SIZE):
+        monkeypatch.setattr(sensitivity, "SENSITIVITY_FLUSH_SIZE", flush)
+        for (kind, mechanism), (ref_f, ref_s) in expected.items():
+            chunks.clear()
+            f, s = local_step2(assignment, g.weight_array, noisy, lam, kind, mechanism, budget)
+            assert [float(x).hex() for x in f] == [x.hex() for x in ref_f], (flush, kind, mechanism)
+            assert [float(x).hex() for x in s] == [x.hex() for x in ref_s], (flush, kind, mechanism)
+            if mechanism is Mechanism.GLOBAL_LAPLACE:
+                assert chunks == []
+                continue
+            # each chunk closes at the first segment that brings its sums to
+            # the constant, and the chunks cover every segment once, in order
+            assert np.concatenate(chunks).tolist() == segments.lengths.tolist()
+            for lengths in chunks[:-1]:
+                assert lengths.sum() >= flush > lengths[:-1].sum()
+            ends = np.cumsum([len(lengths) for lengths in chunks])[:-1]
+            if (segments.owner[ends - 1] == segments.owner[ends]).any():
+                straddled.add(flush)
+    assert straddled == {1, SMALL_FLUSH_SIZE}
+
+
+def test_local_step2_reads_estimator_and_mechanism_by_name():
+    # a name used to fail every ``is`` test in step 2: "biased" ran the
+    # unbiased estimator and "global" the smooth sensitivity
+    g = generate_synthetic(30, 0.5, seed=1)
+    assignment = greedy_assign(g)
+    budget = PrivacyBudget(1.0, 1.0)
+    noisy = release_step1(g, budget.epsilon_1, RandomSource(1))
+
+    def step2(kind, mechanism):
+        f, s = local_step2(assignment, g.weight_array, noisy, 9, kind, mechanism, budget)
+        return [float(x).hex() for x in f], [float(x).hex() for x in s]
+
+    for kind in EstimatorKind:
+        for mechanism in Mechanism:
+            assert step2(kind.value, mechanism.value) == step2(kind, mechanism), (kind, mechanism)
+    f, s = local_step2(assignment, g.weight_array, noisy, 9, "biased", "global", budget)
+    assert (f.sum(), s.max()) == (105.0, 10.0)
+    with pytest.raises(ValueError, match="not a valid EstimatorKind"):
+        step2("bogus", Mechanism.SMOOTH)
+    with pytest.raises(ValueError, match="not a valid Mechanism"):
+        step2(EstimatorKind.BIASED, "laplace")
 
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
@@ -457,6 +529,9 @@ def test_estimator_and_mechanism_are_checked_where_they_enter():
         TwoStep(budget, "bogus", Mechanism.SMOOTH)
     with pytest.raises(ValueError, match="not a valid Mechanism"):
         TwoStep(budget, EstimatorKind.BIASED, "laplace")
+    # no default mechanism: smooth noise is never picked silently
+    with pytest.raises(TypeError):
+        TwoStep(budget, EstimatorKind.BIASED)
 
 
 def test_privacy_facing_signatures_have_no_private_parameters():
@@ -531,7 +606,7 @@ def _report_fields(rep):
         rep.estimate.hex(),
         rep.exact_count,
         rep.lam,
-        {v: x.hex() for v, x in rep.per_node_release.items()},
+        [x.hex() for x in rep.per_node_release.tolist()],
         [float(s).hex() for s in rep.per_node_sensitivity],
         rep.tallies,
         rep.budget_ledger,
