@@ -33,7 +33,6 @@ from .estimators import (
 from .sensitivity import (
     SmoothSensInstance,
     build_instance,
-    smooth_sensitivities,
     smooth_sensitivity,
     smooth_sensitivity_bruteforce,
 )

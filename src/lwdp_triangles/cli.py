@@ -21,7 +21,7 @@ from .sensitivity import build_instance, smooth_sensitivity, smooth_sensitivity_
 
 
 def _cmd_assign(args) -> int:
-    graph = parse_edge_list(args.graph)
+    graph = _usage_checked(args, parse_edge_list, args.graph)
     triangles = enumerate_triangles(graph)
     assignment = greedy_assign(graph, triangles)
     print(f"triangles: {len(triangles)}")
@@ -36,17 +36,18 @@ def _cmd_assign(args) -> int:
 
 
 def _usage_checked(args, check, *values, **options):
-    """``check(*values, **options)``, reporting a ValueError as a usage
-    error (exit 2) before the command prints anything."""
+    """``check(*values, **options)``, reporting a ValueError, or an OSError
+    from reading a file, as a usage error (exit 2) before the command prints
+    anything."""
     try:
         return check(*values, **options)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
 
 
 def _cmd_sensitivity(args) -> int:
     budget = _usage_checked(args, PrivacyBudget, args.eps1, 1.0)
-    graph = parse_edge_list(args.graph)
+    graph = _usage_checked(args, parse_edge_list, args.graph)
     if not (0 <= args.node < graph.node_count):
         print(f"node {args.node} out of range", file=sys.stderr)
         return 2
@@ -96,7 +97,7 @@ def _print_trials(args, assignment, method) -> int:
 def _cmd_count(args) -> int:
     budget = _usage_checked(args, _budget_from_args, args)
     _usage_checked(args, check_threshold, args.lam)
-    graph = parse_edge_list(args.graph)
+    graph = _usage_checked(args, parse_edge_list, args.graph)
     method = TwoStep(budget, args.estimator, args.mechanism)
     return _print_trials(args, greedy_assign(graph), method)
 
@@ -104,7 +105,7 @@ def _cmd_count(args) -> int:
 def _cmd_baseline(args) -> int:
     method = _usage_checked(args, Baseline, args.eps)
     _usage_checked(args, check_threshold, args.lam)
-    graph = parse_edge_list(args.graph)
+    graph = _usage_checked(args, parse_edge_list, args.graph)
     # the baseline reads only edge ids, so any assignment of the triangles serves
     return _print_trials(args, Assignment(graph, enumerate_triangles(graph)), method)
 
@@ -126,8 +127,8 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def _cmd_experiment(args) -> int:
     cfg = _usage_checked(args, _experiment_config, args)
-    graph = parse_edge_list(args.graph)
-    report = run_sweep(cfg, graph)
+    graph = _usage_checked(args, parse_edge_list, args.graph)
+    report = _usage_checked(args, run_sweep, cfg, graph)
     csv_text = report.to_csv()
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(csv_text)
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assign", help="greedy triangle assignment statistics")
     p.add_argument("--graph", required=True)
     p.add_argument("--stats", action="store_true", help="print the load histogram")
-    p.set_defaults(func=_cmd_assign)
+    p.set_defaults(func=_cmd_assign, parser=p)
 
     p = sub.add_parser("sensitivity", help="smooth sensitivity of one node's count")
     p.add_argument("--graph", required=True)

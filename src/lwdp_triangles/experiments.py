@@ -310,13 +310,13 @@ def sample_induced_subgraph(graph: WeightedGraph, node_count: int, seed: int) ->
     return induced_subgraph(graph, (int(v) for v in kept))
 
 
-def default_lambda(weights: Sequence[int] | np.ndarray, quantile: float = 0.9) -> int:
-    """Smallest threshold with at least ``quantile`` of the triangle
-    ``weights`` strictly below it."""
+def default_lambda(weights: Sequence[int] | np.ndarray) -> int:
+    """Smallest threshold with at least 90% of the triangle ``weights``
+    strictly below it."""
     if not len(weights):
         return 1
     ordered = np.sort(np.asarray(weights, dtype=np.int64))
-    idx = max(0, math.ceil(quantile * len(ordered)) - 1)
+    idx = max(0, math.ceil(0.9 * len(ordered)) - 1)
     return int(ordered[idx]) + 1
 
 
@@ -345,6 +345,9 @@ class ExperimentConfig:
                 method_named(m, float(epsilon))
         for lam in self.values if self.axis == "lambda" else ():
             check_threshold(lam)
+        for size in self.values if self.axis == "size" else ():
+            if size < 0:
+                raise ValueError(f"subgraph size must be non-negative, got {size}")
         if self.lam is not None:
             check_threshold(self.lam)
 
@@ -393,27 +396,31 @@ def run_sweep(cfg: ExperimentConfig, graph: WeightedGraph) -> ErrorReport:
     """Mean relative error per (axis value, method) over paired-seed trials.
 
     The public work (triangle enumeration, and the assignment with every
-    triangle's edge ids) is one ``greedy_assign`` per axis point.
+    triangle's edge ids and step-2 segments) is one ``greedy_assign`` for
+    the whole sweep, or one per sampled subgraph of a size sweep.
     Each trial runs every method through one ``run_methods`` call on the
     same random source, so methods that spend the same epsilon_1 read one
     shared step-1 release and method differences stay isolated.
     """
+    if cfg.axis != "size":
+        assignment = greedy_assign(graph)
+    elif max(cfg.values) > graph.node_count:
+        size, n = max(cfg.values), graph.node_count
+        raise ValueError(f"subgraph size {size} exceeds the graph's {n} nodes")
     rows = []
     for axis_idx, value in enumerate(sorted(cfg.values)):
         if cfg.axis == "size":
             g = sample_induced_subgraph(
                 graph, int(value), seed=_derived_seed(cfg.seed, _SIZE_SAMPLE_TAG, axis_idx)
             )
-        else:
-            g = graph
+            assignment = greedy_assign(g)
         epsilon = float(value) if cfg.axis == "eps" else cfg.epsilon
-        assignment = greedy_assign(g)
         if cfg.axis == "lambda":
             lam = int(value)
         elif cfg.lam is not None:
             lam = cfg.lam
         else:
-            lam = default_lambda(edge_id_sums(g.weight_array, assignment.edge_ids))
+            lam = default_lambda(edge_id_sums(assignment.graph.weight_array, assignment.edge_ids))
         methods = [method_named(m, epsilon) for m in cfg.methods]
         exact = assignment.exact_count(lam)
         sums = {m: 0.0 for m in cfg.methods}

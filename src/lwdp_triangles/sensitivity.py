@@ -22,8 +22,8 @@ and the walks run as masked rounds.  Every e^{-beta n} is ``math.exp`` of an
 integer n, so the values are bit-identical to a per-target scalar
 evaluation.  Step 2 scores all an ``Assignment``'s ``segments`` in one call,
 and ``build_instance`` cuts one node's segments into edge views;
-``smooth_sensitivities`` flattens ``SmoothSensInstance`` objects into
-segments, and ``smooth_sensitivity`` is the one-instance form.
+``smooth_sensitivity`` flattens one ``SmoothSensInstance`` into segments and
+makes one such call.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target in an exact pruning radius and exhausts all shift counts
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Sequence
 
 import numpy as np
 
@@ -100,7 +99,7 @@ def build_instance(
     return SmoothSensInstance(node, lam, beta, kind, p, views)
 
 
-# -- smooth sensitivity, batched over instances --------------------------------
+# -- smooth sensitivity over segments ------------------------------------------
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -299,44 +298,23 @@ def segment_smooth_sensitivities(
     return np.where(out > 0.0, out, 0.0)
 
 
-def smooth_sensitivities(instances: Sequence[SmoothSensInstance]) -> np.ndarray:
-    """beta-smooth sensitivity of every instance: ``segment_smooth_sensitivities``
-    over their flattened segments, one call per (estimator, beta, p).
-
-    Each instance's value depends on its own segments only and equals
-    ``smooth_sensitivity`` on that instance alone, bit for bit.
-    """
-    out = np.zeros(len(instances))
-    groups: dict[tuple, list[int]] = {}
-    for i, inst in enumerate(instances):
-        x = unbiased_correction(inst.p) if inst.kind is EstimatorKind.UNBIASED else 0.0
-        groups.setdefault((inst.kind, inst.beta, x), []).append(i)
-    for (kind, beta, _), members in groups.items():
-        owners, anchors, sums = [], [], []
-        for i in members:
-            inst = instances[i]
-            for view in inst.edges:
-                if view.partial_sums:
-                    owners.append(i)
-                    anchors.append(inst.lam - 1 - view.weight)
-                    sums.append(view.partial_sums)
-        lengths = np.fromiter(map(len, sums), np.int64, len(sums))
-        try:
-            flat = np.fromiter(chain.from_iterable(sums), np.int64, int(lengths.sum()))
-            anchors = np.array(anchors, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("partial sums and thresholds must fit in int64") from None
-        values = segment_smooth_sensitivities(
-            flat, lengths, anchors, np.array(owners, dtype=np.int64), len(instances),
-            kind, beta, instances[members[0]].p,
-        )
-        out = np.maximum(out, values)
-    return out
-
-
 def smooth_sensitivity(inst: SmoothSensInstance) -> float:
-    """beta-smooth sensitivity of one instance: ``smooth_sensitivities([inst])``."""
-    return float(smooth_sensitivities([inst])[0])
+    """beta-smooth sensitivity of one instance: ``segment_smooth_sensitivities``
+    over its non-empty views, one segment each."""
+    views = [view for view in inst.edges if view.partial_sums]
+    lengths = np.fromiter((len(view.partial_sums) for view in views), np.int64, len(views))
+    try:
+        sums = np.fromiter(
+            chain.from_iterable(view.partial_sums for view in views), np.int64,
+            int(lengths.sum()),
+        )
+        anchors = np.array([inst.lam - 1 - view.weight for view in views], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("partial sums and thresholds must fit in int64") from None
+    owners = np.zeros(len(views), dtype=np.int64)
+    return float(segment_smooth_sensitivities(
+        sums, lengths, anchors, owners, 1, inst.kind, inst.beta, inst.p
+    )[0])
 
 
 # -- brute-force oracle --------------------------------------------------------

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import random
 
-from lwdp_triangles import WeightedGraph
+import numpy as np
+
+from lwdp_triangles import WeightedGraph, sensitivity
 from lwdp_triangles.estimators import EstimatorKind, estimate, estimator_step_bound
 from lwdp_triangles.graph import canonical_edge
 from lwdp_triangles.protocol import Mechanism
@@ -82,6 +84,20 @@ def instance_from_node_data(node, incident, assigned, received, lam, beta, kind,
         for u, c in sorted(sums.items())
     )
     return SmoothSensInstance(node, lam, beta, kind, p, views)
+
+
+def record_chunks(monkeypatch):
+    """Make the smooth-sensitivity kernel record each chunk it scores, as the
+    lengths of the chunk's segments; returns the list they are appended to."""
+    chunks = []
+    score = sensitivity._segment_maxima
+
+    def recording(keys, bounds, *args):
+        chunks.append(np.diff(bounds))
+        return score(keys, bounds, *args)
+
+    monkeypatch.setattr(sensitivity, "_segment_maxima", recording)
+    return chunks
 
 
 def reference_step2(graph, assignment, noisy, lam, kind, mechanism, budget):

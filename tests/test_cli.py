@@ -195,6 +195,9 @@ def test_invalid_budget_is_a_usage_error(graph_file, command, capsys):
     ["sensitivity", "--seed", "-1", "--node", "0", "--beta", "0.25", "--estimator", "biased",
      "--lambda", "6"],
     ["experiment", "--seed", "-1", "--sweep", "eps", "--values", "1.0"],
+    # a size above the graph's 14 nodes used to fail after the first point's trials
+    ["experiment", "--sweep", "size", "--values", "10,100"],
+    ["experiment", "--sweep", "size", "--values", "-1"],
 ])
 def test_invalid_library_argument_is_a_usage_error(graph_file, tmp_path, command, capsys):
     out_path = tmp_path / "sweep.csv"
@@ -231,4 +234,29 @@ def test_threshold_outside_int64_range_is_a_usage_error(graph_file, tmp_path, co
     assert captured.out == ""
     assert f"lwdp-triangles {command[0]}: error:" in captured.err
     assert "int64" in captured.err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["assign"],
+    ["sensitivity", "--node", "0", "--beta", "0.25", "--estimator", "biased", "--lambda", "6"],
+    ["count", "--lambda", "6", "--eps", "2.0", "--estimator", "biased", "--mechanism", "global"],
+    ["baseline", "--lambda", "6", "--eps", "1.0"],
+    ["experiment", "--sweep", "eps", "--values", "1.0", "--trials", "1"],
+])
+def test_unreadable_or_malformed_graph_is_a_usage_error(tmp_path, command, capsys):
+    out_path = tmp_path / "sweep.csv"
+    if command[0] == "experiment":
+        command = command + ["--out", str(out_path)]
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("0 1 3\n1 2 x\n")
+    missing = tmp_path / "missing.txt"
+    for path, message in ((malformed, "line 2: non-integer field"), (missing, str(missing))):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--graph", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"lwdp-triangles {command[0]}: error:" in captured.err
+        assert message in captured.err
     assert not out_path.exists()

@@ -32,7 +32,8 @@ from lwdp_triangles.experiments import (
     sample_induced_subgraph,
     write_edge_list,
 )
-from lwdp_triangles import assignment as assignment_mod, protocol
+from lwdp_triangles import assignment as assignment_mod, experiments, protocol
+from lwdp_triangles.assignment import greedy_assign
 from lwdp_triangles.protocol import Mechanism
 
 from conftest import random_graph
@@ -345,6 +346,8 @@ def test_config_validation():
         ExperimentConfig(axis="eps", values=(1.0,), trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(axis="eps", values=(1.0,), methods=("bogus",))
+    with pytest.raises(ValueError, match="non-negative"):
+        ExperimentConfig(axis="size", values=(5, -1))
     # every method's budget at every epsilon it will run: the axis values on
     # eps, else ``epsilon``; the baseline spends it whole, the rest half each
     with pytest.raises(ValueError, match="underflow"):
@@ -406,6 +409,35 @@ def test_sweep_looks_up_edge_ids_once_and_shares_step_1_per_epsilon_1(monkeypatc
     # pass looks up the ids of its triangles once and hands them to the
     # assignment, and no run looks up any
     assert calls == {"ids": 1, "release": 2 * trials}
+
+
+def test_sweep_builds_one_assignment_per_graph(monkeypatch):
+    # an eps or lambda sweep runs every point on the one graph, a size sweep
+    # on one sampled subgraph per point
+    g = generate_synthetic(12, 0.6, seed=1)
+    built = []
+
+    def counted(graph, *args, **kwargs):
+        built.append(graph)
+        return greedy_assign(graph, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "greedy_assign", counted)
+    for axis, values in (("eps", (1.0, 2.0, 4.0)), ("lambda", (2, 4, 6))):
+        built.clear()
+        run_sweep(ExperimentConfig(axis=axis, values=values, trials=1, seed=3), g)
+        assert built == [g], axis
+    built.clear()
+    run_sweep(ExperimentConfig(axis="size", values=(6, 9, 12), trials=1, seed=3), g)
+    assert [graph.node_count for graph in built] == [6, 9, 12]
+
+
+def test_size_sweep_rejects_sizes_above_the_graph_before_any_trial(monkeypatch):
+    runs = []
+    monkeypatch.setattr(experiments, "run_methods", lambda *args: runs.append(args))
+    g = generate_synthetic(12, 0.6, seed=1)
+    with pytest.raises(ValueError, match="exceeds the graph's 12 nodes"):
+        run_sweep(ExperimentConfig(axis="size", values=(10, 13), trials=1), g)
+    assert runs == []
 
 
 # recorded before the sweep shared one instance per axis point and one

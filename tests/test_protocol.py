@@ -36,7 +36,7 @@ from lwdp_triangles.protocol import (
 )
 from lwdp_triangles.sensitivity import SENSITIVITY_FLUSH_SIZE
 
-from conftest import complete_graph, random_graph, reference_step2
+from conftest import complete_graph, random_graph, record_chunks, reference_step2
 
 import random
 
@@ -393,14 +393,7 @@ def test_local_step2_is_the_reference_whatever_the_chunk_size(monkeypatch):
     # the smooth sensitivity cuts the segments into chunks of whole segments;
     # a node whose segments fall in several chunks must still get the maximum
     # over all of them, so the chunk size cannot move any value
-    chunks = []
-    score = sensitivity._segment_maxima
-
-    def recording(keys, bounds, *args):
-        chunks.append(np.diff(bounds))
-        return score(keys, bounds, *args)
-
-    monkeypatch.setattr(sensitivity, "_segment_maxima", recording)
+    chunks = record_chunks(monkeypatch)
     g = random_graph(random.Random(32), 46, 0.6, -4, 5)
     assignment = greedy_assign(g)
     segments = assignment.segments
@@ -432,6 +425,27 @@ def test_local_step2_is_the_reference_whatever_the_chunk_size(monkeypatch):
             if (segments.owner[ends - 1] == segments.owner[ends]).any():
                 straddled.add(flush)
     assert straddled == {1, SMALL_FLUSH_SIZE}
+
+
+def test_local_step2_splits_segments_whose_keys_overflow_int64(monkeypatch):
+    # one received noisy weight 2^58 above the rest widens its two segments
+    # to ~2^58, so at most 31 segments fit one int64 key array and step 2's
+    # one sensitivity call is cut into several chunks by that alone
+    chunks = record_chunks(monkeypatch)
+    g = random_graph(random.Random(6), 14, 0.6, -2, 2)
+    assignment = greedy_assign(g)
+    assert len(assignment.segments.lengths) > 31
+    budget = PrivacyBudget(1.0, 1.0)
+    noisy = release_step1(g, budget.epsilon_1, RandomSource(6)).copy()
+    noisy[assignment.edge_ids[0, 2]] = 2**58
+    for kind in EstimatorKind:
+        chunks.clear()
+        f, s = local_step2(assignment, g.weight_array, noisy, 3, kind, Mechanism.SMOOTH, budget)
+        assert len(chunks) > 1
+        ref_f, ref_s = reference_step2(g, assignment, noisy, 3, kind, Mechanism.SMOOTH, budget)
+        assert [float(x).hex() for x in f] == [x.hex() for x in ref_f], kind
+        assert [float(x).hex() for x in s] == [x.hex() for x in ref_s], kind
+        assert np.count_nonzero(s) > g.node_count // 2, kind
 
 
 def test_local_step2_reads_estimator_and_mechanism_by_name():

@@ -16,16 +16,22 @@ from lwdp_triangles.estimators import EstimatorKind, unbiased_correction
 from lwdp_triangles.graph import canonical_edge
 from lwdp_triangles.mechanisms import PrivacyBudget, RandomSource
 from lwdp_triangles.protocol import Mechanism, local_step2, release_step1
+from lwdp_triangles import sensitivity
 from lwdp_triangles.sensitivity import (
     EdgeLocalView,
     SmoothSensInstance,
     build_instance,
-    smooth_sensitivities,
+    segment_smooth_sensitivities,
     smooth_sensitivity,
     smooth_sensitivity_bruteforce,
 )
 
-from conftest import instance_from_node_data, random_graph, random_local_instance
+from conftest import (
+    instance_from_node_data,
+    random_graph,
+    random_local_instance,
+    record_chunks,
+)
 
 PS = (math.exp(-0.5), math.exp(-1.0), math.exp(-2.0))
 
@@ -143,23 +149,23 @@ def test_bruteforce_size_cap():
 # -- oracle agreement and structural properties --------------------------------
 
 
-def _assert_batch_matches_oracle(instances):
-    # one batched pass over all instances, each checked against the oracle
-    for inst, fast in zip(instances, smooth_sensitivities(instances)):
+def _assert_matches_oracle(instances):
+    for inst in instances:
+        fast = smooth_sensitivity(inst)
         oracle = smooth_sensitivity_bruteforce(inst)
         assert math.isclose(fast, oracle, rel_tol=1e-12, abs_tol=1e-12), inst
 
 
 def test_fast_matches_oracle_biased_sweep():
     rnd = random.Random(1001)
-    _assert_batch_matches_oracle(
+    _assert_matches_oracle(
         [random_local_instance(rnd, EstimatorKind.BIASED) for _ in range(150)]
     )
 
 
 def test_fast_matches_oracle_unbiased_sweep():
     rnd = random.Random(1002)
-    _assert_batch_matches_oracle(
+    _assert_matches_oracle(
         [random_local_instance(rnd, EstimatorKind.UNBIASED, p=PS[i % 3]) for i in range(150)]
     )
 
@@ -241,8 +247,7 @@ def test_local_sensitivity_matches_raw_estimator_differences():
 
 
 def test_fast_matches_oracle_adversarial_parameters():
-    # clustered values, extreme smoothing, and extreme correction factors,
-    # mixed in one batch
+    # clustered values, extreme smoothing, and extreme correction factors
     rnd = random.Random(5150)
     instances = []
     for i in range(200):
@@ -259,11 +264,11 @@ def test_fast_matches_oracle_adversarial_parameters():
                 betas=(beta,),
             )
         instances.append(inst)
-    _assert_batch_matches_oracle(instances)
+    _assert_matches_oracle(instances)
 
 
 def _mixed_instances(rnd, count):
-    # both estimators, several beta and p, so a batch holds several groups
+    # both estimators, several beta and p
     out = []
     for i in range(count):
         beta = rnd.choice((0.05, 0.5, 2.5))
@@ -279,30 +284,89 @@ def _hexes(values):
     return [float(v).hex() for v in values]
 
 
-def test_batch_equals_each_instance_alone():
-    instances = _mixed_instances(random.Random(7001), 120)
-    alone = [smooth_sensitivity(inst).hex() for inst in instances]
-    assert _hexes(smooth_sensitivities(instances)) == alone
-    assert len(smooth_sensitivities([])) == 0
+# the kernel's parameters: both estimators, several beta and p
+KERNEL_PARAMETERS = (
+    (EstimatorKind.BIASED, 0.05, None),
+    (EstimatorKind.BIASED, 0.5, None),
+    (EstimatorKind.UNBIASED, 0.5, PS[0]),
+    (EstimatorKind.UNBIASED, 2.5, PS[2]),
+)
 
 
-def test_instance_value_ignores_the_rest_of_the_batch():
-    # the step-2 information-flow contract at the sensitivity layer: a node's value
-    # depends on its own instance only
+def _random_segments(rnd, owners):
+    """Segment arrays (sums, lengths, anchors, owners) as step 2 hands them to
+    ``segment_smooth_sensitivities``: up to six segments per owner, some
+    owners with none, in owner order."""
+    sums, lengths, anchors, owner = [], [], [], []
+    for v in range(owners):
+        for _ in range(rnd.randint(0, 6)):
+            k = rnd.randint(1, 12)
+            sums += [rnd.randint(-20, 20) for _ in range(k)]
+            lengths.append(k)
+            anchors.append(rnd.randint(-15, 15))
+            owner.append(v)
+    return tuple(np.array(a, dtype=np.int64) for a in (sums, lengths, anchors, owner))
+
+
+def _take(segments, picked):
+    """The segments at indices ``picked``, in that order."""
+    sums, lengths, anchors, owner = segments
+    picked = np.asarray(picked, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    flat = [sums[starts[i]:starts[i] + lengths[i]] for i in picked]
+    flat = np.concatenate(flat) if flat else np.empty(0, dtype=np.int64)
+    return flat, lengths[picked], anchors[picked], owner[picked]
+
+
+def _kernel_hexes(segments, count, kind, beta, p):
+    return _hexes(segment_smooth_sensitivities(*segments, count, kind, beta, p))
+
+
+def test_segment_kernel_scores_each_owner_as_if_alone(monkeypatch):
+    # small chunks, so that owners' segments straddle chunk boundaries
+    monkeypatch.setattr(sensitivity, "SENSITIVITY_FLUSH_SIZE", 24)
+    chunks = record_chunks(monkeypatch)
+    rnd = random.Random(7001)
+    segments = _random_segments(rnd, 60)
+    owner = segments[3]
+    for kind, beta, p in KERNEL_PARAMETERS:
+        chunks.clear()
+        values = _kernel_hexes(segments, 60, kind, beta, p)
+        ends = np.cumsum([len(lengths) for lengths in chunks])[:-1]
+        assert (owner[ends - 1] == owner[ends]).any()
+        alone = []
+        for v in range(60):
+            mine = _take(segments, np.flatnonzero(owner == v))
+            alone += _kernel_hexes(mine[:3] + (np.zeros_like(mine[3]),), 1, kind, beta, p)
+        assert values == alone, (kind, beta)
+        assert alone.count((0.0).hex()) < 60
+    empty = (np.empty(0, dtype=np.int64),) * 4
+    assert _kernel_hexes(empty, 3, EstimatorKind.BIASED, 0.5, None) == [(0.0).hex()] * 3
+
+
+def test_segment_kernel_owner_value_ignores_other_owners(monkeypatch):
+    # the step-2 information-flow contract at the sensitivity layer: a node's
+    # value depends on its own segments only, wherever they sit in the call
+    monkeypatch.setattr(sensitivity, "SENSITIVITY_FLUSH_SIZE", 24)
     rnd = random.Random(7002)
-    instances = _mixed_instances(rnd, 60)
-    base = _hexes(smooth_sensitivities(instances))
-    order = list(range(len(instances)))
-    rnd.shuffle(order)
-    permuted = _hexes(smooth_sensitivities([instances[i] for i in order]))
-    assert [permuted[order.index(i)] for i in range(len(instances))] == base
-    kept = order[:20]
-    dropped = _hexes(smooth_sensitivities([instances[i] for i in kept]))
-    assert dropped == [base[i] for i in kept]
-    others = _mixed_instances(rnd, len(instances))
-    replaced = [inst if i in kept else others[i] for i, inst in enumerate(instances)]
-    values = _hexes(smooth_sensitivities(replaced))
-    assert [values[i] for i in kept] == [base[i] for i in kept]
+    segments = _random_segments(rnd, 60)
+    owner = segments[3]
+    kept = rnd.sample(range(60), 20)
+    mine = np.isin(owner, kept)
+    others = _random_segments(rnd, 60)
+    for kind, beta, p in KERNEL_PARAMETERS:
+        base = _kernel_hexes(segments, 60, kind, beta, p)
+        order = rnd.sample(range(len(owner)), len(owner))
+        assert _kernel_hexes(_take(segments, order), 60, kind, beta, p) == base
+        own = _take(segments, np.flatnonzero(mine))
+        dropped = _kernel_hexes(own, 60, kind, beta, p)
+        assert [dropped[v] for v in kept] == [base[v] for v in kept]
+        # every other owner's segments swapped for fresh ones, interleaved
+        swapped = _take(others, np.flatnonzero(~np.isin(others[3], kept)))
+        joined = tuple(np.concatenate(pair) for pair in zip(own, swapped))
+        order = np.argsort(joined[3], kind="stable")
+        replaced = _kernel_hexes(_take(joined, order), 60, kind, beta, p)
+        assert [replaced[v] for v in kept] == [base[v] for v in kept]
 
 
 def _shifted(inst, shift):
@@ -315,27 +379,30 @@ def _shifted(inst, shift):
 def test_shifting_sums_and_threshold_keeps_value_bit_identical():
     # the smooth sensitivity depends only on differences c - (lam - w)
     instances = _mixed_instances(random.Random(7003), 80)
-    base = _hexes(smooth_sensitivities(instances))
+    base = [smooth_sensitivity(inst).hex() for inst in instances]
     for shift in (2**50, -(2**50)):
-        assert _hexes(smooth_sensitivities([_shifted(i, shift) for i in instances])) == base
+        assert [smooth_sensitivity(_shifted(inst, shift)).hex() for inst in instances] == base
 
 
-def test_batch_splits_segments_whose_keys_overflow_int64():
+def test_batch_splits_segments_whose_keys_overflow_int64(monkeypatch):
     # one sum per edge 2^58 above the rest widens every segment to ~2^58, so
-    # at most 31 segments fit one int64 key array; the far sum is out of reach
-    # of every walk and discount, so each value equals the unpadded one
+    # at most 31 segments fit one int64 key array and the instance's segments
+    # fall in several chunks; the far sum is out of reach of every walk and
+    # discount, so the value equals the unpadded one
+    chunks = record_chunks(monkeypatch)
     far = 2**58
-    instances = _mixed_instances(random.Random(7004), 40)
-    padded = [
-        SmoothSensInstance(inst.node, inst.lam, inst.beta, inst.kind, inst.p, tuple(
+    for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, PS[1])):
+        inst = _dense_instance(40, 60, seed=7004, kind=kind, p=p)
+        padded = dataclasses.replace(inst, edges=tuple(
             EdgeLocalView(v.weight, v.partial_sums + (max(v.partial_sums) + far,))
             if v.partial_sums else v
             for v in inst.edges
         ))
-        for inst in instances
-    ]
-    assert sum(1 for inst in padded for v in inst.edges if v.partial_sums) > 31
-    assert _hexes(smooth_sensitivities(padded)) == _hexes(smooth_sensitivities(instances))
+        assert sum(1 for v in padded.edges if v.partial_sums) > 31
+        chunks.clear()
+        value = smooth_sensitivity(padded)
+        assert len(chunks) > 1
+        assert value.hex() == smooth_sensitivity(inst).hex() != (0.0).hex()
 
 
 def test_segment_spread_beyond_int64_is_rejected():
