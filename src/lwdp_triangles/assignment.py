@@ -67,6 +67,7 @@ class Assignment:
         ids[swapped, :2] = ids[swapped, 1::-1]
         rows.flags.writeable = ids.flags.writeable = False
         self.graph, self.rows, self.edge_ids = graph, rows, ids
+        self._exact_counts: dict[int, int] = {}
 
     @functools.cached_property
     def segments(self) -> Segments:
@@ -99,9 +100,12 @@ class Assignment:
         return sum(l * l for l in self.loads.values())
 
     def exact_count(self, lam: int) -> int:
-        """Number of triangles with true weight strictly below ``lam``."""
-        weights = edge_id_sums(self.graph.weight_array, self.edge_ids)
-        return int(np.count_nonzero(weights < lam))
+        """Number of triangles with true weight strictly below ``lam``,
+        counted once per ``lam``; the triangle weights are not kept."""
+        if lam not in self._exact_counts:
+            weights = edge_id_sums(self.graph.weight_array, self.edge_ids)
+            self._exact_counts[lam] = int(np.count_nonzero(weights < lam))
+        return self._exact_counts[lam]
 
 
 class Segments:

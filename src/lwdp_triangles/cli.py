@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 
@@ -128,10 +129,14 @@ def _experiment_config(args) -> ExperimentConfig:
 def _cmd_experiment(args) -> int:
     cfg = _usage_checked(args, _experiment_config, args)
     graph = _usage_checked(args, parse_edge_list, args.graph)
+    # a path that cannot be written fails here, before any trial and leaving no file
+    existed = os.path.exists(args.out)
+    _usage_checked(args, open, args.out, "a").close()
+    if not existed:
+        os.remove(args.out)
     report = _usage_checked(args, run_sweep, cfg, graph)
-    csv_text = report.to_csv()
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(csv_text)
+        handle.write(report.to_csv())
     print(f"wrote {args.out} ({len(report.rows)} rows)")
     return 0
 

@@ -345,9 +345,11 @@ class ExperimentConfig:
                 method_named(m, float(epsilon))
         for lam in self.values if self.axis == "lambda" else ():
             check_threshold(lam)
-        for size in self.values if self.axis == "size" else ():
-            if size < 0:
-                raise ValueError(f"subgraph size must be non-negative, got {size}")
+        if self.axis == "size":
+            sizes = tuple(integral(size, "subgraph size") for size in self.values)
+            if min(sizes) < 0:
+                raise ValueError(f"subgraph size must be non-negative, got {min(sizes)}")
+            object.__setattr__(self, "values", sizes)
         if self.lam is not None:
             check_threshold(self.lam)
 

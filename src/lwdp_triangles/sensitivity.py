@@ -3,27 +3,28 @@
 The smooth computation reformulates sensitivity-at-distance as shifting the
 per-triangle partial sums c_j onto a moving integer target t at l1 cost,
 discounted by e^{-beta |z|}.  Both estimators score t over the candidate
-targets of one edge's sums c (c itself, for the unbiased estimator also
-c-1 and c+1, plus the two initial targets).  At a target, the counts of
-values at t-1, t and t+1 fix the best shift counts near t, and one outward
-walk shifts the remaining values onto the target, nearest first.  Every
-walked value is at distance >= 1, so the count-ratio rule
-k/(k+1) < e^{-beta * distance} ends the walk within about 1/beta steps.  For
-the biased estimator only values on the target matter; for the unbiased
+targets of one edge's distinct sums c (c itself, for the unbiased estimator
+also c-1 and c+1, plus the two initial targets).  At a target, the counts of
+values at t-1, t and t+1 fix the best shift counts near t, and an outward
+walk shifts the remaining values onto the target, nearest first, while the
+count-ratio rule k/(k+1) < e^{-beta * distance} holds.  Every walked value
+is at distance >= 1, so a walk ends within about 1/beta steps.  For the
+biased estimator only values on the target matter; for the unbiased
 estimator the values adjacent to the target contribute differently from the
-values on it.
+values on it, and its two walks visit the same values in one traversal.
 
 ``segment_smooth_sensitivities`` is the one implementation.  It takes the
 partial sums of many nodes as int64 arrays, one segment per (node, incident
 edge), and scores them in one pass over chunks of whole segments, which
 bound its memory however many segments there are: a chunk becomes one sorted
-int64 key array, searchsorted gives the counts at every candidate target,
-and the walks run as masked rounds.  Every e^{-beta n} is ``math.exp`` of an
-integer n, so the values are bit-identical to a per-target scalar
-evaluation.  Step 2 scores all an ``Assignment``'s ``segments`` in one call,
-and ``build_instance`` cuts one node's segments into edge views;
-``smooth_sensitivity`` flattens one ``SmoothSensInstance`` into segments and
-makes one such call.
+int64 key array whose runs of equal keys give the candidate targets and
+their counts, the walks run as masked rounds, and a per-call table of the
+largest distance the rule accepts at each k decides every step.  Every
+e^{-beta n} is ``math.exp`` of an integer n, so the values are bit-identical
+to a per-target scalar evaluation.  Step 2 scores all an ``Assignment``'s
+``segments`` in one call, and ``build_instance`` cuts one node's segments
+into edge views; ``smooth_sensitivity`` flattens one ``SmoothSensInstance``
+into segments and makes one such call.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target in an exact pruning radius and exhausts all shift counts
@@ -143,34 +144,60 @@ class _NegExp:
         return out
 
 
-def _outer_walk(keys, t, lo, hi, start, end, shift, k, cost, gain, neg_exp):
-    # Per target t, keys[lo:hi] is already counted in k at total distance
-    # cost; walk outward over the rest of the target's segment, nearest value
-    # first (the left one on a tie), shifting each onto the target at
-    # distance |v - t| - shift, while the count-ratio rule keeps improving:
-    # growing k to k+1 helps iff k/(k+1) < e^{-beta d}, the ratio increases
-    # and d never decreases, so a target stops at its first failure.  One
-    # round takes one step of every target still walking.
-    best = np.zeros(len(t))
+def _reach(beta, longest, span):
+    # reach[k], k in [0, longest]: the largest d < span with k/(k+1) <
+    # math.exp(-beta * d), which does not grow with d; it shrinks with k, so
+    # each k bisects below the last, and from the first 0 the table stays 0
+    reach = np.zeros(longest + 1, dtype=np.int64)
+    hi = span
+    for k in range(longest + 1):
+        lo = 0  # k/(k+1) < 1 = math.exp(0)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if k / (k + 1) < math.exp(-beta * mid) else (lo, mid)
+        if not lo:
+            break
+        reach[k], hi = lo, lo + 1
+    return reach
+
+
+def _outer_walk(keys, t, lo, hi, start, end, shift, k, states, reach, neg_exp):
+    # Per target t, keys[lo:hi] is already counted in k; walk outward over the
+    # rest of the target's segment, nearest value first (the left one on a
+    # tie).  State s = (cost, gain) shifts each value onto the target at
+    # distance d = |v - t| - shift + s while the count-ratio rule keeps
+    # improving: k -> k+1 helps iff k/(k+1) < e^{-beta d}, iff d <= reach[k];
+    # the ratio increases and d never decreases, so a state stops at its first
+    # failure, and a later state no later than state 0 (its mask ``on``).
+    # One round takes one step of every target still walking.
+    best = [np.zeros(len(t)) for _ in states]
+    costs = [cost for cost, _ in states]
+    on = [None] + [np.ones(len(t), dtype=bool) for _ in states[1:]]
     live = np.arange(len(t))
     i, j = lo - 1, hi
     last = len(keys) - 1
     while live.size:
-        left = i >= start
-        right = j < end
-        dl = t - keys[np.maximum(i, 0)]
-        dr = keys[np.minimum(j, last)] - t
-        go_left = left & (~right | (dl <= dr))
-        d = np.where(go_left, dl, dr) - shift
-        has = left | right
-        d[~has] = 0
-        keep = np.flatnonzero(has & (k / (k + 1) < neg_exp(d)))
-        live, t, start, end, go_left = live[keep], t[keep], start[keep], end[keep], go_left[keep]
+        # a side with no value left is too far for any rule
+        dl = np.where(i >= start, t - keys[np.maximum(i, 0)], _INT64_MAX)
+        dr = np.where(j < end, keys[np.minimum(j, last)] - t, _INT64_MAX)
+        go_left = dl <= dr
+        d = np.minimum(dl, dr) - shift
+        slack = reach[k] - d
+        keep = np.flatnonzero(slack >= 0)
+        live, t, start, end, go_left, d = (a[keep] for a in (live, t, start, end, go_left, d))
         k = k[keep] + 1
-        cost = cost[keep] + d[keep]
-        best[live] = np.maximum(best[live], gain * k * neg_exp(cost))
         i = i[keep] - go_left
         j = j[keep] + ~go_left
+        for s, (_, gain) in enumerate(states):
+            costs[s] = cost = costs[s][keep]
+            if s:
+                on[s] = on[s][keep] & (slack[keep] >= s)
+                cost += (d + s) * on[s]
+                score = gain * k * neg_exp(cost) * on[s]
+            else:
+                cost += d
+                score = gain * k * neg_exp(cost)
+            best[s][live] = np.maximum(best[s][live], score)
     return best
 
 
@@ -178,61 +205,58 @@ def _stationary_best(a, n, slope, inv_beta, neg_exp):
     # Best (a + slope*k) e^{-beta k} over shift counts k in [0, n]: the ends
     # and the two integers around the stationary point 1/beta - a/slope.
     stat = inv_beta - a / slope
-    best = None
-    for k in (np.zeros_like(n), n, np.floor(stat), np.ceil(stat)):
-        k = np.clip(k, 0, n).astype(np.int64)
-        v = (a + slope * k) * neg_exp(k)
-        best = v if best is None else np.maximum(best, v, out=best)
+    best = a + 0.0  # k = 0
+    for k in (n, np.clip(np.floor(stat), 0, n), np.clip(np.ceil(stat), 0, n)):
+        k = k.astype(np.int64, copy=False)
+        np.maximum(best, (a + slope * k) * neg_exp(k), out=best)
     return best
 
 
-def _segment_maxima(keys, bounds, anchors, span, kind, beta, x, neg_exp):
+def _segment_maxima(keys, bounds, anchors, span, kind, beta, x, reach, neg_exp):
     # ``keys`` holds seg * span + (c - offset of seg) for every partial sum c,
     # sorted, so each segment's sums are contiguous and ascending between
     # ``bounds``; ``anchors`` is the key of each segment's initial target for
     # a +1 step (the one for a -1 step is one above).  Returns the best
     # discounted score of every segment over its candidate targets.
+    head = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    u = keys[head]  # the distinct keys; run q is keys[head[q]:head[q + 1]]
     if kind is EstimatorKind.BIASED:
-        t = np.concatenate((keys, anchors, anchors + 1))
+        t = np.concatenate((u, anchors, anchors + 1))
     else:
-        t = np.concatenate((keys - 1, keys, keys + 1, anchors, anchors + 1))
+        t = np.concatenate((u - 1, u, u + 1, anchors, anchors + 1))
     t.sort()
     t = t[np.concatenate(([True], t[1:] != t[:-1]))]
     seg = t // span
     start, end = bounds[seg], bounds[seg + 1]
     theta = anchors[seg]
     discount = neg_exp(np.minimum(np.abs(t - theta), np.abs(t - theta - 1)))
+    # q steps over each run equal to t-1, t, t+1; no target meets the sentinel
+    head, u = np.append(head, len(keys)), np.append(u, _INT64_MAX)
     if kind is EstimatorKind.BIASED:
-        lo = np.searchsorted(keys, t, "left")
-        hi = np.searchsorted(keys, t, "right")
+        q = np.searchsorted(u, t)
+        lo, hi = head[q], head[q + (u[q] == t)]
         on_target = hi - lo
-        walk = _outer_walk(
-            keys, t, lo, hi, start, end, 0, on_target, np.zeros_like(t), 1.0, neg_exp
+        walk, = _outer_walk(
+            keys, t, lo, hi, start, end, 0, on_target, [(np.zeros_like(t), 1.0)], reach, neg_exp
         )
         cand = np.maximum(on_target, walk)
     else:
-        l0 = np.searchsorted(keys, t - 1, "left")
-        l1 = np.searchsorted(keys, t - 1, "right")
-        r0 = np.searchsorted(keys, t + 1, "left")
-        r1 = np.searchsorted(keys, t + 1, "right")
+        q0 = np.searchsorted(u, t - 1)
+        q1 = q0 + (u[q0] == t - 1)
+        q2 = q1 + (u[q1] == t)
+        q3 = q2 + (u[q2] == t + 1)
+        l0, l1, r0, r1 = head[q0], head[q1], head[q2], head[q3]
         adjacent = (l1 - l0) + (r1 - r0)
         on_target = r0 - l1
-        near = r1 - l0
-        big = 1.0 + 2.0 * x
-        slope = 1.0 + 3.0 * x
-        inv_beta = 1.0 / beta
-        # positive contribution: adjacent values give +x, on-target -1-2x
-        a0 = adjacent * x - on_target * big
-        cand = np.maximum(
-            _stationary_best(a0, on_target, slope, inv_beta, neg_exp),
-            _outer_walk(keys, t, l0, r1, start, end, 1, near, on_target, x, neg_exp),
-        )
+        big, slope, inv_beta = 1.0 + 2.0 * x, 1.0 + 3.0 * x, 1.0 / beta
+        # positive contribution: adjacent values give +x, on-target -1-2x;
         # negative contribution: on-target values give +1+2x, adjacent -x
-        a1 = big * on_target - x * adjacent
-        cand = np.maximum(cand, _stationary_best(a1, adjacent, slope, inv_beta, neg_exp))
-        cand = np.maximum(
-            cand, _outer_walk(keys, t, l0, r1, start, end, 0, near, adjacent, big, neg_exp)
-        )
+        cand = np.maximum.reduce([
+            _stationary_best(adjacent * x - on_target * big, on_target, slope, inv_beta, neg_exp),
+            _stationary_best(big * on_target - x * adjacent, adjacent, slope, inv_beta, neg_exp),
+            *_outer_walk(keys, t, l0, r1, start, end, 1, r1 - l0,
+                         [(on_target, x), (adjacent, big)], reach, neg_exp),
+        ])
     first = np.searchsorted(seg, np.arange(len(anchors)))
     return np.maximum.reduceat(cand * discount, first)
 
@@ -254,11 +278,13 @@ def segment_smooth_sensitivities(
     initial target for a +1 step is ``anchors[i]`` (lam - 1 - the edge's
     weight) and it belongs to node ``owners[i]`` in [0, count).  The segments
     are scored in chunks of whole segments (see ``SENSITIVITY_FLUSH_SIZE``):
-    a chunk's sums become one sorted int64 key array, searchsorted gives the
-    counts at and next to every candidate target, and the outward walks run
-    as masked rounds.  A node's value is the largest over its own segments
-    only, whichever chunks they fall in.
+    a chunk's sums become one sorted int64 key array, its distinct keys give
+    the counts at and next to every candidate target, and the outward walks
+    run as masked rounds.  A node's value is the largest over its own
+    segments only, whichever chunks they fall in.  ``kind`` may be an
+    ``EstimatorKind`` or its name.
     """
+    kind = EstimatorKind(kind)
     out = np.zeros(count)
     if not len(lengths):
         return out
@@ -272,11 +298,13 @@ def segment_smooth_sensitivities(
     span = int(width.max()) + 5  # room for the targets c-1 and c+1
     # A walk's first step is at most span long; every later one is shorter
     # than ln(2)/beta, or k/(k+1) >= 1/2 stops it.  So no cost overflows.
-    reach = math.log(2.0) / beta  # inf for a subnormal beta
-    step = span if reach >= span else math.floor(reach) + 1
-    if width.min() < 0 or (int(lengths.max()) + 1) * step + span > _INT64_MAX:
+    later = math.log(2.0) / beta  # inf for a subnormal beta
+    step = span if later >= span else math.floor(later) + 1
+    longest = int(lengths.max())
+    if width.min() < 0 or (longest + 1) * step + span > _INT64_MAX:
         raise ValueError("partial sums and thresholds spread too wide for int64")
     anchors = anchors - low + 2
+    reach = _reach(beta, longest, span)
     neg_exp = _NegExp(beta)
     best = np.empty(len(lengths))
     per_chunk = _INT64_MAX // span  # segments whose keys fit in int64
@@ -291,7 +319,7 @@ def segment_smooth_sensitivities(
         keys.sort()
         best[a:b] = _segment_maxima(
             keys, bounds[a:b + 1] - bounds[a], base + anchors[a:b], span, kind, beta, x,
-            neg_exp,
+            reach, neg_exp,
         )
         a = b
     np.maximum.at(out, owners, best)

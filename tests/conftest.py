@@ -1,5 +1,6 @@
-"""Shared builders for graphs and local sensitivity instances, and a
-per-node reference for the protocol's step 2."""
+"""Shared builders for graphs and local sensitivity instances, a per-value
+reference for the smooth-sensitivity kernel, and a per-node reference for
+the protocol's step 2."""
 
 from __future__ import annotations
 
@@ -98,6 +99,87 @@ def record_chunks(monkeypatch):
 
     monkeypatch.setattr(sensitivity, "_segment_maxima", recording)
     return chunks
+
+
+def _reference_walk(keys, t, lo, hi, start, end, shift, k, cost, gain, neg_exp):
+    # one value per round for every target still walking, nearest first (the
+    # left one on a tie), at distance |v - t| - shift, while
+    # k/(k+1) < e^{-beta d} holds; returns each target's best gain*k*e^{-beta cost}
+    best = np.zeros(len(t))
+    live = np.arange(len(t))
+    i, j = lo - 1, hi
+    last = len(keys) - 1
+    while live.size:
+        left = i >= start
+        right = j < end
+        dl = t - keys[np.maximum(i, 0)]
+        dr = keys[np.minimum(j, last)] - t
+        go_left = left & (~right | (dl <= dr))
+        d = np.where(go_left, dl, dr) - shift
+        has = left | right
+        d[~has] = 0
+        keep = np.flatnonzero(has & (k / (k + 1) < neg_exp(d)))
+        live, t, start, end, go_left = live[keep], t[keep], start[keep], end[keep], go_left[keep]
+        k = k[keep] + 1
+        cost = cost[keep] + d[keep]
+        best[live] = np.maximum(best[live], gain * k * neg_exp(cost))
+        i = i[keep] - go_left
+        j = j[keep] + ~go_left
+    return best
+
+
+def _reference_stationary(a, n, slope, inv_beta, neg_exp):
+    # best (a + slope*k) e^{-beta k} at k = 0, n and the two integers around
+    # the stationary point, each clipped to [0, n]
+    stat = inv_beta - a / slope
+    candidates = (np.zeros_like(n), n, np.floor(stat), np.ceil(stat))
+    ks = [np.clip(k, 0, n).astype(np.int64) for k in candidates]
+    return np.maximum.reduce([(a + slope * k) * neg_exp(k) for k in ks])
+
+
+def reference_segment_maxima(keys, bounds, anchors, span, kind, beta, x, reach, neg_exp):
+    """A per-value reference for ``sensitivity._segment_maxima``: searchsorted
+    over every partial sum for the counts at and next to each candidate
+    target, a separate walk for each of the unbiased estimator's two terms,
+    and the count-ratio rule evaluated as k/(k+1) < e^{-beta d} at every
+    step.  ``reach`` is ignored, so the kernel's acceptance table is checked
+    against the rule itself."""
+    if kind is EstimatorKind.BIASED:
+        t = np.concatenate((keys, anchors, anchors + 1))
+    else:
+        t = np.concatenate((keys - 1, keys, keys + 1, anchors, anchors + 1))
+    t = np.unique(t)
+    seg = t // span
+    start, end = bounds[seg], bounds[seg + 1]
+    theta = anchors[seg]
+    discount = neg_exp(np.minimum(np.abs(t - theta), np.abs(t - theta - 1)))
+    if kind is EstimatorKind.BIASED:
+        lo = np.searchsorted(keys, t, "left")
+        hi = np.searchsorted(keys, t, "right")
+        on_target = hi - lo
+        walk = _reference_walk(
+            keys, t, lo, hi, start, end, 0, on_target, np.zeros_like(t), 1.0, neg_exp
+        )
+        cand = np.maximum(on_target, walk)
+    else:
+        l0 = np.searchsorted(keys, t - 1, "left")
+        l1 = np.searchsorted(keys, t - 1, "right")
+        r0 = np.searchsorted(keys, t + 1, "left")
+        r1 = np.searchsorted(keys, t + 1, "right")
+        adjacent = (l1 - l0) + (r1 - r0)
+        on_target = r0 - l1
+        near = r1 - l0
+        big = 1.0 + 2.0 * x
+        slope = 1.0 + 3.0 * x
+        stationary = _reference_stationary
+        cand = np.maximum.reduce([
+            stationary(adjacent * x - on_target * big, on_target, slope, 1.0 / beta, neg_exp),
+            stationary(big * on_target - x * adjacent, adjacent, slope, 1.0 / beta, neg_exp),
+            _reference_walk(keys, t, l0, r1, start, end, 1, near, on_target, x, neg_exp),
+            _reference_walk(keys, t, l0, r1, start, end, 0, near, adjacent, big, neg_exp),
+        ])
+    first = np.searchsorted(seg, np.arange(len(anchors)))
+    return np.maximum.reduceat(cand * discount, first)
 
 
 def reference_step2(graph, assignment, noisy, lam, kind, mechanism, budget):

@@ -260,3 +260,26 @@ def test_greedy_looks_up_every_triangles_edge_ids_once(monkeypatch):
                 assert got.dtype == np.int32 and np.array_equal(got, want)
                 with pytest.raises(ValueError):
                     got[...] = 0
+
+
+def test_exact_count_is_counted_once_per_threshold(monkeypatch):
+    from lwdp_triangles import assignment as assignment_mod
+    from lwdp_triangles.graph import exact_below_threshold_count
+
+    summed = []
+
+    def counted(weights, ids):
+        summed.append(len(ids))
+        return sums(weights, ids)
+
+    sums = assignment_mod.edge_id_sums
+    monkeypatch.setattr(assignment_mod, "edge_id_sums", counted)
+    g = random_graph(random.Random(36), 25, 0.6, -2, 4)
+    tris = enumerate_triangles(g)
+    for assignment in (greedy_assign(g, tris), Assignment(g, tris)):
+        for lam in (-2, 1, 5, 9):
+            expected = exact_below_threshold_count(g, lam, tris)
+            summed.clear()
+            assert assignment.exact_count(lam) == expected
+            assert assignment.exact_count(lam) == expected
+            assert summed == [len(tris)]  # the second call sums nothing

@@ -134,6 +134,27 @@ def test_experiment_writes_csv(graph_file, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_experiment_to_an_unwritable_path_is_a_usage_error(graph_file, tmp_path, monkeypatch, capsys):
+    # the path is checked before the first trial, and it names the path
+    from lwdp_triangles import experiments
+
+    runs = []
+    monkeypatch.setattr(experiments, "run_methods", lambda *args: runs.append(args))
+    for out_path in (tmp_path / "missing" / "sweep.csv", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "experiment", "--graph", graph_file, "--sweep", "eps", "--values", "1.0",
+                "--trials", "1", "--out", str(out_path),
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lwdp-triangles experiment: error:" in captured.err
+        assert str(out_path) in captured.err
+    assert runs == []
+    assert not (tmp_path / "missing").exists()
+
+
 def test_count_accepts_budget_split(graph_file, capsys):
     rc = main([
         "count", "--graph", graph_file, "--lambda", "6", "--eps", "2.0",

@@ -440,6 +440,17 @@ def test_size_sweep_rejects_sizes_above_the_graph_before_any_trial(monkeypatch):
     assert runs == []
 
 
+def test_size_sweep_takes_integral_sizes_only():
+    # 9.0 runs and reports the size 9; 9.7 is refused, not run as 9 nodes
+    g = generate_synthetic(12, 0.6, seed=1)
+    cfg = ExperimentConfig(axis="size", values=(9.0,), trials=1, seed=3)
+    assert cfg.values == (9,) and type(cfg.values[0]) is int
+    whole = ExperimentConfig(axis="size", values=(9,), trials=1, seed=3)
+    assert run_sweep(cfg, g).to_csv() == run_sweep(whole, g).to_csv()
+    with pytest.raises(ValueError, match="integer subgraph size"):
+        ExperimentConfig(axis="size", values=(6, 9.7), trials=1)
+
+
 # recorded before the sweep shared one instance per axis point and one
 # step-1 release per epsilon_1 between its methods
 _GOLDEN_EPS_SWEEP = (

@@ -31,6 +31,7 @@ from conftest import (
     random_graph,
     random_local_instance,
     record_chunks,
+    reference_segment_maxima,
 )
 
 PS = (math.exp(-0.5), math.exp(-1.0), math.exp(-2.0))
@@ -367,6 +368,89 @@ def test_segment_kernel_owner_value_ignores_other_owners(monkeypatch):
         order = np.argsort(joined[3], kind="stable")
         replaced = _kernel_hexes(_take(joined, order), 60, kind, beta, p)
         assert [replaced[v] for v in kept] == [base[v] for v in kept]
+
+
+def _wide_segments(rnd, owners, span):
+    """Like ``_random_segments``, with sums drawn from a window of ``span``
+    integers, so wide spans leave nearly every sum distinct, and each anchor
+    next to one of its segment's sums."""
+    sums, lengths, anchors, owner = [], [], [], []
+    for v in range(owners):
+        for _ in range(rnd.randint(0, 6)):
+            segment = [rnd.randint(0, span - 1) for _ in range(rnd.randint(1, 35))]
+            sums += segment
+            lengths.append(len(segment))
+            anchors.append(rnd.choice(segment) + rnd.randint(-3, 3))
+            owner.append(v)
+    return tuple(np.array(a, dtype=np.int64) for a in (sums, lengths, anchors, owner))
+
+
+# beyond KERNEL_PARAMETERS: a long acceptance table (beta = 0.01) and a
+# subnormal beta, whose walks take every value
+WIDE_PARAMETERS = KERNEL_PARAMETERS + tuple(
+    (kind, beta, p)
+    for beta in (0.01, 5e-324)
+    for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, PS[1]))
+)
+
+
+@pytest.mark.parametrize("flush", [24, sensitivity.SENSITIVITY_FLUSH_SIZE])
+def test_segment_kernel_equals_the_per_value_reference(monkeypatch, flush):
+    # every value bit for bit, at spans from 3 to 10^6 and, with small
+    # chunks, with owners' segments straddling chunk boundaries
+    monkeypatch.setattr(sensitivity, "SENSITIVITY_FLUSH_SIZE", flush)
+    rnd = random.Random(7005)
+    kernel = sensitivity._segment_maxima
+    for span in (3, 30, 1000, 10**6):
+        segments = _wide_segments(rnd, 25, span)
+        for kind, beta, p in WIDE_PARAMETERS:
+            values = _kernel_hexes(segments, 25, kind, beta, p)
+            monkeypatch.setattr(sensitivity, "_segment_maxima", reference_segment_maxima)
+            assert _kernel_hexes(segments, 25, kind, beta, p) == values, (span, kind, beta)
+            monkeypatch.setattr(sensitivity, "_segment_maxima", kernel)
+            assert values.count((0.0).hex()) < 25
+
+
+BETA_GRID = (5e-324, 1e-300, 1e-9, 0.01, 1 / 6, 0.5, 3.0, 50.0, 800.0)
+
+
+@pytest.mark.parametrize("beta", BETA_GRID)
+def test_reach_is_the_last_distance_the_count_ratio_rule_accepts(beta):
+    span, longest = 2**40, 300
+    reach = sensitivity._reach(beta, longest, span)
+    assert len(reach) == longest + 1
+    for k, d in enumerate(reach.tolist()):
+        assert k / (k + 1) < math.exp(-beta * d)
+        # below span every table entry is exact; a tiny beta caps it there
+        assert d == span - 1 or not k / (k + 1) < math.exp(-beta * (d + 1)), (k, d)
+    # the ratio grows with k, so the table never does, and it stays 0 once
+    # no distance of 1 or more passes
+    assert (np.diff(reach) <= 0).all()
+    if beta <= 1e-300:
+        assert (reach == span - 1).all()
+
+
+@pytest.mark.parametrize("beta", BETA_GRID)
+def test_neg_exp_does_not_grow_with_distance(beta):
+    # the table's rule d <= reach[k] equals k/(k+1) < math.exp(-beta * d)
+    # only while math.exp(-beta * d) is non-increasing in d
+    reach = sensitivity._reach(beta, 300, 2**40).tolist()
+    near = {d + e for d in reach for e in (-2, -1, 0, 1)}
+    for d in sorted(set(range(2000)) | {d for d in near if d >= 0}):
+        assert math.exp(-beta * (d + 1)) <= math.exp(-beta * d), d
+
+
+def test_segment_kernel_takes_estimator_names():
+    segments = (
+        np.array([3, 5, 4], dtype=np.int64), np.array([2, 1], dtype=np.int64),
+        np.array([1, 2], dtype=np.int64), np.array([0, 1], dtype=np.int64),
+    )
+    biased, unbiased = (_kernel_hexes(segments, 2, kind, 0.25, 0.3) for kind in EstimatorKind)
+    assert biased != unbiased
+    assert _kernel_hexes(segments, 2, "biased", 0.25, 0.3) == biased
+    assert _kernel_hexes(segments, 2, "unbiased", 0.25, 0.3) == unbiased
+    with pytest.raises(ValueError, match="nonsense"):
+        segment_smooth_sensitivities(*segments, 2, "nonsense", 0.25, 0.3)
 
 
 def _shifted(inst, shift):
