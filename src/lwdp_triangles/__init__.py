@@ -21,8 +21,7 @@ from .mechanisms import (
     dlap_cdf,
     dlap_pmf,
     dlap_sample,
-    laplace_sample,
-    smooth_noise_sample,
+    smooth_noise_inverse_cdf,
 )
 from .estimators import (
     EstimatorKind,

@@ -6,10 +6,11 @@ spawn_key=key))`` would give, bit for bit.  ``RandomSource`` runs numpy's
 SeedSequence hash for a whole batch of keys at once (shared words as Python
 ints, per-key words as uint64 arrays), and ``node_raw`` runs numpy's PCG64
 on the seeds in blocked uint64 array passes, so the protocol builds no
-generator per node.  The node samplers repeat numpy's own DLap (its
+generator per node.  ``add_dlap_node_noise`` repeats numpy's DLap (its
 geometric search, from epsilon = ln 1.5 up; below, each node draws from its
-own generator), Laplace and uniform draws on those outputs; ``test_mechanisms``
-checks the hash and every sampler against numpy itself on over 10,000 keys.
+own generator) and ``node_uniforms`` its ``random()`` on those outputs, which
+step 2 turns into noise through one unit inverse CDF per mechanism;
+``test_mechanisms`` checks the hash and every draw against numpy on 10,000+ keys.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -413,34 +414,28 @@ def add_dlap_node_noise(out, indptr, p: float, rng: RandomSource, round_no: int)
         np.add.at(out, (indptr[v] + draws - size * second)[keep], np.where(second[keep], -g, g))
 
 
-def laplace_sample(scale: float, rng: np.random.Generator, size: int | None = None):
-    """Continuous Laplace with the given scale (variance 2*scale^2)."""
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return rng.laplace(0.0, scale, size=size)
-
-
-def _node_open_uniforms(rng: RandomSource, nodes: np.ndarray, round_no: int) -> np.ndarray:
-    # the first nonzero double of every node's stream, as _open_uniform reads it
+def node_uniforms(rng: RandomSource, nodes, round_no: int) -> np.ndarray:
+    """The first nonzero double of ``rng.stream(v, round_no)`` for every v of
+    ``nodes``, in order, as ``Generator.random`` reads it; one kernel pass."""
     u = np.empty(len(nodes))
     for i, _, raw in rng.node_raw(nodes, round_no, np.ones(len(nodes), dtype=np.int64)):
         u[i] = (raw[0] >> 11) * 2.0**-53  # numpy's next_double
     for i in np.flatnonzero(u == 0.0):  # measure zero: the stream itself redraws
-        u[i] = _open_uniform(rng.stream(int(nodes[i]), round_no))
+        stream = rng.stream(int(nodes[i]), round_no)
+        while u[i] == 0.0:
+            u[i] = stream.random()
     return u
 
 
-def laplace_node_noise(scales: np.ndarray, rng: RandomSource, nodes, round_no: int) -> np.ndarray:
-    """``laplace_sample(scales[i], rng.stream(nodes[i], round_no))`` for
-    every i, bit for bit: numpy's ``random_laplace`` on the stream's first
-    nonzero double, with the libm ``log`` numpy calls (``np.log`` rounds
-    some inputs differently); ``0.0 -`` keeps numpy's sign of zero."""
-    scales = np.asarray(scales, dtype=float)
-    if not (scales > 0).all():
-        raise ValueError("scales must be positive")
+def laplace_inverse_cdf(u: np.ndarray) -> np.ndarray:
+    """Unit Laplace draws from uniforms in (0, 1): numpy's ``random_laplace``
+    at scale 1, with the libm ``log`` numpy calls (``np.log`` rounds some
+    inputs differently).  s times the draw from a stream's first nonzero
+    double is that stream's ``laplace(0.0, s)`` bit for bit, sign of zero
+    included: s * (0.0 - L) = 0.0 - s * L."""
     return np.array([
-        0.0 - s * math.log(2.0 - u - u) if u >= 0.5 else 0.0 + s * math.log(u + u)
-        for s, u in zip(scales.tolist(), _node_open_uniforms(rng, nodes, round_no).tolist())
+        0.0 - math.log(2.0 - x - x) if x >= 0.5 else 0.0 + math.log(x + x)
+        for x in u.tolist()
     ])
 
 
@@ -462,9 +457,10 @@ def smooth_noise_cdf(z):
     return 0.5 + (_SQRT2 / math.pi) * anti
 
 
-def _smooth_noise_inverse_cdf(u: np.ndarray) -> np.ndarray:
-    # Bracketed bisection on the exact CDF.  The tail bound
-    # 1 - F(z) <= sqrt(2)/(3 pi z^3) gives a safe upper bracket.
+def smooth_noise_inverse_cdf(u: np.ndarray) -> np.ndarray:
+    """Draws of Z (Var[Z] = 1) from uniforms in (0, 1), element by element:
+    bisection on the exact CDF, whose tail bound 1 - F(z) <= sqrt(2)/(3 pi z^3)
+    gives a safe upper bracket."""
     tail = np.minimum(u, 1.0 - u)
     hi = np.cbrt(_SQRT2 / (3.0 * math.pi * np.maximum(tail, 1e-300))) + 2.0
     lo = -hi
@@ -474,26 +470,3 @@ def _smooth_noise_inverse_cdf(u: np.ndarray) -> np.ndarray:
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def _open_uniform(rng: Generator) -> float:
-    x = rng.random()
-    while x == 0.0:  # measure-zero guard for the open interval (0,1)
-        x = rng.random()
-    return x
-
-
-def smooth_noise_sample(rngs: Iterable[Generator]) -> np.ndarray:
-    """One draw of Z from each stream, in order; Var[Z] = 1.
-
-    Each stream gives one uniform in (0, 1) (redrawn on u == 0) as the
-    iterable reaches it, and one inverse-CDF bisection to ~1e-12 turns all
-    of them into draws; one stream passed n times reads ``rng.random(n)``.
-    """
-    return _smooth_noise_inverse_cdf(np.fromiter(map(_open_uniform, rngs), dtype=float))
-
-
-def smooth_node_noise(rng: RandomSource, nodes: np.ndarray, round_no: int) -> np.ndarray:
-    """``smooth_noise_sample(rng.node_streams(nodes, round_no))`` bit for
-    bit, with every uniform from one kernel pass."""
-    return _smooth_noise_inverse_cdf(_node_open_uniforms(rng, nodes, round_no))

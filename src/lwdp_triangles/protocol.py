@@ -40,8 +40,9 @@ from .mechanisms import (
     RandomSource,
     add_dlap_node_noise,
     check_dlap_epsilon,
-    laplace_node_noise,
-    smooth_node_noise,
+    laplace_inverse_cdf,
+    node_uniforms,
+    smooth_noise_inverse_cdf,
 )
 from .sensitivity import segment_smooth_sensitivities
 
@@ -132,9 +133,14 @@ def local_step2(
     if mechanism is Mechanism.GLOBAL_LAPLACE:
         return counts, estimator_step_bound(kind, p) * segments.longest
     owner, lengths, incident, sums = segments.gather(slice(0, len(rows)), weights, noisy)
-    sens = segment_smooth_sensitivities(
-        sums, lengths, lam - 1 - incident, owner, n, kind, budget.beta, p
-    )
+    try:
+        sens = segment_smooth_sensitivities(
+            sums, lengths, lam - 1 - incident, owner, n, kind, budget.beta, p
+        )
+    except ValueError as err:  # its int64 bound, past which a far lam and a tiny beta go
+        raise ValueError(
+            f"epsilon_2 = {budget.epsilon_2} is too small for lam = {lam}: {err}"
+        ) from None
     return counts, sens
 
 
@@ -219,17 +225,17 @@ class TwoStep:
             assignment, graph.weight_array, noisy, lam, self.kind, mechanism, budget
         )
         noisy_nodes = np.flatnonzero(sens > 0.0)
+        u = node_uniforms(rng, noisy_nodes, STEP2_ROUND)
         # an epsilon_2 too small for the noise scale overflows here; the
         # check below rejects the run
         with np.errstate(over="ignore", invalid="ignore"):
             if mechanism is Mechanism.GLOBAL_LAPLACE:
-                query = "laplace"
+                query, inverse_cdf = "laplace", laplace_inverse_cdf
                 scales = sens[noisy_nodes] / budget.epsilon_2
-                release[noisy_nodes] += laplace_node_noise(scales, rng, noisy_nodes, STEP2_ROUND)
             else:
-                query = "smooth"
-                scaled = budget.smooth_noise_scale * sens[noisy_nodes]
-                release[noisy_nodes] += scaled * smooth_node_noise(rng, noisy_nodes, STEP2_ROUND)
+                query, inverse_cdf = "smooth", smooth_noise_inverse_cdf
+                scales = budget.smooth_noise_scale * sens[noisy_nodes]
+            release[noisy_nodes] += scales * inverse_cdf(u)
         overflow = np.flatnonzero(~np.isfinite(release))
         if overflow.size:
             v = int(overflow[0])

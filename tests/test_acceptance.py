@@ -26,7 +26,7 @@ from lwdp_triangles import (
 from lwdp_triangles.assignment import brute_force_optimal_assign, count_c4_instances
 from lwdp_triangles.estimators import closed_form_moments, expectation_by_summation
 from lwdp_triangles.experiments import generate_synthetic
-from lwdp_triangles.mechanisms import dlap_pmf, dlap_sample, smooth_noise_sample
+from lwdp_triangles.mechanisms import dlap_pmf, dlap_sample, smooth_noise_inverse_cdf
 from lwdp_triangles.protocol import Mechanism
 from lwdp_triangles.sensitivity import smooth_sensitivity, smooth_sensitivity_bruteforce
 
@@ -144,7 +144,7 @@ def test_criterion_5_mechanism_correctness():
             ratio = dlap_pmf(i, p) / dlap_pmf(i - 1, p)
             if not (math.exp(-eps) * (1 - 1e-12) <= ratio <= math.exp(eps) * (1 + 1e-12)):
                 ratio_ok = False
-    draws = smooth_noise_sample([RandomSource(31337).stream(0)] * 1_000_000)
+    draws = smooth_noise_inverse_cdf(RandomSource(31337).stream(0).random(1_000_000))
     var = float(np.var(draws))
     var_ok = abs(var - 1.0) <= 0.05
     ok = ratio_ok and var_ok

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,19 +9,17 @@ from scipy import integrate
 
 from lwdp_triangles.mechanisms import (
     _geometric_search,
-    _smooth_noise_inverse_cdf,
     PrivacyBudget,
     RandomSource,
     check_dlap_epsilon,
     dlap_cdf,
     dlap_pmf,
     dlap_sample,
-    laplace_node_noise,
-    laplace_sample,
-    smooth_node_noise,
+    laplace_inverse_cdf,
+    node_uniforms,
     smooth_noise_cdf,
+    smooth_noise_inverse_cdf,
     smooth_noise_pdf,
-    smooth_noise_sample,
 )
 
 
@@ -96,13 +95,15 @@ def test_dlap_sample_moments_and_determinism():
 
 
 def test_laplace_sample_variance_and_median():
-    rng = RandomSource(5).stream(1)
+    # one stream's uniforms, in order, are its numpy Laplace draws at scale 1
     b = 1.7
-    draws = laplace_sample(b, rng, size=1_000_000)
+    draws = b * laplace_inverse_cdf(RandomSource(5).stream(1).random(1_000_000))
+    numpy_draws = RandomSource(5).stream(1).laplace(0.0, b, size=1000)
+    assert [x.hex() for x in draws[:1000].tolist()] == [x.hex() for x in numpy_draws.tolist()]
     assert float(np.var(draws)) == pytest.approx(2 * b * b, rel=0.05)
     assert abs(float(np.median(draws))) < 0.01
-    with pytest.raises(ValueError):
-        laplace_sample(0.0, rng)
+    # numpy's 0.0 - b * log(1.0) at u = 1/2 is +0.0, and so is b * (0.0 - 0.0)
+    assert math.copysign(1.0, b * laplace_inverse_cdf(np.array([0.5]))[0]) == 1.0
 
 
 def test_smooth_noise_density_normalizes_by_quadrature():
@@ -117,8 +118,7 @@ def test_smooth_noise_cdf_matches_quadrature():
 
 
 def test_smooth_noise_sample_moments():
-    # one stream repeated: its sequential draws equal rng.random(1_000_000)
-    draws = smooth_noise_sample([RandomSource(777).stream(2)] * 1_000_000)
+    draws = smooth_noise_inverse_cdf(RandomSource(777).stream(2).random(1_000_000))
     assert float(np.var(draws)) == pytest.approx(1.0, rel=0.05)
     assert abs(float(np.mean(draws))) < 0.01
     # Pr[|Z| <= 1] against the quadrature oracle, within 3 standard errors
@@ -130,22 +130,22 @@ def test_smooth_noise_sample_moments():
 
 def test_smooth_noise_batched_quantile_equals_one_at_a_time():
     u = np.array([1e-300, 1e-12, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -53, 0.25, 0.999])
-    batched = _smooth_noise_inverse_cdf(u)
+    batched = smooth_noise_inverse_cdf(u)
     for x, z in zip(u, batched):
-        assert float(z).hex() == float(_smooth_noise_inverse_cdf(np.array([x]))[0]).hex()
+        assert float(z).hex() == float(smooth_noise_inverse_cdf(np.array([x]))[0]).hex()
 
 
 def test_smooth_noise_sample_draws_one_uniform_per_stream_in_order():
+    # each node's uniform is its own stream's first double, in the order of
+    # the nodes, whichever other nodes share the call
     source = RandomSource(5)
-    batched = smooth_noise_sample([source.stream(v, 2) for v in range(9)])
-    assert batched.shape == (9,)
-    for v, z in enumerate(batched):
-        alone = smooth_noise_sample([source.stream(v, 2)])
-        assert float(z).hex() == float(alone[0]).hex()
-    assert smooth_noise_sample([]).shape == (0,)
-    # a lazy iterable of streams gives the same draws as a list of them
-    lazy = smooth_noise_sample(source.node_streams(range(9), 2))
-    assert [float(z).hex() for z in lazy] == [float(z).hex() for z in batched]
+    nodes = [7, 2, 8, 0, 5, 1, 6, 4, 3]
+    batched = node_uniforms(source, nodes, 2)
+    assert [x.hex() for x in batched.tolist()] == [
+        source.stream(v, 2).random().hex() for v in nodes]
+    for i, v in enumerate(nodes):
+        assert node_uniforms(source, [v], 2)[0].hex() == batched[i].hex()
+    assert node_uniforms(source, [], 2).shape == (0,)
 
 
 def test_smooth_noise_config_derived_quantities():
@@ -458,37 +458,40 @@ def test_geometric_search_ends_where_the_sums_stop_growing():
 
 
 def test_laplace_node_noise_matches_numpy_laplace_per_stream():
+    # scale times the unit inverse CDF of each node's uniform is its stream's
+    # numpy Laplace draw at that scale
     rnd = np.random.default_rng(21)
     nodes = np.concatenate((np.arange(10_000), 2**32 + rnd.integers(0, 2**40, 500)))
     scales = 10.0 ** rnd.uniform(-3, 3, len(nodes))
     source = RandomSource(9).subsource(4)
-    got = laplace_node_noise(scales, source, nodes, 2)
+    got = scales * laplace_inverse_cdf(node_uniforms(source, nodes, 2))
     expected = [
         stream.laplace(0.0, s) for stream, s in zip(source.node_streams(nodes, 2), scales.tolist())
     ]
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
-    assert [float(laplace_sample(s, source.stream(v, 2))).hex()
+    assert [source.stream(v, 2).laplace(0.0, s).hex()
             for v, s in zip(nodes[:50].tolist(), scales[:50].tolist())] == [
         x.hex() for x in got[:50].tolist()]
-    with pytest.raises(ValueError, match="positive"):
-        laplace_node_noise(np.array([1.0, 0.0]), source, np.array([1, 2]), 2)
 
 
 def test_smooth_node_noise_matches_the_per_stream_sampler():
+    # each node's uniform is its stream's numpy random(), and its smooth noise
+    # inverts the closed-form CDF there
     nodes = np.concatenate((np.arange(0, 6000, 3), [2**32, 2**50]))
     source = RandomSource(12).subsource(1)
-    got = smooth_node_noise(source, nodes, 2)
-    expected = smooth_noise_sample(source.node_streams(nodes, 2))
-    assert got.tobytes() == expected.tobytes()
-    assert smooth_node_noise(source, np.array([], dtype=np.int64), 2).shape == (0,)
+    u = node_uniforms(source, nodes, 2)
+    expected = np.array([stream.random() for stream in source.node_streams(nodes, 2)])
+    assert u.tobytes() == expected.tobytes()
+    z = smooth_noise_inverse_cdf(u)
+    assert np.abs(smooth_noise_cdf(z) - u).max() < 1e-15
+    empty = node_uniforms(source, np.array([], dtype=np.int64), 2)
+    assert smooth_noise_inverse_cdf(empty).shape == (0,)
 
 
 def test_a_zero_uniform_is_redrawn_from_the_nodes_own_stream(monkeypatch):
     # u == 0 (probability 2^-53) is redrawn from the stream, as numpy does
     nodes, source = np.array([3, 8, 11]), RandomSource(4)
-    scales = np.array([1.0, 2.0, 3.0])
-    laplace = laplace_node_noise(scales, source, nodes, 2)
-    smooth = smooth_node_noise(source, nodes, 2)
+    u = node_uniforms(source, nodes, 2)
     kernel = RandomSource.node_raw
 
     def zero_first(self, *args):
@@ -497,6 +500,9 @@ def test_a_zero_uniform_is_redrawn_from_the_nodes_own_stream(monkeypatch):
 
     monkeypatch.setattr(RandomSource, "node_raw", zero_first)
     # the kernel now reads 0 for node 8; its stream's own first double is not 0
-    assert [float(x).hex() for x in laplace_node_noise(scales, source, nodes, 2)] == [
-        float(x).hex() for x in laplace]
-    assert smooth_node_noise(source, nodes, 2).tobytes() == smooth.tobytes()
+    assert node_uniforms(source, nodes, 2).tobytes() == u.tobytes()
+    # where the stream's own first double is 0 as well, its next one is read
+    stream = RandomSource.stream
+    monkeypatch.setattr(RandomSource, "stream", lambda self, *key: SimpleNamespace(
+        random=iter([0.0, *stream(self, *key).random(2)[1:]]).__next__))
+    assert node_uniforms(source, nodes, 2)[1] == stream(source, 8, 2).random(2)[1] != u[1]

@@ -22,8 +22,8 @@ from lwdp_triangles.experiments import METHODS, method_named, run_sweep
 from lwdp_triangles import assignment as assignment_module
 from lwdp_triangles.assignment import Assignment
 from lwdp_triangles.graph import triangle_edge_ids, triangle_weights
-from lwdp_triangles.mechanisms import dlap_sample, smooth_noise_sample
-from lwdp_triangles import sensitivity
+from lwdp_triangles.mechanisms import dlap_sample, smooth_noise_inverse_cdf
+from lwdp_triangles import protocol, sensitivity
 from lwdp_triangles.protocol import (
     STEP1_ROUND,
     STEP2_ROUND,
@@ -326,10 +326,60 @@ def test_smooth_release_per_node_matches_one_node_at_a_time():
                 silent += 1
                 assert rep.per_node_release[v].hex() == counts[v].hex()
                 continue
-            z = smooth_noise_sample([rng.stream(v, STEP2_ROUND)])[0]
+            z = smooth_noise_inverse_cdf(np.array([rng.stream(v, STEP2_ROUND).random()]))[0]
             expected = counts[v] + budget.smooth_noise_scale * sens[v] * float(z)
             assert rep.per_node_release[v].hex() == expected.hex(), (kind, v)
         assert 0 < silent < g.node_count
+
+
+def test_laplace_release_per_node_matches_numpy_laplace_one_node_at_a_time():
+    # every node with GS_v > 0 releases f'_v plus numpy's own Laplace draw at
+    # scale GS_v / epsilon_2 from its own step-2 substream
+    rnd = random.Random(6)
+    g = random_graph(rnd, 12, 0.6, -2, 2)
+    assignment = greedy_assign(g)
+    budget = PrivacyBudget(1.0, 0.7)
+    lam = 1
+    for kind in EstimatorKind:
+        rng = RandomSource(8)
+        rep = run_two_step(g, lam, budget, kind, Mechanism.GLOBAL_LAPLACE, rng,
+                           assignment=assignment)
+        noisy = release_step1(g, budget.epsilon_1, rng)
+        counts, sens = reference_step2(
+            g, assignment, noisy, lam, kind, Mechanism.GLOBAL_LAPLACE, budget)
+        silent = 0
+        for v in range(g.node_count):
+            expected = counts[v]
+            if sens[v] > 0.0:
+                expected += rng.stream(v, STEP2_ROUND).laplace(0.0, sens[v] / budget.epsilon_2)
+            else:
+                silent += 1
+            assert rep.per_node_release[v].hex() == expected.hex(), (kind, v)
+        assert 0 < silent < g.node_count
+
+
+def test_global_and_smooth_methods_of_a_trial_read_the_same_uniform_per_node(monkeypatch):
+    # run_methods pairs the methods of one trial: a node that adds noise under
+    # both mechanisms reads one and the same u_v, its stream's first double
+    g = random_graph(random.Random(6), 12, 0.6, -2, 2)
+    read = []
+
+    def recording(rng, nodes, round_no):
+        u = draw(rng, nodes, round_no)
+        read.append(dict(zip(nodes.tolist(), u.tolist())))
+        return u
+
+    draw = protocol.node_uniforms
+    monkeypatch.setattr(protocol, "node_uniforms", recording)
+    budget = PrivacyBudget(1.0, 1.0)
+    rng = RandomSource(8)
+    methods = [TwoStep(budget, EstimatorKind.BIASED, mechanism) for mechanism in Mechanism]
+    run_methods(greedy_assign(g), 1, methods, rng)
+    laplace, smooth = read
+    both = laplace.keys() & smooth.keys()
+    assert both and len(both) < g.node_count
+    for v in both:
+        assert laplace[v] == smooth[v] == rng.stream(v, STEP2_ROUND).random(), v
 
 
 def test_per_node_sensitivity_matches_each_node(monkeypatch):
@@ -479,6 +529,21 @@ def test_epsilon_2_whose_release_overflows_is_rejected(kind, mechanism):
     g = random_graph(random.Random(6), 12, 0.6, -2, 2)
     with pytest.raises(ValueError, match="epsilon_2"):
         run_two_step(g, 1, PrivacyBudget(1.0, 3e-308), kind, mechanism, RandomSource(1))
+
+
+def test_tiny_epsilon_2_at_a_far_threshold_is_rejected_before_step_2_noise(monkeypatch):
+    # below beta ~ 1.5e-19 a smooth-sensitivity walk's first step may span
+    # the whole distance to lam = 2^62, past int64; epsilon_2 = 1e-10 runs
+    g = generate_synthetic(12, 0.6, seed=1)
+    for kind in EstimatorKind:
+        rep = run_two_step(g, 2**62, PrivacyBudget(1.0, 1e-10), kind, Mechanism.SMOOTH,
+                           RandomSource(1))
+        assert math.isfinite(rep.estimate) and rep.exact_count == len(enumerate_triangles(g))
+    monkeypatch.setattr(protocol, "node_uniforms", None)  # no step-2 noise may be drawn
+    for kind in EstimatorKind:
+        with pytest.raises(ValueError, match=r"epsilon_2 = 1e-18 .* lam = 4611686018427387904"):
+            run_two_step(g, 2**62, PrivacyBudget(1.0, 1e-18), kind, Mechanism.SMOOTH,
+                         RandomSource(1))
 
 
 def test_threshold_outside_int64_range_is_rejected():

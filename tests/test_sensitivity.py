@@ -247,6 +247,92 @@ def test_local_sensitivity_matches_raw_estimator_differences():
                 assert local == pytest.approx(worst, abs=1e-9)
 
 
+def _l1_ball(d, radius):
+    # every integer vector of length d with l1 norm <= radius, in order of
+    # norm; and for the rows of norm < radius, the rows of their 2d neighbours
+    ball = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(d):
+        room = radius - np.abs(ball).sum(axis=1)
+        sizes = 2 * room + 1
+        ends = np.cumsum(sizes)
+        last = np.arange(ends[-1]) - np.repeat(ends - sizes + room, sizes)
+        ball = np.column_stack((np.repeat(ball, sizes, axis=0), last))
+    norms = np.abs(ball).sum(axis=1)
+    order = np.argsort(norms, kind="stable")
+    ball, norms = ball[order], norms[order]
+    place = (2 * radius + 3) ** np.arange(d)
+    keys = (ball + radius + 1) @ place
+    by_key = np.argsort(keys)
+    inner = int(np.searchsorted(norms, radius))
+    steps = np.concatenate((place, -place))
+    neighbours = by_key[np.searchsorted(keys[by_key], keys[:inner, None] + steps)]
+    return ball, norms[:inner], neighbours
+
+
+def test_smooth_sensitivity_meets_its_definition_on_every_small_node():
+    """S_v is the beta-smooth sensitivity of Nissim, Raskhodnikova and Smith
+    ("Smooth Sensitivity and Sampling in Private Data Analysis", STOC 2007):
+    max over k of e^{-beta k} times the largest local sensitivity of f'_v at
+    l1 distance at most k from v's incident weights.  Here f'_v is summed from
+    ``estimate`` over v's assigned triangles for every incident-weight vector
+    within distance K + 1, with no partial sums, targets or shifts.  Every
+    local sensitivity is at most GS_v, so the distances past K add at most
+    GS_v e^{-beta (K + 1)}, which K keeps below 1e-3."""
+    from lwdp_triangles.estimators import estimate, estimator_step_bound
+
+    rnd = random.Random(26)
+    betas, tail_cap = (0.4, 0.7, 1.0), 1e-3
+    checked = positive = widest = 0
+    for trial in range(10):
+        g = random_graph(rnd, 9, 0.5, -2, 2)
+        assignment = greedy_assign(g)
+        release = release_step1(g, 1.0, RandomSource(trial))
+        noisy = dict(zip(g.edges(), release.tolist()))
+        lam = rnd.randint(-3, 4)
+        for kind in EstimatorKind:
+            budgets = [PrivacyBudget(1.0, 6.0 * beta) for beta in betas]
+            sens = [
+                local_step2(assignment, g.weight_array, release, lam, kind, Mechanism.SMOOTH, b)[1]
+                for b in budgets
+            ]
+            p = budgets[0].p
+            for v in range(g.node_count):
+                if len(g.neighbors(v)) > 4:
+                    continue
+                rows = assignment.triangles_of(v).tolist()
+                # only the incident edges of v's assigned triangles enter f'_v
+                axis = {u: i for i, u in enumerate(sorted({u for row in rows for u in row[1:]}))}
+                if not rows:
+                    assert all(s[v] == 0.0 for s in sens)
+                    continue
+                longest = max(sum(u in row for row in rows) for u in axis)
+                widest = max(widest, len(axis))
+                gs = estimator_step_bound(kind, p) * longest
+                radius = math.floor(math.log(gs / tail_cap) / min(betas)) + 1  # K + 1
+                ball, norms, neighbours = _l1_ball(len(axis), radius)
+                f = np.zeros(len(ball))
+                for _, y, z in rows:
+                    m = g.weight(v, y) + g.weight(v, z) + noisy[canonical_edge(y, z)]
+                    table = np.array([
+                        estimate(kind, m + shift, lam, p)
+                        for shift in range(-2 * radius, 2 * radius + 1)
+                    ])
+                    f += table[ball[:, axis[y]] + ball[:, axis[z]] + 2 * radius]
+                local = np.abs(f[neighbours] - f[:len(neighbours), None]).max(axis=1)
+                # A(k): the largest local sensitivity at distance <= k, k = 0..K
+                within = np.maximum.accumulate(local)
+                at_most = within[np.searchsorted(norms, np.arange(radius), side="right") - 1]
+                assert at_most[-1] <= gs + 1e-9
+                for beta, s in zip((b.beta for b in budgets), sens):
+                    defined = max(math.exp(-beta * k) * a for k, a in enumerate(at_most.tolist()))
+                    tail = gs * math.exp(-beta * radius)
+                    assert tail < tail_cap
+                    assert defined - 1e-9 <= s[v] <= defined + tail + 1e-9, (trial, kind, v, beta)
+                    checked += 1
+                    positive += s[v] > 0.0
+    assert checked > 100 and positive > checked // 2 and widest == 4
+
+
 def test_fast_matches_oracle_adversarial_parameters():
     # clustered values, extreme smoothing, and extreme correction factors
     rnd = random.Random(5150)
