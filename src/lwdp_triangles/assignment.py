@@ -117,8 +117,7 @@ class Segments:
     order, each segment's in row order, so v's are [2 * span.start, 2 * span.stop).
     No weight enters, and every array is read-only: per sum, the int32 edge ids
     ``other`` and ``received`` of its terms; per segment, its ``heads`` (first
-    sum), ``owner``, ``lengths`` and ``incident`` edge id; per node, the
-    ``longest`` segment's length.
+    sum), ``owner``, ``lengths`` and ``incident`` edge id.
     """
 
     def __init__(self, assignment: Assignment):
@@ -137,20 +136,18 @@ class Segments:
         self.other = np.concatenate((vy, vz))[order]
         self.received = np.concatenate((yz, yz))[order]
         self.incident = np.concatenate((vz, vy))[order[self.heads]]
-        self.longest = np.zeros(n, dtype=np.int64)
-        np.maximum.at(self.longest, self.owner, self.lengths)
         for array in vars(self).values():
             array.flags.writeable = False
 
     def gather(self, rows: slice, weights: np.ndarray, noisy: np.ndarray):
-        """(owner, lengths, incident weights, partial sums) of the segments of the
-        rows ``rows`` (whole nodes), from the edge-indexed int64 true weights and
-        step-1 release."""
+        """(lengths, incident weights, partial sums) of the segments of the rows
+        ``rows`` (whole nodes), in segment order, from the edge-indexed int64
+        true weights and step-1 release."""
         span = slice(2 * rows.start, 2 * rows.stop)
         a, b = np.searchsorted(self.heads, (span.start, span.stop))
         sums = weights[self.other[span]]
         sums += noisy[self.received[span]]
-        return self.owner[a:b], self.lengths[a:b], weights[self.incident[a:b]], sums
+        return self.lengths[a:b], weights[self.incident[a:b]], sums
 
 
 def count_c4_instances(assignment: Assignment) -> int:

@@ -8,7 +8,7 @@ import sys
 from collections import Counter
 
 from .assignment import Assignment, count_c4_instances, greedy_assign
-from .estimators import EstimatorKind, estimator_step_bound
+from .estimators import EstimatorKind
 from .experiments import (
     ExperimentConfig,
     METHODS,
@@ -17,7 +17,7 @@ from .experiments import (
 )
 from .graph import check_threshold, enumerate_triangles
 from .mechanisms import PrivacyBudget, RandomSource
-from .protocol import Baseline, Mechanism, TwoStep, release_step1, run_methods
+from .protocol import Baseline, Mechanism, TwoStep, local_step2, release_step1, run_methods
 from .sensitivity import build_instance, smooth_sensitivity, smooth_sensitivity_bruteforce
 
 
@@ -59,7 +59,9 @@ def _cmd_sensitivity(args) -> int:
         args, build_instance,
         assignment, noisy, args.node, args.lam, args.beta, kind, p=budget.p,
     )
-    gs = estimator_step_bound(kind, budget.p) * assignment.segments.longest[args.node]
+    gs = local_step2(
+        assignment, graph.weight_array, noisy, args.lam, kind, Mechanism.GLOBAL_LAPLACE, budget
+    )[1][args.node]
     fast = smooth_sensitivity(inst)
     oracle = _usage_checked(args, smooth_sensitivity_bruteforce, inst) if args.oracle else None
     print(f"assigned_triangles: {len(assignment.triangles_of(args.node))}")

@@ -94,13 +94,16 @@ def milan_scale_weights(intensities: Sequence[float], total_calls: int) -> list[
     """Integerize interaction intensities to weights w_e = L * I_e / sum(I).
 
     Largest-remainder rounding keeps the weights integral with an exact sum
-    of ``total_calls``.  Intensities must be strictly positive.
+    of ``total_calls``.  Intensities must be finite and strictly positive.
     """
+    if not all(math.isfinite(i) for i in intensities):
+        raise ValueError("intensities must be finite")
     if any(i <= 0 for i in intensities):
         raise ValueError("intensities must be strictly positive")
     total_intensity = float(sum(intensities))
     if total_intensity <= 0:
         raise ValueError("intensity sum must be positive")
+    total_calls = integral(total_calls, "total call count")
     if total_calls < 0:
         raise ValueError("total call count must be nonnegative")
     raw = [total_calls * i / total_intensity for i in intensities]
@@ -291,8 +294,12 @@ def generate_synthetic(
 
 
 def induced_subgraph(graph: WeightedGraph, nodes: Iterable[int]) -> WeightedGraph:
-    """Subgraph induced by ``nodes``, relabeled to dense ids (sorted order)."""
-    kept = sorted(set(nodes))
+    """Subgraph induced by ``nodes``, relabeled to dense ids (sorted order);
+    a fractional id or one outside [0, n) raises ``ValueError``."""
+    kept = sorted({integral(v, "node id") for v in nodes})
+    outside = [v for v in kept if not 0 <= v < graph.node_count]
+    if outside:
+        raise ValueError(f"node {outside[0]} is not in [0, {graph.node_count})")
     relabel = {v: i for i, v in enumerate(kept)}
     edges = []
     for (u, v), w in zip(graph.edges(), graph.weight_array.tolist()):
@@ -335,8 +342,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ValueError("axis values must be nonempty")
+        object.__setattr__(self, "trials", integral(self.trials, "trial count"))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        object.__setattr__(self, "seed", integral(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")

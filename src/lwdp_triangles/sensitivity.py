@@ -21,10 +21,10 @@ int64 key array whose runs of equal keys give the candidate targets and
 their counts, the walks run as masked rounds, and a per-call table of the
 largest distance the rule accepts at each k decides every step.  Every
 e^{-beta n} is ``math.exp`` of an integer n, so the values are bit-identical
-to a per-target scalar evaluation.  Step 2 scores all an ``Assignment``'s
-``segments`` in one call, and ``build_instance`` cuts one node's segments
-into edge views; ``smooth_sensitivity`` flattens one ``SmoothSensInstance``
-into segments and makes one such call.
+to a per-target scalar evaluation.  The kernel knows no nodes: step 2 scores
+all an ``Assignment``'s ``segments`` in one call and takes each node's
+largest score, ``build_instance`` cuts one node's segments into edge views,
+and ``smooth_sensitivity`` is the largest score of one instance's views.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target in an exact pruning radius and exhausts all shift counts
@@ -91,7 +91,7 @@ def build_instance(
     incident weights, its assigned rows, and the step-1 release
     ``noisy_weights`` (indexed by edge id) at the edges opposite it, read
     through the assignment's segments; one view per segment."""
-    _, lengths, incident, sums = assignment.segments.gather(
+    lengths, incident, sums = assignment.segments.gather(
         assignment.span(node), assignment.graph.weight_array, noisy_weights
     )
     sums = iter(sums.tolist())
@@ -265,29 +265,25 @@ def segment_smooth_sensitivities(
     sums: np.ndarray,
     lengths: np.ndarray,
     anchors: np.ndarray,
-    owners: np.ndarray,
-    count: int,
     kind: EstimatorKind,
     beta: float,
     p: float | None,
 ) -> np.ndarray:
-    """beta-smooth sensitivity of ``count`` nodes from their segments, in one pass.
+    """beta-smooth sensitivity of every segment, in one pass.
 
     A segment is the int64 partial sums of one (node, incident edge): segment
-    i holds the next ``lengths[i]`` (at least one) values of ``sums``, its
+    i holds the next ``lengths[i]`` (at least one) values of ``sums`` and its
     initial target for a +1 step is ``anchors[i]`` (lam - 1 - the edge's
-    weight) and it belongs to node ``owners[i]`` in [0, count).  The segments
-    are scored in chunks of whole segments (see ``SENSITIVITY_FLUSH_SIZE``):
-    a chunk's sums become one sorted int64 key array, its distinct keys give
-    the counts at and next to every candidate target, and the outward walks
-    run as masked rounds.  A node's value is the largest over its own
-    segments only, whichever chunks they fall in.  ``kind`` may be an
-    ``EstimatorKind`` or its name.
+    weight).  The segments are scored in chunks of whole segments (see
+    ``SENSITIVITY_FLUSH_SIZE``): a chunk's sums become one sorted int64 key
+    array, its distinct keys give the counts at and next to every candidate
+    target, and the outward walks run as masked rounds.  A segment's score
+    reads its own sums and anchor only, whichever chunk it falls in.
+    ``kind`` may be an ``EstimatorKind`` or its name.
     """
     kind = EstimatorKind(kind)
-    out = np.zeros(count)
     if not len(lengths):
-        return out
+        return np.zeros(0)
     x = unbiased_correction(p) if kind is EstimatorKind.UNBIASED else 0.0
     bounds = np.concatenate(([0], np.cumsum(lengths)))
     # Each segment is offset by its own low end, so only the widest
@@ -322,13 +318,12 @@ def segment_smooth_sensitivities(
             reach, neg_exp,
         )
         a = b
-    np.maximum.at(out, owners, best)
-    return np.where(out > 0.0, out, 0.0)
+    return best
 
 
 def smooth_sensitivity(inst: SmoothSensInstance) -> float:
-    """beta-smooth sensitivity of one instance: ``segment_smooth_sensitivities``
-    over its non-empty views, one segment each."""
+    """beta-smooth sensitivity of one instance: the largest
+    ``segment_smooth_sensitivities`` score of its non-empty views."""
     views = [view for view in inst.edges if view.partial_sums]
     lengths = np.fromiter((len(view.partial_sums) for view in views), np.int64, len(views))
     try:
@@ -339,24 +334,23 @@ def smooth_sensitivity(inst: SmoothSensInstance) -> float:
         anchors = np.array([inst.lam - 1 - view.weight for view in views], dtype=np.int64)
     except OverflowError:
         raise ValueError("partial sums and thresholds must fit in int64") from None
-    owners = np.zeros(len(views), dtype=np.int64)
-    return float(segment_smooth_sensitivities(
-        sums, lengths, anchors, owners, 1, inst.kind, inst.beta, inst.p
-    )[0])
+    scores = segment_smooth_sensitivities(sums, lengths, anchors, inst.kind, inst.beta, inst.p)
+    return float(scores.max(initial=0.0))
 
 
 # -- brute-force oracle --------------------------------------------------------
 
 
-def _brute_scan_range(c: list[int], theta: int, beta: float, incumbent: float, gain_cap: float, radius: int | None):
-    lo = min(c[0], theta)
-    hi = max(c[-1], theta)
-    if radius is None:
-        # Exact pruning: a target at offset r from theta is worth at most
-        # gain_cap * e^{-beta r}, so nothing beyond R can beat the incumbent.
-        r = (math.log(gain_cap) - math.log(incumbent)) / beta if incumbent > 0 else 0.0
-        radius = max(1, int(math.ceil(r)) + 2)
-    return range(lo - radius, hi + radius + 1)
+def _brute_anchor(c: list[int], theta: int, beta: float, gain_cap: float, value) -> float:
+    # Best value(t) over the integer targets t: those within 2 of the values
+    # and theta, then the wider range an exact pruning radius leaves: a
+    # target at offset r from theta is worth at most gain_cap * e^{-beta r},
+    # so nothing beyond R can beat the incumbent.
+    lo, hi = min(c[0], theta), max(c[-1], theta)
+    incumbent = max(0.0, *map(value, range(lo - 2, hi + 3)))
+    r = (math.log(gain_cap) - math.log(incumbent)) / beta if incumbent > 0 else 0.0
+    radius = max(1, int(math.ceil(r)) + 2)
+    return max(incumbent, *map(value, range(lo - radius, hi + radius + 1)))
 
 
 def _brute_biased_value(c: list[int], t: int, theta: int, beta: float) -> float:
@@ -367,16 +361,6 @@ def _brute_biased_value(c: list[int], t: int, theta: int, beta: float) -> float:
     for k, d in enumerate(dists, 1):
         acc += d
         best = max(best, k * math.exp(-beta * (acc + dz)))
-    return best
-
-
-def _brute_biased_anchor(c: list[int], theta: int, beta: float, radius: int | None) -> float:
-    incumbent = 0.0
-    for t in range(min(c[0], theta) - 2, max(c[-1], theta) + 3):
-        incumbent = max(incumbent, _brute_biased_value(c, t, theta, beta))
-    best = incumbent
-    for t in _brute_scan_range(c, theta, beta, incumbent, float(len(c)), radius):
-        best = max(best, _brute_biased_value(c, t, theta, beta))
     return best
 
 
@@ -413,30 +397,17 @@ def _brute_unbiased_value(c: list[int], t: int, theta: int, x: float, beta: floa
     return best
 
 
-def _brute_unbiased_anchor(
-    c: list[int], theta: int, x: float, beta: float, radius: int | None
-) -> float:
-    incumbent = 0.0
-    for t in range(min(c[0], theta) - 2, max(c[-1], theta) + 3):
-        incumbent = max(incumbent, _brute_unbiased_value(c, t, theta, x, beta))
-    best = incumbent
-    cap = len(c) * (1.0 + 2.0 * x)
-    for t in _brute_scan_range(c, theta, beta, incumbent, cap, radius):
-        best = max(best, _brute_unbiased_value(c, t, theta, x, beta))
-    return best
-
-
-def smooth_sensitivity_bruteforce(inst: SmoothSensInstance, radius: int | None = None) -> float:
+def smooth_sensitivity_bruteforce(inst: SmoothSensInstance) -> float:
     """Exact smooth sensitivity on small instances by exhaustive target scan.
 
     Independent of the fast algorithms: every integer target within an
     exact pruning radius is evaluated, and all shift-count combinations are
-    enumerated outright.  ``radius`` overrides the automatic pruning radius
-    (callers must then guarantee the residual beyond it is negligible).
+    enumerated outright.
     """
     if len(inst.edges) > 12 or any(len(v.partial_sums) > 12 for v in inst.edges):
         raise InstanceTooLargeError("brute-force oracle is capped at degree 12")
     x = unbiased_correction(inst.p) if inst.kind is EstimatorKind.UNBIASED else 0.0
+    beta = inst.beta
     best = 0.0
     for view in inst.edges:
         if not view.partial_sums:
@@ -445,7 +416,9 @@ def smooth_sensitivity_bruteforce(inst: SmoothSensInstance, radius: int | None =
         # the initial targets of a +1 step on this edge and of a -1 step
         for theta in (inst.lam - 1 - view.weight, inst.lam - view.weight):
             if inst.kind is EstimatorKind.BIASED:
-                best = max(best, _brute_biased_anchor(c, theta, inst.beta, radius))
+                cap, value = float(len(c)), lambda t: _brute_biased_value(c, t, theta, beta)
             else:
-                best = max(best, _brute_unbiased_anchor(c, theta, x, inst.beta, radius))
+                cap = len(c) * (1.0 + 2.0 * x)
+                value = lambda t: _brute_unbiased_value(c, t, theta, x, beta)
+            best = max(best, _brute_anchor(c, theta, beta, cap, value))
     return best

@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+from lwdp_triangles.assignment import greedy_assign
 from lwdp_triangles.cli import main
 from lwdp_triangles.experiments import generate_synthetic, parse_edge_list, write_edge_list
+from lwdp_triangles.mechanisms import PrivacyBudget, RandomSource
+from lwdp_triangles.protocol import Mechanism, local_step2, release_step1
 
 
 @pytest.fixture()
@@ -281,3 +284,29 @@ def test_unreadable_or_malformed_graph_is_a_usage_error(tmp_path, command, capsy
         assert f"lwdp-triangles {command[0]}: error:" in captured.err
         assert message in captured.err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+def test_sensitivity_probe_agrees_with_step2(ci_graph_file, estimator, capsys):
+    # the probe's GS_v and S_v are step 2's, node by node, at the budget the
+    # probe builds from --eps1 and with step 2's beta
+    g = parse_edge_list(ci_graph_file)
+    budget = PrivacyBudget(1.0, 1.0)
+    assignment = greedy_assign(g)
+    noisy = release_step1(g, budget.epsilon_1, RandomSource(3))
+    gs, smooth = (
+        local_step2(assignment, g.weight_array, noisy, 6, estimator, mechanism, budget)[1]
+        for mechanism in (Mechanism.GLOBAL_LAPLACE, Mechanism.SMOOTH)
+    )
+    assert (smooth > 0).any()
+    for v in range(g.node_count):
+        assert main([
+            "sensitivity", "--graph", ci_graph_file, "--node", str(v),
+            "--beta", repr(budget.beta), "--estimator", estimator, "--lambda", "6",
+            "--seed", "3",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            f"global_sensitivity: {format(gs[v], '.12g')}",
+            f"smooth_sensitivity: {format(smooth[v], '.12g')}",
+        ], v

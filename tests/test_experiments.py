@@ -87,12 +87,25 @@ def test_round_trip(tmp_path):
 
 def test_milan_scaling_examples():
     assert milan_scale_weights([2.0, 3.0], 10) == [4, 6]
+    assert milan_scale_weights([2.0, 3.0], 10.0) == [4, 6]  # an integral float total
     four = milan_scale_weights([1.0, 1.0, 1.0, 1.0], 2)
     assert sum(four) == 2
     assert four == [1, 1, 0, 0]  # largest remainder, ties to the lowest index
     assert milan_scale_weights([0.5, 2.5], 0) == [0, 0]
     with pytest.raises(ValueError):
         milan_scale_weights([1.0, -2.0], 5)
+
+
+@pytest.mark.parametrize("intensities,total,message", [
+    ([1.0, math.nan], 5, "finite"),
+    ([math.inf, 1.0], 5, "finite"),
+    ([1.0, -math.inf], 5, "finite"),
+    ([2.0, 3.0], 10.5, "integer total call count"),
+    ([2.0, 3.0], "10", "integer total call count"),
+])
+def test_milan_scaling_rejects_bad_input_up_front(intensities, total, message):
+    with pytest.raises(ValueError, match=message):
+        milan_scale_weights(intensities, total)
 
 
 @given(
@@ -268,6 +281,18 @@ def test_induced_subgraph_keeps_exactly_internal_triangles():
     assert sample_induced_subgraph(g, 14, seed=5) == sampled
 
 
+@pytest.mark.parametrize("nodes,message", [
+    ([-1, 2, 3], r"node -1 is not in \[0, 25\)"),
+    ([2, 3, 100], r"node 100 is not in \[0, 25\)"),
+    ([25], r"node 25 is not in \[0, 25\)"),
+    ([2, 2.5], "integer node id, got 2.5"),
+])
+def test_induced_subgraph_rejects_nodes_outside_the_graph(nodes, message):
+    g = generate_synthetic(25, 0.45, seed=4)
+    with pytest.raises(ValueError, match=message):
+        induced_subgraph(g, nodes)
+
+
 def test_default_lambda_is_90th_percentile_rule():
     weights = list(range(100))  # 0..99
     lam = default_lambda(weights)
@@ -344,6 +369,17 @@ def test_config_validation():
         ExperimentConfig(axis="eps", values=())
     with pytest.raises(ValueError):
         ExperimentConfig(axis="eps", values=(1.0,), trials=0)
+    # a fractional trial count or seed, and a negative seed, fail here, not
+    # inside the sweep; integral floats are the integers they equal
+    with pytest.raises(ValueError, match="integer trial count"):
+        ExperimentConfig(axis="eps", values=(1.0,), trials=2.5)
+    with pytest.raises(ValueError, match="integer seed"):
+        ExperimentConfig(axis="eps", values=(1.0,), seed=0.5)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        ExperimentConfig(axis="eps", values=(1.0,), seed=-1)
+    cfg = ExperimentConfig(axis="eps", values=(1.0,), trials=2.0, seed=3.0)
+    assert (cfg.trials, cfg.seed) == (2, 3)
+    assert type(cfg.trials) is type(cfg.seed) is int
     with pytest.raises(ValueError):
         ExperimentConfig(axis="eps", values=(1.0,), methods=("bogus",))
     with pytest.raises(ValueError, match="non-negative"):

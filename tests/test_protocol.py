@@ -404,8 +404,10 @@ def test_per_node_sensitivity_matches_each_node(monkeypatch):
             assert got == [s.hex() for s in expected], (kind, mechanism)
             if mechanism is Mechanism.GLOBAL_LAPLACE:
                 step = estimator_step_bound(kind, budget.p)
-                longest = assignment.segments.longest
-                # GS_v / step is longest[v] up to the quotient's rounding
+                segments = assignment.segments
+                longest = np.zeros(g.node_count, dtype=np.int64)
+                np.maximum.at(longest, segments.owner, segments.lengths)
+                # GS_v / step is v's longest segment up to the quotient's rounding
                 assert (np.rint(np.array(expected) / step) == longest).all(), kind
     baseline = run_baseline(g, lam, 1.0, RandomSource(10), triangles=tris)
     assert baseline.per_node_sensitivity.size == 0

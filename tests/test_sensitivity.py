@@ -406,7 +406,14 @@ def _take(segments, picked):
 
 
 def _kernel_hexes(segments, count, kind, beta, p):
-    return _hexes(segment_smooth_sensitivities(*segments, count, kind, beta, p))
+    """The kernel's segment scores reduced to ``count`` owners as step 2
+    reduces them: each owner's largest score, 0 without segments."""
+    *arrays, owner = segments
+    scores = segment_smooth_sensitivities(*arrays, kind, beta, p)
+    assert scores.shape == owner.shape
+    values = np.zeros(count)
+    np.maximum.at(values, owner, scores)
+    return _hexes(values)
 
 
 def test_segment_kernel_scores_each_owner_as_if_alone(monkeypatch):
@@ -429,6 +436,7 @@ def test_segment_kernel_scores_each_owner_as_if_alone(monkeypatch):
         assert alone.count((0.0).hex()) < 60
     empty = (np.empty(0, dtype=np.int64),) * 4
     assert _kernel_hexes(empty, 3, EstimatorKind.BIASED, 0.5, None) == [(0.0).hex()] * 3
+    assert segment_smooth_sensitivities(*empty[:3], EstimatorKind.BIASED, 0.5, None).shape == (0,)
 
 
 def test_segment_kernel_owner_value_ignores_other_owners(monkeypatch):
@@ -445,6 +453,10 @@ def test_segment_kernel_owner_value_ignores_other_owners(monkeypatch):
         base = _kernel_hexes(segments, 60, kind, beta, p)
         order = rnd.sample(range(len(owner)), len(owner))
         assert _kernel_hexes(_take(segments, order), 60, kind, beta, p) == base
+        # below the owners, each segment's score moves with the segment
+        scores = segment_smooth_sensitivities(*segments[:3], kind, beta, p)
+        moved = segment_smooth_sensitivities(*_take(segments, order)[:3], kind, beta, p)
+        assert _hexes(moved) == _hexes(scores[order])
         own = _take(segments, np.flatnonzero(mine))
         dropped = _kernel_hexes(own, 60, kind, beta, p)
         assert [dropped[v] for v in kept] == [base[v] for v in kept]
@@ -536,7 +548,7 @@ def test_segment_kernel_takes_estimator_names():
     assert _kernel_hexes(segments, 2, "biased", 0.25, 0.3) == biased
     assert _kernel_hexes(segments, 2, "unbiased", 0.25, 0.3) == unbiased
     with pytest.raises(ValueError, match="nonsense"):
-        segment_smooth_sensitivities(*segments, 2, "nonsense", 0.25, 0.3)
+        segment_smooth_sensitivities(*segments[:3], "nonsense", 0.25, 0.3)
 
 
 def _shifted(inst, shift):
@@ -589,13 +601,6 @@ def test_segment_spread_beyond_int64_is_rejected():
     # a threshold outside the range is rejected when the instance is built
     with pytest.raises(ValueError, match="int64"):
         SmoothSensInstance(0, 10**30, 0.5, EstimatorKind.BIASED, None, (EdgeLocalView(0, (1, 2)),))
-
-
-def test_oracle_accepts_explicit_radius():
-    inst = single_triangle_instance(EstimatorKind.BIASED, lam=5, w1=1, w2=2, w_prime=7, beta=0.3)
-    auto = smooth_sensitivity_bruteforce(inst)
-    wide = smooth_sensitivity_bruteforce(inst, radius=60)
-    assert auto == pytest.approx(wide, rel=1e-12)
 
 
 # -- instance construction from protocol data ----------------------------------
