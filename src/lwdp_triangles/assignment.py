@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from typing import Iterable
 
 import numpy as np
 
@@ -43,17 +42,12 @@ class Assignment:
     takes the rows in any order, with y and z either way round, and stores
     a read-only copy in that form.  ``edge_ids`` holds, read-only int32, the
     ids of the edges (owner, y), (owner, z) and (y, z) of every row, looked
-    up once; a row that is not a triangle of ``graph`` raises.
+    up once by ``triangle_edge_ids`` on the rows as given, which it checks.
     """
 
     def __init__(self, graph: WeightedGraph, rows: np.ndarray):
-        rows = np.asarray(rows, dtype=np.int32)
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise ValueError(f"assignment rows must have shape (T, 3), got {rows.shape}")
-        owner, y, z = rows.T
-        if ((owner == y) | (owner == z) | (y == z)).any():
-            raise ValueError("every assignment row must hold three distinct nodes")
-        self._store(graph, rows, triangle_edge_ids(graph, rows))
+        ids = triangle_edge_ids(graph, rows)
+        self._store(graph, np.asarray(rows, dtype=np.int32), ids)
 
     def _store(self, graph: WeightedGraph, rows: np.ndarray, ids: np.ndarray) -> None:
         # edge ids follow canonical order, so with the owner fixed the order
@@ -199,27 +193,14 @@ def greedy_assign(
     return assignment
 
 
-def assignment_from_choices(
-    graph: WeightedGraph, triangles: np.ndarray, choices: Iterable[tuple[int, int]]
-) -> Assignment:
-    """Build an Assignment from an explicit noisy-edge choice per row of the
-    (T, 3) node array ``triangles``; each choice must be an edge of its row."""
-    edges = np.array(list(choices), dtype=np.int64).reshape(-1, 2)
-    if len(edges) != len(triangles):
-        raise ValueError(f"{len(edges)} choices for {len(triangles)} triangles")
-    owner = triangles.sum(axis=1) - edges.sum(axis=1)
-    chosen = np.sort(np.column_stack((edges, owner)), axis=1)
-    if not np.array_equal(chosen, np.sort(triangles, axis=1)):
-        raise ValueError("every chosen edge must be an edge of its triangle")
-    return Assignment(graph, np.column_stack((owner, edges)))
-
-
 def brute_force_optimal_assign(
     graph: WeightedGraph, triangles: np.ndarray | None = None
 ) -> tuple[Assignment, int]:
     """Globally optimal assignment by exhaustion over all 3^|triangles| choices.
 
-    Returns the optimum together with its squared-l2 load.  Minimizing the
+    Each triangle a < b < c takes each of its (owner, y, z) rows (c, a, b),
+    (b, a, c) and (a, b, c); the first choice of least squared-l2 load over
+    the noisy edges (y, z) is returned with that load.  Minimizing the
     squared load also minimizes the covariance-pair count, since the loads
     always sum to the triangle count.  Capped at 12 triangles.
     """
@@ -230,11 +211,11 @@ def brute_force_optimal_assign(
             f"exhaustive assignment is capped at 12 triangles, got {len(triangles)}"
         )
     options = [
-        ((a, b), (a, c), (b, c)) for a, b, c in np.sort(triangles, axis=1).tolist()
+        ((c, a, b), (b, a, c), (a, b, c)) for a, b, c in np.sort(triangles, axis=1).tolist()
     ]
-    best_choices, best_sq = (), None
-    for choices in itertools.product(*options):
-        sq = sum(l * l for l in Counter(choices).values())
+    best_rows, best_sq = (), None
+    for rows in itertools.product(*options):
+        sq = sum(l * l for l in Counter(row[1:] for row in rows).values())
         if best_sq is None or sq < best_sq:
-            best_choices, best_sq = choices, sq
-    return assignment_from_choices(graph, triangles, best_choices), best_sq
+            best_rows, best_sq = rows, sq
+    return Assignment(graph, np.array(best_rows, dtype=np.int64).reshape(-1, 3)), best_sq

@@ -62,7 +62,7 @@ def _cmd_sensitivity(args) -> int:
     gs = local_step2(
         assignment, graph.weight_array, noisy, args.lam, kind, Mechanism.GLOBAL_LAPLACE, budget
     )[1][args.node]
-    fast = smooth_sensitivity(inst)
+    fast = _usage_checked(args, smooth_sensitivity, inst)
     oracle = _usage_checked(args, smooth_sensitivity_bruteforce, inst) if args.oracle else None
     print(f"assigned_triangles: {len(assignment.triangles_of(args.node))}")
     print(f"global_sensitivity: {gs:.12g}")

@@ -16,11 +16,11 @@ weights are one gather.
 A set of triangles has one format throughout the library: a (T, 3) integer
 node array with one triangle per row.  ``enumerate_triangles`` returns every
 triangle of the graph in that format (int32, like the assignment's rows).
-``triangle_edge_ids`` looks up the ids of each row's three edges once, as a
-(T, 3) int32 array; ``edge_id_sums`` sums any edge-indexed array over those
-ids, so ``triangle_weights`` gives each row's summed weight and
-``exact_below_threshold_count`` counts the rows whose weight is below the
-threshold.
+``triangle_edge_ids`` checks the rows and looks up the ids of each row's
+three edges once, as a (T, 3) int32 array; ``edge_id_sums`` sums any
+edge-indexed array over those ids, so ``triangle_weights`` gives each row's
+summed weight and ``exact_below_threshold_count`` counts the rows whose
+weight is below the threshold.
 """
 
 from __future__ import annotations
@@ -61,6 +61,15 @@ def integral(value, what: str, error: type[ValueError] = ValueError) -> int:
     return result
 
 
+def integral_array(values, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
+    """``values`` as an integer array: by its dtype alone if that is an
+    integer one, else as int64 once ``integral`` accepts every entry."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iu":
+        return array
+    return np.array([integral(v, what, error) for v in array.flat], np.int64).reshape(array.shape)
+
+
 def check_threshold(lam) -> int:
     """``lam`` as an int if it is integral with |lam| <= ``MAX_ABS_THRESHOLD``,
     else ValueError: the one threshold rule of the protocol and the CLI."""
@@ -89,9 +98,9 @@ class WeightedGraph:
     """
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, int]]):
-        if node_count < 0:
+        self._n = n = integral(node_count, "node_count", GraphStructureError)
+        if n < 0:
             raise GraphStructureError("node_count must be nonnegative")
-        self._n = n = node_count
         flat: list[int] = []
         for u, v, w in edges:
             u = integral(u, "node id", GraphStructureError)
@@ -254,10 +263,14 @@ def triangle_edge_ids(graph: WeightedGraph, rows: np.ndarray) -> np.ndarray:
     """Ids of the edges (a, b), (a, c) and (b, c) of every row (a, b, c) of
     the (T, 3) node array ``rows``, as a (T, 3) int32 array.
 
-    A row that is not a triangle of ``graph`` raises.  Rows are looked up
-    ``COUNT_CHUNK`` at a time, so the temporaries stay small however many
-    triangles there are.
+    The one check of triangle rows: they must be (T, 3) and integral (an
+    integer array by its dtype alone), and each a triangle of ``graph``.
+    Rows are looked up ``COUNT_CHUNK`` at a time, so the temporaries stay
+    small however many triangles there are.
     """
+    rows = integral_array(rows, "node id", GraphStructureError)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise GraphStructureError(f"triangle rows must have shape (T, 3), got {rows.shape}")
     if graph.edge_count >= 2**31:
         raise GraphStructureError("edge ids do not fit in int32")
     ids = np.empty((len(rows), 3), dtype=np.int32)

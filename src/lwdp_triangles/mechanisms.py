@@ -24,6 +24,8 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
+from .graph import integral, integral_array
+
 _SQRT2 = math.sqrt(2.0)
 
 # Exponent of the admissible 1/(1+|z|^gamma) smooth-sensitivity noise: 4 is the
@@ -257,14 +259,14 @@ class RandomSource:
     identical master seeds reproduce runs bit for bit.  ``subsource`` nests
     another key level (used to pair trials across methods in experiments).
     ``stream(*key)`` equals ``default_rng(SeedSequence(seed,
-    spawn_key=prefix + key))`` bit for bit, and rejects what that rejects (a
-    negative seed or key entry).  ``node_streams`` and ``node_raw`` give the
-    streams and the outputs of many nodes from one batched hash.
+    spawn_key=prefix + key))`` bit for bit, and like that rejects a negative
+    or fractional seed or key entry.  ``node_streams`` and ``node_raw`` give
+    the streams and the outputs of many nodes from one batched hash.
     """
 
     def __init__(self, seed: int, prefix: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.prefix = tuple(int(k) for k in prefix)
+        self.seed = integral(seed, "seed")
+        self.prefix = tuple(integral(k, "spawn key entry") for k in prefix)
 
     def _entropy(self, key: tuple[int, ...]) -> list[int]:
         # SeedSequence pads the seed's words with zeros to the pool size
@@ -276,7 +278,7 @@ class RandomSource:
         return words
 
     def stream(self, *key: int) -> Generator:
-        entropy = self._entropy(tuple(int(k) for k in key))
+        entropy = self._entropy(tuple(integral(k, "spawn key entry") for k in key))
         return _generator(_pcg64_seeds(entropy)[0])
 
     def node_streams(self, nodes, round_no: int) -> Iterator[Generator]:
@@ -302,11 +304,11 @@ class RandomSource:
 
     def _seed_rows(self, nodes, round_no: int) -> np.ndarray:
         # the PCG64 seed words of stream(v, round_no) for every v, as rows
-        ids = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        ids = integral_array(nodes, "node id").astype(np.int64, copy=False).reshape(-1)
         if ids.size and ids.min() < 0:
             raise ValueError("expected non-negative integer")
         head = self._entropy(())
-        tail = _seed_words(int(round_no))
+        tail = _seed_words(integral(round_no, "round number"))
         high = (ids >> 32).astype(np.uint64)
         low = (ids & _MASK32).astype(np.uint64)
         seeds = np.empty((ids.size, 4), dtype=np.uint64)
@@ -319,7 +321,7 @@ class RandomSource:
         return seeds
 
     def subsource(self, *key: int) -> "RandomSource":
-        return RandomSource(self.seed, self.prefix + tuple(int(k) for k in key))
+        return RandomSource(self.seed, self.prefix + key)
 
 
 # -- discrete Laplace (geometric mechanism) --------------------------------

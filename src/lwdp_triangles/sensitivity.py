@@ -27,9 +27,9 @@ largest score, ``build_instance`` cuts one node's segments into edge views,
 and ``smooth_sensitivity`` is the largest score of one instance's views.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
-integer target in an exact pruning radius and exhausts all shift counts
-instead of using the selection rules, so fast-path and oracle share no
-algorithmic machinery.
+integer target within 2 of the values and the initial targets, past which no
+score grows, and exhausts all shift counts instead of using the selection
+rules, so fast-path and oracle share no algorithmic machinery.
 """
 
 from __future__ import annotations
@@ -341,16 +341,14 @@ def smooth_sensitivity(inst: SmoothSensInstance) -> float:
 # -- brute-force oracle --------------------------------------------------------
 
 
-def _brute_anchor(c: list[int], theta: int, beta: float, gain_cap: float, value) -> float:
-    # Best value(t) over the integer targets t: those within 2 of the values
-    # and theta, then the wider range an exact pruning radius leaves: a
-    # target at offset r from theta is worth at most gain_cap * e^{-beta r},
-    # so nothing beyond R can beat the incumbent.
+def _brute_anchor(c: list[int], theta: int, value) -> float:
+    # Best value(t) over all integer targets t, from those within 2 of the
+    # values and theta: past them (two past for the unbiased estimator, so no
+    # value is on t or next to it) a step outward adds 1 to every shift
+    # distance and to the discount's exponent and keeps every gain >= 0, so
+    # value(t) never grows outward, bit for bit too, as math.exp is monotone.
     lo, hi = min(c[0], theta), max(c[-1], theta)
-    incumbent = max(0.0, *map(value, range(lo - 2, hi + 3)))
-    r = (math.log(gain_cap) - math.log(incumbent)) / beta if incumbent > 0 else 0.0
-    radius = max(1, int(math.ceil(r)) + 2)
-    return max(incumbent, *map(value, range(lo - radius, hi + radius + 1)))
+    return max(0.0, *map(value, range(lo - 2, hi + 3)))
 
 
 def _brute_biased_value(c: list[int], t: int, theta: int, beta: float) -> float:
@@ -400,9 +398,9 @@ def _brute_unbiased_value(c: list[int], t: int, theta: int, x: float, beta: floa
 def smooth_sensitivity_bruteforce(inst: SmoothSensInstance) -> float:
     """Exact smooth sensitivity on small instances by exhaustive target scan.
 
-    Independent of the fast algorithms: every integer target within an
-    exact pruning radius is evaluated, and all shift-count combinations are
-    enumerated outright.
+    Independent of the fast algorithms: every integer target within 2 of
+    the values and the initial target (see ``_brute_anchor``) is evaluated,
+    and all shift-count combinations are enumerated outright.
     """
     if len(inst.edges) > 12 or any(len(v.partial_sums) > 12 for v in inst.edges):
         raise InstanceTooLargeError("brute-force oracle is capped at degree 12")
@@ -416,9 +414,8 @@ def smooth_sensitivity_bruteforce(inst: SmoothSensInstance) -> float:
         # the initial targets of a +1 step on this edge and of a -1 step
         for theta in (inst.lam - 1 - view.weight, inst.lam - view.weight):
             if inst.kind is EstimatorKind.BIASED:
-                cap, value = float(len(c)), lambda t: _brute_biased_value(c, t, theta, beta)
+                value = lambda t: _brute_biased_value(c, t, theta, beta)
             else:
-                cap = len(c) * (1.0 + 2.0 * x)
                 value = lambda t: _brute_unbiased_value(c, t, theta, x, beta)
-            best = max(best, _brute_anchor(c, theta, beta, cap, value))
+            best = max(best, _brute_anchor(c, theta, value))
     return best

@@ -9,12 +9,12 @@ from lwdp_triangles import (
     WeightedGraph,
     count_c4_instances,
     enumerate_triangles,
+    exact_below_threshold_count,
     greedy_assign,
 )
 from lwdp_triangles.assignment import (
     Assignment,
     InstanceTooLargeError,
-    assignment_from_choices,
     brute_force_optimal_assign,
 )
 
@@ -55,7 +55,7 @@ def test_count_c4_from_loads():
     a = Assignment(g, EMPTY)
     assert count_c4_instances(a) == 0
     tris = enumerate_triangles(g)
-    forced = assignment_from_choices(g, tris, [(0, 1)] * 3)  # all on the spine edge
+    forced = Assignment(g, tris[:, [2, 0, 1]])  # all on the spine edge (0, 1)
     assert count_c4_instances(forced) == 3  # C(3, 2)
     spread = greedy_assign(g, tris)
     assert all(l <= 1 for l in spread.loads.values())
@@ -162,12 +162,11 @@ def test_greedy_approximation_ratios_on_random_instances():
 
 def test_rows_list_each_owners_triangles_in_order():
     g = random_graph(random.Random(23), 15, 0.55, -2, 2)
-    tris = enumerate_triangles(g)[::-1]  # choices in reverse triangle order
-    edges = [((a, b), (a, c), (b, c))[i % 3] for i, (a, b, c) in enumerate(tris.tolist())]
-    a = assignment_from_choices(g, tris, edges)
+    tris = enumerate_triangles(g)[::-1]  # rows in reverse triangle order
+    rows = [((c, a, b), (b, a, c), (a, b, c))[i % 3] for i, (a, b, c) in enumerate(tris.tolist())]
+    a = Assignment(g, rows)
     owned = {v: [] for v in range(15)}
-    for t, (y, z) in zip(tris.tolist(), edges):
-        owner = sum(t) - y - z
+    for t, (owner, _, _) in zip(tris.tolist(), rows):
         owned[owner].append(t)
     expected = [(v, *(u for u in t if u != v)) for v in range(15) for t in sorted(owned[v])]
     assert a.rows.dtype.name == "int32"
@@ -190,11 +189,15 @@ def test_assignment_rows_take_any_order_and_reject_malformed_rows():
             Assignment(g, bad)
     with pytest.raises(ValueError):
         Assignment(book_graph(2), np.array([[0, 2, 3]]))  # not a triangle of the graph
-    tris = np.array([[0, 1, 2]])
-    with pytest.raises(ValueError):
-        assignment_from_choices(g, tris, [(0, 3)])  # not an edge of the triangle
-    with pytest.raises(ValueError):
-        assignment_from_choices(g, tris, [])
+    # rows are checked before any cast: 2^32 used to wrap to node 0 in the
+    # int32 cast, and 0.5 to be truncated to it, so both read as [0, 1, 2]
+    count = lambda g, rows: exact_below_threshold_count(g, 6, rows)
+    for entry in (Assignment, greedy_assign, count):
+        with pytest.raises(ValueError, match="not an edge"):
+            entry(g, np.array([[2**32, 1, 2]]))
+        with pytest.raises(ValueError, match="integer node id"):
+            entry(g, [[0.5, 1, 2]])
+    assert Assignment(g, [[0.0, 1.0, 2.0]]).rows.tolist() == [[0, 1, 2]]
 
 
 def test_greedy_matches_per_triangle_reference_on_tie_heavy_graphs():

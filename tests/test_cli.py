@@ -222,6 +222,12 @@ def test_invalid_budget_is_a_usage_error(graph_file, command, capsys):
     # a size above the graph's 14 nodes used to fail after the first point's trials
     ["experiment", "--sweep", "size", "--values", "10,100"],
     ["experiment", "--sweep", "size", "--values", "-1"],
+    # the kernel refuses walk costs that could leave int64; the refusal used
+    # to end the command in a traceback
+    ["sensitivity", "--node", "0", "--beta", "1e-300", "--estimator", "biased",
+     "--lambda", str(2**62)],
+    ["sensitivity", "--node", "0", "--beta", "1e-300", "--estimator", "unbiased",
+     "--lambda", str(2**62)],
 ])
 def test_invalid_library_argument_is_a_usage_error(graph_file, tmp_path, command, capsys):
     out_path = tmp_path / "sweep.csv"

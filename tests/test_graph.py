@@ -113,6 +113,11 @@ def test_structure_validation():
         WeightedGraph(3, [(0, 1, 1), (1, 0, 2)])
     with pytest.raises(GraphStructureError):
         WeightedGraph(2, [(0, 5, 1)])
+    # 2.5 used to construct as WeightedGraph(n=2.5, m=1)
+    for n in (2.5, math.nan, "3", None):
+        with pytest.raises(GraphStructureError, match="integer node_count"):
+            WeightedGraph(n, [(0, 1, 1)])
+    assert WeightedGraph(3.0, [(0, 1, 1)]) == WeightedGraph(3, [(0, 1, 1)])
 
 
 @pytest.mark.parametrize(

@@ -326,6 +326,29 @@ def test_negative_seed_or_key_is_rejected_as_by_numpy():
     ):
         with pytest.raises(ValueError, match="non-negative"):
             source.node_streams(nodes, round_no)
+    # a fractional seed or key entry used to be truncated: RandomSource(2.7)
+    # drew what RandomSource(2) draws, stream(1.9) was stream(1), and
+    # subsource(0.5) had the prefix (0,)
+    with pytest.raises(TypeError):
+        np.random.SeedSequence(2.7)
+    for make in (
+        lambda: RandomSource(2.7),
+        lambda: RandomSource(1, (0.5,)),
+        lambda: RandomSource(1).stream(1.9),
+        lambda: RandomSource(1).stream(3, math.nan),
+        lambda: RandomSource(1).subsource(0.5),
+        lambda: RandomSource(1).node_streams([3, 1.5], 1),
+        lambda: RandomSource(1).node_streams(np.array([3.5]), 1),
+        lambda: RandomSource(1).node_streams([3], 1.5),
+    ):
+        with pytest.raises(ValueError, match="expected an integer"):
+            make()
+    # integral values of other types are the same integers
+    draw = RandomSource(2).stream(1, 3).random()
+    assert RandomSource(2.0).stream(np.int32(1), 3.0).random() == draw
+    assert RandomSource(np.uint64(2), (1.0,)).stream(3).random() == draw
+    streams = RandomSource(2).node_streams(np.array([1.0, 4.0]), np.int64(3))
+    assert [s.random() for s in streams] == [draw, RandomSource(2).stream(4, 3).random()]
 
 
 def test_precomputed_seed_serves_only_the_pcg64_request():

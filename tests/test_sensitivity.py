@@ -8,8 +8,8 @@ import pytest
 
 from lwdp_triangles import WeightedGraph, enumerate_triangles
 from lwdp_triangles.assignment import (
+    Assignment,
     InstanceTooLargeError,
-    assignment_from_choices,
     greedy_assign,
 )
 from lwdp_triangles.estimators import EstimatorKind, unbiased_correction
@@ -45,8 +45,8 @@ def star_of_triangles(k):
         edges.append((1, leaf, 0))
     g = WeightedGraph(k + 2, edges)
     tris = enumerate_triangles(g)
-    # force every triangle onto node 0 (noisy edge is the one opposite 0)
-    a = assignment_from_choices(g, tris, [(b, c) for _, b, c in tris.tolist()])
+    # the rows (0, y, z) force every triangle onto node 0 (noisy edge (y, z))
+    a = Assignment(g, tris)
     return g, a
 
 
@@ -145,6 +145,30 @@ def test_bruteforce_size_cap():
     inst = SmoothSensInstance(0, 0, 0.5, EstimatorKind.BIASED, None, views)
     with pytest.raises(InstanceTooLargeError):
         smooth_sensitivity_bruteforce(inst)
+
+
+def test_oracle_target_window_holds_the_best_target():
+    # the oracle scans the targets within 2 of the values and theta; a scan
+    # 80 wider finds nothing better, bit for bit, at every beta down to 0.02
+    rnd = random.Random(1005)
+    betas = (0.02, 0.05, 0.1, 0.5, 1.0, 3.0)
+    for i in range(300):
+        kind = EstimatorKind.BIASED if i % 2 else EstimatorKind.UNBIASED
+        p = None if kind is EstimatorKind.BIASED else PS[i % 3]
+        inst = random_local_instance(rnd, kind, p=p, betas=betas)
+        x = 0.0 if p is None else unbiased_correction(p)
+        for view in inst.edges:
+            c = sorted(view.partial_sums)
+            if not c:
+                continue
+            for theta in (inst.lam - 1 - view.weight, inst.lam - view.weight):
+                if kind is EstimatorKind.BIASED:
+                    value = lambda t: sensitivity._brute_biased_value(c, t, theta, inst.beta)
+                else:
+                    value = lambda t: sensitivity._brute_unbiased_value(c, t, theta, x, inst.beta)
+                lo, hi = min(c[0], theta), max(c[-1], theta)
+                wide = max(0.0, *map(value, range(lo - 80, hi + 81)))
+                assert sensitivity._brute_anchor(c, theta, value) == wide, (inst, theta)
 
 
 # -- oracle agreement and structural properties --------------------------------
@@ -624,7 +648,7 @@ def test_node_outside_the_graph_is_rejected():
 def test_build_instance_partial_sums():
     g = WeightedGraph(4, [(0, 1, 2), (0, 2, 3), (1, 2, 10), (0, 3, 4), (1, 3, 20)])
     tris = enumerate_triangles(g)  # {0,1,2} and {0,1,3}
-    a = assignment_from_choices(g, tris, [(b, c) for _, b, c in tris.tolist()])
+    a = Assignment(g, tris)  # node 0 owns both
     # the release is indexed by edge id: (0,1) (0,2) (0,3) (1,2) (1,3)
     release = np.array([-50, -50, -50, 11, 19])
     inst = build_instance(a, release, 0, lam=9, beta=0.5, kind=EstimatorKind.BIASED)
