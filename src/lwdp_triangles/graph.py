@@ -11,7 +11,10 @@ key ``u*n + v`` (u < v) among the sorted keys, so a weight assignment to all
 edges (the true weights, or a noisy release of them) is one int64 array
 indexed by edge id.  The CSR adjacency lists every node's neighbour slots in
 neighbour order, with the edge id of each slot, so a node's incident
-weights are one gather.
+weights are one gather.  A dense graph, one with n^2 <= 8m, also keeps an
+int32 table of the id of every node pair (u, v) at u*n + v, -1 for a
+non-edge: it is no larger than the two 2m-slot int64 CSR arrays, and it
+turns a pair's id into one gather instead of a search among the sorted keys.
 
 A set of triangles has one format throughout the library: a (T, 3) integer
 node array with one triangle per row.  ``enumerate_triangles`` returns every
@@ -63,11 +66,16 @@ def integral(value, what: str, error: type[ValueError] = ValueError) -> int:
 
 def integral_array(values, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
     """``values`` as an integer array: by its dtype alone if that is an
-    integer one, else as int64 once ``integral`` accepts every entry."""
+    integer one, else as int64 once ``integral`` accepts every entry and
+    each lies inside int64."""
     array = np.asarray(values)
     if array.dtype.kind in "iu":
         return array
-    return np.array([integral(v, what, error) for v in array.flat], np.int64).reshape(array.shape)
+    entries = [integral(v, what, error) for v in array.flat]
+    for v in entries:
+        if not -(2**63) <= v < 2**63:
+            raise error(f"{what} {v} is outside the int64 range")
+    return np.array(entries, np.int64).reshape(array.shape)
 
 
 def check_threshold(lam) -> int:
@@ -93,7 +101,10 @@ class WeightedGraph:
     inside [0, n), no self-loops, no duplicate edges) and builds, once, the
     arrays that are the graph's only representation: the sorted edge keys
     ``u*n + v`` (u < v), whose positions are the edge ids, the weights by
-    edge id, and the CSR adjacency.  Every accessor answers from them.
+    edge id, and the CSR adjacency.  Where n^2 <= 8m it adds the n*n id
+    table, whose entry u*n + v is the id of the edge (u, v) or -1, from
+    which node pairs are looked up; elsewhere they are searched among the
+    keys, with the same ids and errors.  Every accessor answers from them.
     Instances are immutable and safe to share across threads.
     """
 
@@ -135,6 +146,11 @@ class WeightedGraph:
         self._neighbours = slot_keys % n
         self._slot_edges = slots % len(keys)
         self._lower_slots = np.flatnonzero(slots < len(keys))
+        # on a dense graph, entry u*n + v holds the id of the edge (u, v), or -1
+        self._id_table = None
+        if 0 < n and n * n <= 8 * len(keys):
+            self._id_table = np.full(n * n, -1, dtype=np.int32)
+            self._id_table[slot_keys] = self._slot_edges
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
@@ -204,13 +220,20 @@ class WeightedGraph:
         return self._lower_slots
 
     def _search(self, lower, upper):
-        """Position of the key ``lower*n + upper`` of each pair lower <= upper
-        (node ids, or integer arrays of them with ``lower`` int64) among the
-        edge keys, and whether the pair is an edge; a pair with a node id
-        outside [0, n) never is."""
+        """Edge id of each pair lower <= upper (node ids, or integer arrays of
+        them with ``lower`` int64), meaningful only where the pair is an edge,
+        and whether it is; a pair with a node id outside [0, n) never is.
+
+        Integer keys ``lower*n + upper`` are one gather from the id table
+        where the graph has one; other keys (a float, or a Python int past
+        int64) are searched among the sorted edge keys."""
         keys = lower * self._n + upper
-        ids = self._edge_keys.searchsorted(keys)
         inside = (lower >= 0) & (upper < self._n)
+        if self._id_table is not None and np.asarray(keys).dtype.kind in "iu":
+            # a pair outside [0, n) reads entry 0, the pair (0, 0), never an edge
+            ids = self._id_table[np.where(inside, keys, 0)]
+            return ids, inside & (ids >= 0)
+        ids = self._edge_keys.searchsorted(keys)
         return ids, inside & (self._keys_and_sentinel[ids] == keys)
 
     def edge_ids(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

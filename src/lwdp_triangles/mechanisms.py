@@ -304,13 +304,15 @@ class RandomSource:
 
     def _seed_rows(self, nodes, round_no: int) -> np.ndarray:
         # the PCG64 seed words of stream(v, round_no) for every v, as rows
-        ids = integral_array(nodes, "node id").astype(np.int64, copy=False).reshape(-1)
-        if ids.size and ids.min() < 0:
+        # ids that numpy reads as uint64 (such as [2**63]) are taken as they
+        # are; other input past int64 fails in integral_array
+        ids = integral_array(nodes, "node id").reshape(-1)
+        if ids.dtype.kind == "i" and ids.size and ids.min() < 0:
             raise ValueError("expected non-negative integer")
+        ids = ids.astype(np.uint64)
         head = self._entropy(())
         tail = _seed_words(integral(round_no, "round number"))
-        high = (ids >> 32).astype(np.uint64)
-        low = (ids & _MASK32).astype(np.uint64)
+        high, low = ids >> 32, ids & _MASK32
         seeds = np.empty((ids.size, 4), dtype=np.uint64)
         # a node id of 2^32 or more is two words, which hash in their own batch
         for wide in (False, True):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lwdp_triangles import (
+    GraphStructureError,
     WeightedGraph,
     count_c4_instances,
     enumerate_triangles,
@@ -17,6 +18,7 @@ from lwdp_triangles.assignment import (
     InstanceTooLargeError,
     brute_force_optimal_assign,
 )
+from lwdp_triangles.graph import triangle_edge_ids
 
 from conftest import book_graph, complete_graph, random_graph
 
@@ -197,6 +199,12 @@ def test_assignment_rows_take_any_order_and_reject_malformed_rows():
             entry(g, np.array([[2**32, 1, 2]]))
         with pytest.raises(ValueError, match="integer node id"):
             entry(g, [[0.5, 1, 2]])
+        # past int64 the rows used to raise OverflowError in the int64 cast
+        for row in ([2**70, 1, 2], [0, 2**64, 1], [-(2**63) - 1, 1, 2]):
+            with pytest.raises(GraphStructureError, match="outside the int64 range"):
+                entry(g, [row])
+    with pytest.raises(GraphStructureError, match="outside the int64 range"):
+        triangle_edge_ids(g, [[2**64, 1, 2]])
     assert Assignment(g, [[0.0, 1.0, 2.0]]).rows.tolist() == [[0, 1, 2]]
 
 

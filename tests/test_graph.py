@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lwdp_triangles import (
     Assignment,
@@ -11,6 +11,7 @@ from lwdp_triangles import (
     WeightedGraph,
     enumerate_triangles,
     exact_below_threshold_count,
+    greedy_assign,
     triangle_weights,
 )
 from lwdp_triangles.graph import COUNT_CHUNK, triangle_edge_ids
@@ -286,7 +287,34 @@ def edge_lists(draw):
     ]
 
 
+def test_id_table_and_key_search_give_the_same_ids():
+    # a dense graph keeps an n*n id table (n^2 <= 8m); isolated nodes added
+    # until n^2 > 8m move it to the key search without changing an edge id
+    g = random_graph(random.Random(26), 46, 0.7, -3, 3)
+    sparse = WeightedGraph(3 * g.node_count, [(u, v, w) for (u, v), w in g.edge_weights().items()])
+    assert g.node_count**2 <= 8 * g.edge_count < sparse.node_count**2
+    assert g._id_table is not None and sparse._id_table is None
+    assert list(sparse.edges()) == list(g.edges())
+    u, v = np.array(list(g.edges())).T
+    for a, b in ((u, v), (v, u), (u.astype(np.int32), v.astype(np.uint16))):
+        assert g.edge_ids(a, b).tolist() == sparse.edge_ids(a, b).tolist() == list(range(len(u)))
+    tris = enumerate_triangles(g)
+    assert len(tris) > COUNT_CHUNK and enumerate_triangles(sparse).tolist() == tris.tolist()
+    for rows in (tris, tris[:, ::-1], tris.astype(np.uint64)):
+        assert triangle_edge_ids(g, rows).tolist() == triangle_edge_ids(sparse, rows).tolist()
+    dense_assignment, sparse_assignment = greedy_assign(g, tris), greedy_assign(sparse, tris)
+    assert dense_assignment.rows.tolist() == sparse_assignment.rows.tolist()
+    assert dense_assignment.edge_ids.tolist() == sparse_assignment.edge_ids.tolist()
+    for graph in (g, sparse):
+        for row in ([0, 1, 3 * g.node_count], [2**64 - 1, 0, 1]):
+            with pytest.raises(GraphStructureError, match="not an edge"):
+                triangle_edge_ids(graph, np.array([row], np.uint64))
+
+
 @given(edge_lists(), st.randoms(use_true_random=False))
+@example((0, []), random.Random(0))
+@example((1, []), random.Random(0))
+@example((5, [(u, v, u - v) for u in range(5) for v in range(u + 1, 5)]), random.Random(0))
 @settings(max_examples=150, deadline=None)
 def test_graph_answers_like_a_dict_reference(drawn, rnd):
     n, edges = drawn
@@ -315,6 +343,12 @@ def test_graph_answers_like_a_dict_reference(drawn, rnd):
                     g.weight(u, v)
                 with pytest.raises(GraphStructureError):
                     g.edge_ids(np.array([u]), np.array([v]))
+    # node ids far outside [0, n), past int64 included, are never an edge
+    for u in (-1, n, 2**70, -(2**70)):
+        for v in (0, n - 1, 2**70):
+            assert not g.has_edge(u, v) and not g.has_edge(v, u)
+            with pytest.raises(GraphStructureError, match="no edge"):
+                g.weight(u, v)
     assert [g.neighbors(v) for v in range(n)] == [tuple(sorted(a)) for a in adjacent]
     assert [g.degree(v) for v in range(n)] == [len(a) for a in adjacent]
     assert g.max_degree == max(map(len, adjacent), default=0)

@@ -349,6 +349,16 @@ def test_negative_seed_or_key_is_rejected_as_by_numpy():
     assert RandomSource(np.uint64(2), (1.0,)).stream(3).random() == draw
     streams = RandomSource(2).node_streams(np.array([1.0, 4.0]), np.int64(3))
     assert [s.random() for s in streams] == [draw, RandomSource(2).stream(4, 3).random()]
+    # numpy makes [2^63] a uint64 array: ids below 2^64 hash as stream's do,
+    # and an id past them is a ValueError, not an OverflowError; numpy reads
+    # [2^63, 1] as float64, which cannot hold every such id, so it is one too
+    for node in (2**63, 2**64 - 1):
+        want = RandomSource(2).stream(node, 3).random()
+        for nodes in ([node], np.array([node, 1], np.uint64)):
+            assert next(RandomSource(2).node_streams(nodes, 3)).random() == want
+    for nodes in ([2**64], [2**70], [1, 2**70], [-(2**70)], [2**63, 1]):
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            RandomSource(2).node_streams(nodes, 3)
 
 
 def test_precomputed_seed_serves_only_the_pcg64_request():
