@@ -66,16 +66,22 @@ def integral(value, what: str, error: type[ValueError] = ValueError) -> int:
 
 def integral_array(values, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
     """``values`` as an integer array: by its dtype alone if that is an
-    integer one, else as int64 once ``integral`` accepts every entry and
-    each lies inside int64."""
+    integer one, else once ``integral`` accepts every entry, as int64 if each
+    lies inside int64 and as uint64 if each lies inside uint64.  Input that
+    is not an array is read entry by entry, so numpy's float64 reading of a
+    list such as [2**53 + 1, 1.0] or [2**63, 1] rounds no id."""
     array = np.asarray(values)
     if array.dtype.kind in "iu":
         return array
+    if not isinstance(values, np.ndarray):
+        array = np.array(values, dtype=object)
     entries = [integral(v, what, error) for v in array.flat]
-    for v in entries:
-        if not -(2**63) <= v < 2**63:
-            raise error(f"{what} {v} is outside the int64 range")
-    return np.array(entries, np.int64).reshape(array.shape)
+    for dtype in (np.int64, np.uint64):
+        info = np.iinfo(dtype)
+        if all(info.min <= v <= info.max for v in entries):
+            return np.array(entries, dtype).reshape(array.shape)
+    v = next(v for v in entries if not -(2**63) <= v < 2**63)
+    raise error(f"{what} {v} is outside the int64 range")
 
 
 def check_threshold(lam) -> int:

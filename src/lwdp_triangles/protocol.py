@@ -18,9 +18,10 @@ substream, and the server keeps the lower-id endpoint's value of each edge.
 Step 2 is one array pass over all the assignment's owner-sorted rows,
 gathering through the assignment's edge ids and its segments (built once per
 assignment), so node v's count f'_v and sensitivity S_v read only v's own
-weights, the noisy weights sent to v and public data; each segment gets one
-score under either mechanism, and S_v is the largest of v's.  The release pass
-then turns every S_v > 0 into noise drawn from v's own step-2 substream.
+weights, the noisy weights sent to v and public data; S_v is the largest
+score over v's segments, which the smooth kernel finds without walking the
+targets that cannot beat it.  The release pass then turns every S_v > 0 into
+noise drawn from v's own step-2 substream.
 """
 
 from __future__ import annotations
@@ -117,10 +118,14 @@ def local_step2(
     reads only the edges opposite it in its assigned triangles, both read
     through the assignment's edge ids.  f'_v is ``np.bincount`` of the
     per-triangle estimates over the owner-sorted rows, which adds in triangle
-    order like a per-node loop.  Each of the assignment's ``segments``, one
-    per (v, incident edge), gets a score: one ``segment_smooth_sensitivities``
-    call scores them all, or under Laplace noise the step bound times their
-    lengths; S_v (GS_v) is v's largest score, 0 for a node without segments.
+    order like a per-node loop.  S_v (GS_v) is v's largest score over its
+    ``segments``, one per (v, incident edge), and 0 for a node without any.
+    Under smooth noise one ``segment_smooth_sensitivities`` call over all the
+    segments and ``segments.owner`` returns every S_v: each target's cheap
+    candidates raise a running best per node, and a target's walk runs only
+    where its bound exceeds that best, so S_v reads v's segments only and
+    equals walking every target bit for bit.  Under Laplace noise a segment's
+    score is the step bound times its length.
     """
     kind, mechanism = EstimatorKind(kind), Mechanism(mechanism)
     n = assignment.graph.node_count
@@ -132,19 +137,18 @@ def local_step2(
         minlength=n,
     ).astype(float, copy=False)  # without rows it is int64, which cannot take the noise
     if mechanism is Mechanism.GLOBAL_LAPLACE:
-        scores = estimator_step_bound(kind, p) * segments.lengths
+        sens = np.zeros(n)
+        np.maximum.at(sens, segments.owner, estimator_step_bound(kind, p) * segments.lengths)
     else:
         lengths, incident, sums = segments.gather(slice(0, len(rows)), weights, noisy)
         try:
-            scores = segment_smooth_sensitivities(
-                sums, lengths, lam - 1 - incident, kind, budget.beta, p
+            sens = segment_smooth_sensitivities(
+                sums, lengths, lam - 1 - incident, segments.owner, n, kind, budget.beta, p
             )
         except ValueError as err:  # its int64 bound, past which a far lam and a tiny beta go
             raise ValueError(
                 f"epsilon_2 = {budget.epsilon_2} is too small for lam = {lam}: {err}"
             ) from None
-    sens = np.zeros(n)
-    np.maximum.at(sens, segments.owner, scores)
     return counts, sens
 
 

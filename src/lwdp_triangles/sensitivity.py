@@ -15,16 +15,29 @@ values on it, and its two walks visit the same values in one traversal.
 
 ``segment_smooth_sensitivities`` is the one implementation.  It takes the
 partial sums of many nodes as int64 arrays, one segment per (node, incident
-edge), and scores them in one pass over chunks of whole segments, which
-bound its memory however many segments there are: a chunk becomes one sorted
-int64 key array whose runs of equal keys give the candidate targets and
-their counts, the walks run as masked rounds, and a per-call table of the
-largest distance the rule accepts at each k decides every step.  Every
-e^{-beta n} is ``math.exp`` of an integer n, so the values are bit-identical
-to a per-target scalar evaluation.  The kernel knows no nodes: step 2 scores
-all an ``Assignment``'s ``segments`` in one call and takes each node's
-largest score, ``build_instance`` cuts one node's segments into edge views,
-and ``smooth_sensitivity`` is the largest score of one instance's views.
+edge) with the node that owns it, and returns each node's largest score in
+one pass over chunks of whole segments, which bound its memory however many
+segments there are: a chunk becomes one sorted int64 key array whose runs of
+equal keys give the candidate targets and their counts, and a per-call table
+of the largest distance the rule accepts at each k decides every walk step.
+Every e^{-beta n} is ``math.exp`` of an integer n, so the values are
+bit-identical to a per-target scalar evaluation.
+
+Only each node's largest score is wanted, so the kernel is a branch and
+bound.  Each target's cheap exact candidates (the count on the target for
+the biased estimator, the two stationary-point scores for the unbiased one)
+first raise a running best per node, its floor.  The walk, the costly
+candidate, runs only where an upper bound on its scores exceeds the floor:
+a step from count k needs a nonzero reach[k], so a walk ends at count cap
+at most, cap the number of nonzero entries, and each step costs at least 1
+(2 in the unbiased estimator's second walk), so one table over the start
+count per call, times the target's initial cost and discount, bounds it.  A
+skipped walk scores at most a candidate its node already has, and the
+largest value is exact, so the values are those of walking every target,
+bit for bit.  A node's floor and value read its own segments only: step 2
+scores all an ``Assignment``'s ``segments`` in one call, ``build_instance``
+cuts one node's segments into edge views, and ``smooth_sensitivity`` is one
+call over one instance's views.
 
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target within 2 of the values and the initial targets, past which no
@@ -212,12 +225,49 @@ def _stationary_best(a, n, slope, inv_beta, neg_exp):
     return best
 
 
-def _segment_maxima(keys, bounds, anchors, span, kind, beta, x, reach, neg_exp):
+def _walk_table(reach, neg_exp, rate):
+    # table[k], k in [0, cap] with cap the number of nonzero reach entries:
+    # the largest (k + j) e^{-beta rate j} over the step counts j >= 1 of a
+    # walk from count k, and 0 at cap.  A step from count k needs reach[k] >= 1,
+    # so k + j <= cap, and a step of state s costs at least 1 + s = rate.  It is
+    # e^{beta rate k} times the largest m e^{-beta rate m} over m in (k, cap],
+    # one suffix maximum; beta rate k < 2 below cap, so no factor underflows.
+    cap = int(np.count_nonzero(reach))
+    m = np.arange(cap + 1)
+    tail = np.maximum.accumulate((m * neg_exp(rate * m))[::-1])[::-1]
+    table = np.zeros(cap + 1)
+    table[:-1] = tail[1:] / neg_exp(rate * m[:-1])
+    return table
+
+
+def _walk_bound(k, states, tables, neg_exp):
+    # Per target, at least every score its walk from count k can reach: after
+    # j steps state s = (cost, gain) scores at most
+    # gain (k + j) e^{-beta (cost + (1 + s) j)} <= gain e^{-beta cost} tables[s][k].
+    return np.maximum.reduce([
+        gain * neg_exp(cost) * table[np.minimum(k, len(table) - 1)]
+        for (cost, gain), table in zip(states, tables)
+    ])
+
+
+# A walk is skipped only if its bound, raised by these margins, is at most its
+# owner's best.  Bound and scores are products of a few rounded factors, each
+# within about 1e-13 of exact (math.exp of at least -745), which the relative
+# margin covers; below the smallest normal double products lose that
+# precision, and the absolute margin walks every target of such an owner.
+_BOUND_RELATIVE = 1e-9
+_BOUND_ABSOLUTE = float(np.finfo(float).tiny)
+
+
+def _cheap_candidates(keys, anchors, owners, best, span, kind, beta, x, neg_exp):
     # ``keys`` holds seg * span + (c - offset of seg) for every partial sum c,
-    # sorted, so each segment's sums are contiguous and ascending between
-    # ``bounds``; ``anchors`` is the key of each segment's initial target for
-    # a +1 step (the one for a -1 step is one above).  Returns the best
-    # discounted score of every segment over its candidate targets.
+    # sorted, so each segment's sums are contiguous and ascending;
+    # ``anchors`` is the key of each segment's initial target for a +1 step
+    # (the one for a -1 step is one above).  Raises best[owners[i]] to the
+    # best cheap exact candidate of segment i, discounted, and returns every
+    # candidate target t with its segment, the run keys[lo:hi] of the values
+    # its walk starts with (those on t, and for the unbiased estimator those
+    # next to it), its discount, and the walk's shift and states.
     head = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     u = keys[head]  # the distinct keys; run q is keys[head[q]:head[q + 1]]
     if kind is EstimatorKind.BIASED:
@@ -227,63 +277,107 @@ def _segment_maxima(keys, bounds, anchors, span, kind, beta, x, reach, neg_exp):
     t.sort()
     t = t[np.concatenate(([True], t[1:] != t[:-1]))]
     seg = t // span
-    start, end = bounds[seg], bounds[seg + 1]
     theta = anchors[seg]
     discount = neg_exp(np.minimum(np.abs(t - theta), np.abs(t - theta - 1)))
     # q steps over each run equal to t-1, t, t+1; no target meets the sentinel
     head, u = np.append(head, len(keys)), np.append(u, _INT64_MAX)
+    first = np.searchsorted(seg, np.arange(len(anchors)))
     if kind is EstimatorKind.BIASED:
         q = np.searchsorted(u, t)
         lo, hi = head[q], head[q + (u[q] == t)]
-        on_target = hi - lo
-        walk, = _outer_walk(
-            keys, t, lo, hi, start, end, 0, on_target, [(np.zeros_like(t), 1.0)], reach, neg_exp
+        np.maximum.at(best, owners, np.maximum.reduceat((hi - lo) * discount, first))
+        return t, seg, lo, hi, discount, 0, [(np.zeros_like(t), 1.0)]
+    q0 = np.searchsorted(u, t - 1)
+    q1 = q0 + (u[q0] == t - 1)
+    q2 = q1 + (u[q1] == t)
+    q3 = q2 + (u[q2] == t + 1)
+    l0, l1, r0, r1 = head[q0], head[q1], head[q2], head[q3]
+    adjacent = (l1 - l0) + (r1 - r0)
+    on_target = r0 - l1
+    big, slope, inv_beta = 1.0 + 2.0 * x, 1.0 + 3.0 * x, 1.0 / beta
+    # positive contribution: adjacent values give +x, on-target -1-2x;
+    # negative contribution: on-target values give +1+2x, adjacent -x
+    cand = np.maximum(
+        _stationary_best(adjacent * x - on_target * big, on_target, slope, inv_beta, neg_exp),
+        _stationary_best(big * on_target - x * adjacent, adjacent, slope, inv_beta, neg_exp),
+    )
+    cand *= discount
+    np.maximum.at(best, owners, np.maximum.reduceat(cand, first))
+    return t, seg, l0, r1, discount, 1, [(on_target, x), (adjacent, big)]
+
+
+def _segment_maxima(
+    keys, bounds, anchors, owners, best, span, kind, beta, x, reach, neg_exp, tables
+):
+    # Raises best[owners[i]] to the best discounted score of segment i, whose
+    # sums are keys[bounds[i]:bounds[i + 1]], over its candidate targets:
+    # first the cheap exact candidates of every target, then the outward walks
+    # of only those targets whose bound can beat their owner's best so far.
+    t, seg, lo, hi, discount, shift, states = _cheap_candidates(
+        keys, anchors, owners, best, span, kind, beta, x, neg_exp
+    )
+    # a target walks unless its bound, with the margins, is at most its
+    # owner's best so far
+    k = hi - lo
+    limit = _walk_bound(k, states, tables, neg_exp)
+    limit *= discount
+    limit *= 1 + _BOUND_RELATIVE
+    limit += _BOUND_ABSOLUTE
+    walk = np.flatnonzero(~(limit <= best[owners[seg]]))
+    if walk.size:
+        # rebound to the walked targets, so that the full arrays are freed
+        # before the walk allocates its own
+        t, seg, lo, hi, k, discount = (a[walk] for a in (t, seg, lo, hi, k, discount))
+        scores = _outer_walk(
+            keys, t, lo, hi, bounds[seg], bounds[seg + 1], shift, k,
+            [(cost[walk], gain) for cost, gain in states], reach, neg_exp,
         )
-        cand = np.maximum(on_target, walk)
-    else:
-        q0 = np.searchsorted(u, t - 1)
-        q1 = q0 + (u[q0] == t - 1)
-        q2 = q1 + (u[q1] == t)
-        q3 = q2 + (u[q2] == t + 1)
-        l0, l1, r0, r1 = head[q0], head[q1], head[q2], head[q3]
-        adjacent = (l1 - l0) + (r1 - r0)
-        on_target = r0 - l1
-        big, slope, inv_beta = 1.0 + 2.0 * x, 1.0 + 3.0 * x, 1.0 / beta
-        # positive contribution: adjacent values give +x, on-target -1-2x;
-        # negative contribution: on-target values give +1+2x, adjacent -x
-        cand = np.maximum.reduce([
-            _stationary_best(adjacent * x - on_target * big, on_target, slope, inv_beta, neg_exp),
-            _stationary_best(big * on_target - x * adjacent, adjacent, slope, inv_beta, neg_exp),
-            *_outer_walk(keys, t, l0, r1, start, end, 1, r1 - l0,
-                         [(on_target, x), (adjacent, big)], reach, neg_exp),
-        ])
-    first = np.searchsorted(seg, np.arange(len(anchors)))
-    return np.maximum.reduceat(cand * discount, first)
+        np.maximum.at(best, owners[seg], np.maximum.reduce(scores) * discount)
 
 
 def segment_smooth_sensitivities(
     sums: np.ndarray,
     lengths: np.ndarray,
     anchors: np.ndarray,
+    owners: np.ndarray,
+    count: int,
     kind: EstimatorKind,
     beta: float,
     p: float | None,
 ) -> np.ndarray:
-    """beta-smooth sensitivity of every segment, in one pass.
+    """beta-smooth sensitivity of ``count`` nodes from their segments, in one pass.
 
     A segment is the int64 partial sums of one (node, incident edge): segment
-    i holds the next ``lengths[i]`` (at least one) values of ``sums`` and its
+    i holds the next ``lengths[i]`` (at least one) values of ``sums``, its
     initial target for a +1 step is ``anchors[i]`` (lam - 1 - the edge's
-    weight).  The segments are scored in chunks of whole segments (see
-    ``SENSITIVITY_FLUSH_SIZE``): a chunk's sums become one sorted int64 key
-    array, its distinct keys give the counts at and next to every candidate
-    target, and the outward walks run as masked rounds.  A segment's score
-    reads its own sums and anchor only, whichever chunk it falls in.
-    ``kind`` may be an ``EstimatorKind`` or its name.
+    weight) and it belongs to node ``owners[i]`` in [0, count); the segments
+    may come in any order.  Node v's value is its largest segment score, 0
+    without segments.  The segments are scored in chunks of whole segments
+    (see ``SENSITIVITY_FLUSH_SIZE``): a chunk's sums become one sorted int64
+    key array, whose distinct keys give the counts at and next to every
+    candidate target and so each target's cheap exact candidates; they raise
+    a running best per node, which persists across chunks.  A target's
+    outward walk runs, as masked rounds, only where a bound on its scores
+    exceeds its node's best so far, and the values equal those of walking
+    every target bit for bit.  A node's value and its best so far read its
+    own segments only, whichever chunks they fall in.  Mismatched inputs
+    raise ValueError.  ``kind`` may be an ``EstimatorKind`` or its name.
     """
     kind = EstimatorKind(kind)
+    if not len(lengths) == len(anchors) == len(owners):
+        raise ValueError(
+            f"expected one length, anchor and owner per segment, got "
+            f"{len(lengths)}, {len(anchors)} and {len(owners)}"
+        )
+    if len(lengths) and lengths.min() < 1:
+        raise ValueError("every segment needs at least one partial sum")
+    if lengths.sum() != len(sums):
+        raise ValueError(f"the segments hold {lengths.sum()} partial sums, got {len(sums)}")
+    if len(owners) and not (0 <= owners.min() and owners.max() < count):
+        raise ValueError(f"owner ids must lie in [0, {count})")
+    best = np.zeros(count)
     if not len(lengths):
-        return np.zeros(0)
+        return best
     x = unbiased_correction(p) if kind is EstimatorKind.UNBIASED else 0.0
     bounds = np.concatenate(([0], np.cumsum(lengths)))
     # Each segment is offset by its own low end, so only the widest
@@ -302,7 +396,8 @@ def segment_smooth_sensitivities(
     anchors = anchors - low + 2
     reach = _reach(beta, longest, span)
     neg_exp = _NegExp(beta)
-    best = np.empty(len(lengths))
+    states = 1 if kind is EstimatorKind.BIASED else 2
+    tables = [_walk_table(reach, neg_exp, 1 + s) for s in range(states)]
     per_chunk = _INT64_MAX // span  # segments whose keys fit in int64
     a = 0
     while a < len(lengths):
@@ -313,17 +408,17 @@ def segment_smooth_sensitivities(
         keys = sums[bounds[a]:bounds[b]] - np.repeat(low[a:b], lengths[a:b])
         keys += np.repeat(base + 2, lengths[a:b])
         keys.sort()
-        best[a:b] = _segment_maxima(
-            keys, bounds[a:b + 1] - bounds[a], base + anchors[a:b], span, kind, beta, x,
-            reach, neg_exp,
+        _segment_maxima(
+            keys, bounds[a:b + 1] - bounds[a], base + anchors[a:b], owners[a:b], best, span,
+            kind, beta, x, reach, neg_exp, tables,
         )
         a = b
     return best
 
 
 def smooth_sensitivity(inst: SmoothSensInstance) -> float:
-    """beta-smooth sensitivity of one instance: the largest
-    ``segment_smooth_sensitivities`` score of its non-empty views."""
+    """beta-smooth sensitivity of one instance: ``segment_smooth_sensitivities``
+    over its non-empty views, one segment each, all owned by one node."""
     views = [view for view in inst.edges if view.partial_sums]
     lengths = np.fromiter((len(view.partial_sums) for view in views), np.int64, len(views))
     try:
@@ -334,8 +429,10 @@ def smooth_sensitivity(inst: SmoothSensInstance) -> float:
         anchors = np.array([inst.lam - 1 - view.weight for view in views], dtype=np.int64)
     except OverflowError:
         raise ValueError("partial sums and thresholds must fit in int64") from None
-    scores = segment_smooth_sensitivities(sums, lengths, anchors, inst.kind, inst.beta, inst.p)
-    return float(scores.max(initial=0.0))
+    owners = np.zeros(len(views), dtype=np.int64)
+    return float(segment_smooth_sensitivities(
+        sums, lengths, anchors, owners, 1, inst.kind, inst.beta, inst.p
+    )[0])
 
 
 # -- brute-force oracle --------------------------------------------------------

@@ -137,13 +137,16 @@ def _reference_stationary(a, n, slope, inv_beta, neg_exp):
     return np.maximum.reduce([(a + slope * k) * neg_exp(k) for k in ks])
 
 
-def reference_segment_maxima(keys, bounds, anchors, span, kind, beta, x, reach, neg_exp):
+def reference_segment_maxima(
+    keys, bounds, anchors, owners, best, span, kind, beta, x, reach, neg_exp, tables
+):
     """A per-value reference for ``sensitivity._segment_maxima``: searchsorted
     over every partial sum for the counts at and next to each candidate
-    target, a separate walk for each of the unbiased estimator's two terms,
-    and the count-ratio rule evaluated as k/(k+1) < e^{-beta d} at every
-    step.  ``reach`` is ignored, so the kernel's acceptance table is checked
-    against the rule itself."""
+    target, a separate walk of every target for each of the unbiased
+    estimator's two terms, and the count-ratio rule evaluated as
+    k/(k+1) < e^{-beta d} at every step.  ``reach`` and the walk bound
+    ``tables`` are ignored, so the kernel's acceptance table is checked
+    against the rule itself and its pruned walks against walking them all."""
     if kind is EstimatorKind.BIASED:
         t = np.concatenate((keys, anchors, anchors + 1))
     else:
@@ -179,7 +182,7 @@ def reference_segment_maxima(keys, bounds, anchors, span, kind, beta, x, reach, 
             _reference_walk(keys, t, l0, r1, start, end, 0, near, adjacent, big, neg_exp),
         ])
     first = np.searchsorted(seg, np.arange(len(anchors)))
-    return np.maximum.reduceat(cand * discount, first)
+    np.maximum.at(best, owners, np.maximum.reduceat(cand * discount, first))
 
 
 def reference_step2(graph, assignment, noisy, lam, kind, mechanism, budget):

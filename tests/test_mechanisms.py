@@ -350,15 +350,26 @@ def test_negative_seed_or_key_is_rejected_as_by_numpy():
     streams = RandomSource(2).node_streams(np.array([1.0, 4.0]), np.int64(3))
     assert [s.random() for s in streams] == [draw, RandomSource(2).stream(4, 3).random()]
     # numpy makes [2^63] a uint64 array: ids below 2^64 hash as stream's do,
-    # and an id past them is a ValueError, not an OverflowError; numpy reads
-    # [2^63, 1] as float64, which cannot hold every such id, so it is one too
+    # and an id past them is a ValueError, not an OverflowError
     for node in (2**63, 2**64 - 1):
         want = RandomSource(2).stream(node, 3).random()
-        for nodes in ([node], np.array([node, 1], np.uint64)):
+        for nodes in ([node], np.array([node, 1], np.uint64), [node, 1]):
             assert next(RandomSource(2).node_streams(nodes, 3)).random() == want
-    for nodes in ([2**64], [2**70], [1, 2**70], [-(2**70)], [2**63, 1]):
+    for nodes in ([2**64], [2**70], [1, 2**70], [-(2**70)], [2**63, -1]):
         with pytest.raises(ValueError, match="outside the int64 range"):
             RandomSource(2).node_streams(nodes, 3)
+
+
+def test_node_stream_lists_are_read_entry_by_entry():
+    # numpy reads [2^53 + 1, 1.0] and [2^63, 1] as float64, which rounds
+    # 2^53 + 1 to 2^53 and puts 2^63 past int64; a list's ids are read as
+    # they are, so each draws stream(v, round) of its own v
+    source = RandomSource(1)
+    for nodes in ([2**53 + 1, 1.0], [2**63, 1], [1.0, 2**64 - 1, 0], ((2**53 + 1, 4.0),)):
+        want = [source.stream(int(v), 1).random() for v in np.array(nodes, object).flat]
+        assert [s.random() for s in source.node_streams(nodes, 1)] == want, nodes
+    rounded = source.stream(2**53, 1).random()
+    assert next(source.node_streams([2**53 + 1, 1.0], 1)).random() != rounded
 
 
 def test_precomputed_seed_serves_only_the_pcg64_request():

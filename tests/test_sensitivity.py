@@ -430,13 +430,10 @@ def _take(segments, picked):
 
 
 def _kernel_hexes(segments, count, kind, beta, p):
-    """The kernel's segment scores reduced to ``count`` owners as step 2
-    reduces them: each owner's largest score, 0 without segments."""
-    *arrays, owner = segments
-    scores = segment_smooth_sensitivities(*arrays, kind, beta, p)
-    assert scores.shape == owner.shape
-    values = np.zeros(count)
-    np.maximum.at(values, owner, scores)
+    """The kernel's values of ``count`` owners: each owner's largest segment
+    score, 0 without segments."""
+    values = segment_smooth_sensitivities(*segments, count, kind, beta, p)
+    assert values.shape == (count,)
     return _hexes(values)
 
 
@@ -460,7 +457,7 @@ def test_segment_kernel_scores_each_owner_as_if_alone(monkeypatch):
         assert alone.count((0.0).hex()) < 60
     empty = (np.empty(0, dtype=np.int64),) * 4
     assert _kernel_hexes(empty, 3, EstimatorKind.BIASED, 0.5, None) == [(0.0).hex()] * 3
-    assert segment_smooth_sensitivities(*empty[:3], EstimatorKind.BIASED, 0.5, None).shape == (0,)
+    assert segment_smooth_sensitivities(*empty, 0, EstimatorKind.BIASED, 0.5, None).shape == (0,)
 
 
 def test_segment_kernel_owner_value_ignores_other_owners(monkeypatch):
@@ -477,10 +474,6 @@ def test_segment_kernel_owner_value_ignores_other_owners(monkeypatch):
         base = _kernel_hexes(segments, 60, kind, beta, p)
         order = rnd.sample(range(len(owner)), len(owner))
         assert _kernel_hexes(_take(segments, order), 60, kind, beta, p) == base
-        # below the owners, each segment's score moves with the segment
-        scores = segment_smooth_sensitivities(*segments[:3], kind, beta, p)
-        moved = segment_smooth_sensitivities(*_take(segments, order)[:3], kind, beta, p)
-        assert _hexes(moved) == _hexes(scores[order])
         own = _take(segments, np.flatnonzero(mine))
         dropped = _kernel_hexes(own, 60, kind, beta, p)
         assert [dropped[v] for v in kept] == [base[v] for v in kept]
@@ -572,7 +565,73 @@ def test_segment_kernel_takes_estimator_names():
     assert _kernel_hexes(segments, 2, "biased", 0.25, 0.3) == biased
     assert _kernel_hexes(segments, 2, "unbiased", 0.25, 0.3) == unbiased
     with pytest.raises(ValueError, match="nonsense"):
-        segment_smooth_sensitivities(*segments[:3], "nonsense", 0.25, 0.3)
+        segment_smooth_sensitivities(*segments, 2, "nonsense", 0.25, 0.3)
+
+
+def test_segment_kernel_rejects_mismatched_segments():
+    sums, lengths, anchors, owners = (
+        np.array(a, dtype=np.int64) for a in ([3, 5, 4], [2, 1], [1, 2], [0, 1])
+    )
+    cases = (
+        ((sums, lengths, anchors[:1], owners, 2), "one length, anchor and owner"),
+        ((sums, lengths, anchors, owners[:1], 2), "one length, anchor and owner"),
+        ((sums, lengths[:1], anchors, owners, 2), "one length, anchor and owner"),
+        ((sums, np.array([3, 0]), anchors, owners, 2), "at least one partial sum"),
+        ((sums, np.array([4, -1]), anchors, owners, 2), "at least one partial sum"),
+        # the third sum used to be dropped without a word
+        ((sums, np.array([1, 1]), anchors, owners, 2), "hold 2 partial sums, got 3"),
+        ((sums, np.array([2, 2]), anchors, owners, 2), "hold 4 partial sums, got 3"),
+        ((sums, lengths, anchors, np.array([0, 2]), 2), r"owner ids must lie in \[0, 2\)"),
+        ((sums, lengths, anchors, np.array([-1, 1]), 2), r"owner ids must lie in \[0, 2\)"),
+        ((sums, lengths, anchors, owners, 1), r"owner ids must lie in \[0, 1\)"),
+    )
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            segment_smooth_sensitivities(*args, EstimatorKind.BIASED, 0.5, None)
+    assert _kernel_hexes((sums, lengths, anchors, owners), 3, "biased", 0.5, None)[2] == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("beta", BETA_GRID)
+def test_every_walk_scores_at_most_its_bound(monkeypatch, beta):
+    # With the bound at +inf every target walks, and the owners' values stay
+    # the same bit for bit; each walk's best score (over the unbiased
+    # estimator's two states) is at most the kernel's own bound, up to the
+    # relative margin the kernel skips by, and some walks reach it, so a
+    # smaller bound or a shorter table would skip them.
+    walk_bound, outer_walk = sensitivity._walk_bound, sensitivity._outer_walk
+    bounds, walks = [], []
+
+    def infinite_bound(*args):
+        bounds.append(walk_bound(*args))
+        return np.full(len(bounds[-1]), np.inf)
+
+    def recorded_walk(*args):
+        scores = outer_walk(*args)
+        walks.append(np.maximum.reduce(scores))
+        return scores
+
+    monkeypatch.setattr(sensitivity, "_outer_walk", recorded_walk)
+    rnd = random.Random(7006)
+    tight = skipped = 0
+    for span in (3, 1000, 10**6):
+        segments = _wide_segments(rnd, 25, span)
+        for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, PS[1])):
+            walks.clear()
+            pruned = _kernel_hexes(segments, 25, kind, beta, p)
+            walked = sum(map(len, walks))
+            monkeypatch.setattr(sensitivity, "_walk_bound", infinite_bound)
+            bounds.clear(), walks.clear()
+            with np.errstate(invalid="ignore"):  # inf times a discount of 0
+                assert _kernel_hexes(segments, 25, kind, beta, p) == pruned, (span, kind)
+            monkeypatch.setattr(sensitivity, "_walk_bound", walk_bound)
+            assert walked <= sum(map(len, walks)) == sum(map(len, bounds))
+            skipped += sum(map(len, walks)) - walked
+            for walk, bound in zip(walks, bounds):
+                assert (walk <= bound * (1 + sensitivity._BOUND_RELATIVE)).all(), (span, kind)
+                tight += np.count_nonzero((walk > 0.95 * bound) & (walk > 0))
+    assert tight or beta >= 800.0
+    # below beta = 0.01 a walk's scores barely fall, so no bound cuts one
+    assert skipped or beta < 0.01 or beta >= 800.0
 
 
 def _shifted(inst, shift):
