@@ -34,7 +34,14 @@ at most, cap the number of nonzero entries, and each step costs at least 1
 count per call, times the target's initial cost and discount, bounds it.  A
 skipped walk scores at most a candidate its node already has, and the
 largest value is exact, so the values are those of walking every target,
-bit for bit.  A node's floor and value read its own segments only: step 2
+bit for bit.  Before its discount, a target's cheap candidate and walk bound
+depend only on its counts: ``on`` values on it and, for the unbiased
+estimator, ``adj`` next to it, neither above the call's longest segment.  So
+both are scored once per call over every (on, adj) cell, (longest + 1)^2
+cells (longest + 1 for the biased estimator), and each target gathers its
+cell; where that grid would have more cells than the call has partial sums,
+each target is scored itself by the same function, with the same result bit
+for bit.  A node's floor and value read its own segments only: step 2
 scores all an ``Assignment``'s ``segments`` in one call, ``build_instance``
 cuts one node's segments into edge views, and ``smooth_sensitivity`` is one
 call over one instance's views.
@@ -42,7 +49,10 @@ call over one instance's views.
 ``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
 integer target within 2 of the values and the initial targets, past which no
 score grows, and exhausts all shift counts instead of using the selection
-rules, so fast-path and oracle share no algorithmic machinery.
+rules, so fast-path and oracle share no algorithmic machinery.  Its cost is
+polynomial, so it is capped by work, not degree: an instance whose scan
+would try more than ``_BRUTE_WORK_LIMIT`` (target, shift count) pairs is
+refused.
 """
 
 from __future__ import annotations
@@ -240,14 +250,52 @@ def _walk_table(reach, neg_exp, rate):
     return table
 
 
-def _walk_bound(k, states, tables, neg_exp):
-    # Per target, at least every score its walk from count k can reach: after
-    # j steps state s = (cost, gain) scores at most
-    # gain (k + j) e^{-beta (cost + (1 + s) j)} <= gain e^{-beta cost} tables[s][k].
-    return np.maximum.reduce([
-        gain * neg_exp(cost) * table[np.minimum(k, len(table) - 1)]
-        for (cost, gain), table in zip(states, tables)
-    ])
+class _CountScores:
+    """A target's cheap exact candidate and walk bound, before its discount,
+    from its counts alone: ``on`` values on it and, for the unbiased
+    estimator, ``adj`` next to it, neither above the call's longest segment.
+
+    One per call.  Where the grid of every (on, adj) (every on alone for the
+    biased estimator, whose adj is 0) has no more cells than the call has
+    partial sums, both are scored once per cell and each target gathers its
+    cell; otherwise each target is scored itself.  Both paths run ``score``,
+    elementwise, on the same integers, so they agree bit for bit.
+    """
+
+    def __init__(self, kind, x, beta, tables, neg_exp, longest, size):
+        self.x, self.inv_beta, self.tables, self.neg_exp = x, 1.0 / beta, tables, neg_exp
+        self.side = 1 if kind is EstimatorKind.BIASED else longest + 1
+        cells = (longest + 1) * self.side
+        self.grid = self.score(*np.divmod(np.arange(cells), self.side)) if cells <= size else None
+
+    def score(self, on, adj):
+        # The biased candidate is the count on the target; the unbiased ones
+        # are the two stationary-point scores, where in the positive
+        # contribution adjacent values give +x and on-target ones -1-2x, and in
+        # the negative one on-target values give +1+2x and adjacent ones -x.
+        # After j steps of a walk from count k = on + adj, state s = (cost,
+        # gain) scores at most gain (k + j) e^{-beta (cost + (1 + s) j)} <=
+        # gain e^{-beta cost} tables[s][k], 0 from k = cap on; the biased
+        # walk's one state costs 0 with gain 1, the unbiased walk's two cost
+        # on and adj with gains x and 1+2x.
+        tables, neg_exp = self.tables, self.neg_exp
+        k = np.minimum(on + adj, len(tables[0]) - 1)
+        if len(tables) == 1:
+            return on.astype(float), tables[0][k]
+        x, big, slope = self.x, 1.0 + 2.0 * self.x, 1.0 + 3.0 * self.x
+        cand = np.maximum(
+            _stationary_best(adj * x - on * big, on, slope, self.inv_beta, neg_exp),
+            _stationary_best(big * on - x * adj, adj, slope, self.inv_beta, neg_exp),
+        )
+        bound = np.maximum(x * neg_exp(on) * tables[0][k], big * neg_exp(adj) * tables[1][k])
+        return cand, bound
+
+    def __call__(self, on, adj):
+        # per target: (candidate, walk bound)
+        if self.grid is None:
+            return self.score(on, adj)
+        cell = on * self.side + adj
+        return tuple(a[cell] for a in self.grid)
 
 
 # A walk is skipped only if its bound, raised by these margins, is at most its
@@ -259,15 +307,16 @@ _BOUND_RELATIVE = 1e-9
 _BOUND_ABSOLUTE = float(np.finfo(float).tiny)
 
 
-def _cheap_candidates(keys, anchors, owners, best, span, kind, beta, x, neg_exp):
+def _cheap_candidates(keys, anchors, owners, best, span, kind, x, neg_exp, counts):
     # ``keys`` holds seg * span + (c - offset of seg) for every partial sum c,
     # sorted, so each segment's sums are contiguous and ascending;
     # ``anchors`` is the key of each segment's initial target for a +1 step
     # (the one for a -1 step is one above).  Raises best[owners[i]] to the
     # best cheap exact candidate of segment i, discounted, and returns every
-    # candidate target t with its segment, the run keys[lo:hi] of the values
-    # its walk starts with (those on t, and for the unbiased estimator those
-    # next to it), its discount, and the walk's shift and states.
+    # candidate target t with its segment, the count k of the values its walk
+    # starts with (those on t, and for the unbiased estimator those next to
+    # it), its discount, its walk bound before the discount, and the walk's
+    # shift and states.
     head = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     u = keys[head]  # the distinct keys; run q is keys[head[q]:head[q + 1]]
     if kind is EstimatorKind.BIASED:
@@ -279,57 +328,50 @@ def _cheap_candidates(keys, anchors, owners, best, span, kind, beta, x, neg_exp)
     seg = t // span
     theta = anchors[seg]
     discount = neg_exp(np.minimum(np.abs(t - theta), np.abs(t - theta - 1)))
-    # q steps over each run equal to t-1, t, t+1; no target meets the sentinel
-    head, u = np.append(head, len(keys)), np.append(u, _INT64_MAX)
-    first = np.searchsorted(seg, np.arange(len(anchors)))
+    # every segment has targets (its initial ones), so its first is where seg steps
+    first = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+    # every distinct key is a target, at ``at``; for the unbiased estimator
+    # so are its neighbours, which are then the targets just before and after
+    at = np.searchsorted(t, u)
+    run = np.diff(head, append=len(keys))
+    on = np.zeros(len(t), dtype=np.int64)
+    on[at] = run
     if kind is EstimatorKind.BIASED:
-        q = np.searchsorted(u, t)
-        lo, hi = head[q], head[q + (u[q] == t)]
-        np.maximum.at(best, owners, np.maximum.reduceat((hi - lo) * discount, first))
-        return t, seg, lo, hi, discount, 0, [(np.zeros_like(t), 1.0)]
-    q0 = np.searchsorted(u, t - 1)
-    q1 = q0 + (u[q0] == t - 1)
-    q2 = q1 + (u[q1] == t)
-    q3 = q2 + (u[q2] == t + 1)
-    l0, l1, r0, r1 = head[q0], head[q1], head[q2], head[q3]
-    adjacent = (l1 - l0) + (r1 - r0)
-    on_target = r0 - l1
-    big, slope, inv_beta = 1.0 + 2.0 * x, 1.0 + 3.0 * x, 1.0 / beta
-    # positive contribution: adjacent values give +x, on-target -1-2x;
-    # negative contribution: on-target values give +1+2x, adjacent -x
-    cand = np.maximum(
-        _stationary_best(adjacent * x - on_target * big, on_target, slope, inv_beta, neg_exp),
-        _stationary_best(big * on_target - x * adjacent, adjacent, slope, inv_beta, neg_exp),
-    )
+        cand, bound = counts(on, 0)
+        k, shift, states = on, 0, [(np.zeros_like(t), 1.0)]
+    else:
+        adj = np.zeros(len(t), dtype=np.int64)
+        adj[at - 1] = run
+        adj[at + 1] += run
+        cand, bound = counts(on, adj)
+        k, shift, states = on + adj, 1, [(on, x), (adj, 1.0 + 2.0 * x)]
     cand *= discount
     np.maximum.at(best, owners, np.maximum.reduceat(cand, first))
-    return t, seg, l0, r1, discount, 1, [(on_target, x), (adjacent, big)]
+    return t, seg, k, discount, bound, shift, states
 
 
-def _segment_maxima(
-    keys, bounds, anchors, owners, best, span, kind, beta, x, reach, neg_exp, tables
-):
+def _segment_maxima(keys, bounds, anchors, owners, best, span, kind, x, reach, neg_exp, counts):
     # Raises best[owners[i]] to the best discounted score of segment i, whose
     # sums are keys[bounds[i]:bounds[i + 1]], over its candidate targets:
     # first the cheap exact candidates of every target, then the outward walks
     # of only those targets whose bound can beat their owner's best so far.
-    t, seg, lo, hi, discount, shift, states = _cheap_candidates(
-        keys, anchors, owners, best, span, kind, beta, x, neg_exp
+    t, seg, k, discount, limit, shift, states = _cheap_candidates(
+        keys, anchors, owners, best, span, kind, x, neg_exp, counts
     )
     # a target walks unless its bound, with the margins, is at most its
     # owner's best so far
-    k = hi - lo
-    limit = _walk_bound(k, states, tables, neg_exp)
     limit *= discount
     limit *= 1 + _BOUND_RELATIVE
     limit += _BOUND_ABSOLUTE
     walk = np.flatnonzero(~(limit <= best[owners[seg]]))
     if walk.size:
         # rebound to the walked targets, so that the full arrays are freed
-        # before the walk allocates its own
-        t, seg, lo, hi, k, discount = (a[walk] for a in (t, seg, lo, hi, k, discount))
+        # before the walk allocates its own; keys[lo:lo + k] are the values
+        # within the shift of the target
+        t, seg, k, discount = (a[walk] for a in (t, seg, k, discount))
+        lo = np.searchsorted(keys, t - shift)
         scores = _outer_walk(
-            keys, t, lo, hi, bounds[seg], bounds[seg + 1], shift, k,
+            keys, t, lo, lo + k, bounds[seg], bounds[seg + 1], shift, k,
             [(cost[walk], gain) for cost, gain in states], reach, neg_exp,
         )
         np.maximum.at(best, owners[seg], np.maximum.reduce(scores) * discount)
@@ -359,8 +401,13 @@ def segment_smooth_sensitivities(
     a running best per node, which persists across chunks.  A target's
     outward walk runs, as masked rounds, only where a bound on its scores
     exceeds its node's best so far, and the values equal those of walking
-    every target bit for bit.  A node's value and its best so far read its
-    own segments only, whichever chunks they fall in.  Mismatched inputs
+    every target bit for bit.  A target's candidates and walk bound, before
+    its discount, are gathered from one per-call table over its counts
+    (on, adj) of values on and next to it, each at most ``lengths.max()``;
+    the table is built only where it has no more cells than ``sums`` has
+    values, and otherwise each target is scored itself, to the same values.
+    A node's value and its best so far read its own segments only, whichever
+    chunks they fall in.  Mismatched inputs
     raise ValueError.  ``kind`` may be an ``EstimatorKind`` or its name.
     """
     kind = EstimatorKind(kind)
@@ -398,6 +445,7 @@ def segment_smooth_sensitivities(
     neg_exp = _NegExp(beta)
     states = 1 if kind is EstimatorKind.BIASED else 2
     tables = [_walk_table(reach, neg_exp, 1 + s) for s in range(states)]
+    counts = _CountScores(kind, x, beta, tables, neg_exp, longest, len(sums))
     per_chunk = _INT64_MAX // span  # segments whose keys fit in int64
     a = 0
     while a < len(lengths):
@@ -410,7 +458,7 @@ def segment_smooth_sensitivities(
         keys.sort()
         _segment_maxima(
             keys, bounds[a:b + 1] - bounds[a], base + anchors[a:b], owners[a:b], best, span,
-            kind, beta, x, reach, neg_exp, tables,
+            kind, x, reach, neg_exp, counts,
         )
         a = b
     return best
@@ -492,15 +540,45 @@ def _brute_unbiased_value(c: list[int], t: int, theta: int, x: float, beta: floa
     return best
 
 
+# The oracle refuses an instance whose scan may try more (target, shift count)
+# pairs than this (``_brute_work``).  Every node of a 180-node p = 0.5 graph
+# with the benchmark's weights needs at most 9.1M.  The oracle gets through
+# about 2M counted pairs a second (biased) and 5M (unbiased) on a 2-vCPU host
+# under CPython 3.11, so an instance at the limit takes some 6 to 15 s.
+_BRUTE_WORK_LIMIT = 3 * 10**7
+
+
+def _brute_work(inst: SmoothSensInstance) -> int:
+    # An upper bound on the (target, shift count) pairs the oracle tries: per
+    # segment of L sums and initial target theta, its window of targets times
+    # L + 1 shift counts (biased) or (L + 1)^2, which bounds the unbiased
+    # estimator's two grids (on + 1)(P + 1) + (adj + 1)(P + 1), P = L - on - adj.
+    work = 0
+    for view in inst.edges:
+        c = view.partial_sums
+        if not c:
+            continue
+        grid = len(c) + 1 if inst.kind is EstimatorKind.BIASED else (len(c) + 1) ** 2
+        lo, hi = min(c), max(c)
+        for theta in (inst.lam - 1 - view.weight, inst.lam - view.weight):
+            work += (max(hi, theta) - min(lo, theta) + 5) * grid
+    return work
+
+
 def smooth_sensitivity_bruteforce(inst: SmoothSensInstance) -> float:
-    """Exact smooth sensitivity on small instances by exhaustive target scan.
+    """Exact smooth sensitivity by exhaustive target scan.
 
     Independent of the fast algorithms: every integer target within 2 of
     the values and the initial target (see ``_brute_anchor``) is evaluated,
-    and all shift-count combinations are enumerated outright.
+    and all shift-count combinations are enumerated outright.  An instance
+    past ``_BRUTE_WORK_LIMIT`` such pairs raises ``InstanceTooLargeError``.
     """
-    if len(inst.edges) > 12 or any(len(v.partial_sums) > 12 for v in inst.edges):
-        raise InstanceTooLargeError("brute-force oracle is capped at degree 12")
+    work = _brute_work(inst)
+    if work > _BRUTE_WORK_LIMIT:
+        raise InstanceTooLargeError(
+            f"brute-force oracle is capped at {_BRUTE_WORK_LIMIT:,} target and "
+            f"shift-count pairs, this instance needs {work:,}"
+        )
     x = unbiased_correction(inst.p) if inst.kind is EstimatorKind.UNBIASED else 0.0
     beta = inst.beta
     best = 0.0

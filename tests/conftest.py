@@ -138,15 +138,18 @@ def _reference_stationary(a, n, slope, inv_beta, neg_exp):
 
 
 def reference_segment_maxima(
-    keys, bounds, anchors, owners, best, span, kind, beta, x, reach, neg_exp, tables
+    keys, bounds, anchors, owners, best, span, kind, x, reach, neg_exp, counts
 ):
     """A per-value reference for ``sensitivity._segment_maxima``: searchsorted
     over every partial sum for the counts at and next to each candidate
     target, a separate walk of every target for each of the unbiased
     estimator's two terms, and the count-ratio rule evaluated as
-    k/(k+1) < e^{-beta d} at every step.  ``reach`` and the walk bound
-    ``tables`` are ignored, so the kernel's acceptance table is checked
-    against the rule itself and its pruned walks against walking them all."""
+    k/(k+1) < e^{-beta d} at every step.  ``reach`` and the per-call
+    ``counts`` (candidates and walk bounds by count) are ignored, so the
+    kernel's acceptance table is checked against the rule itself, its
+    candidates against scoring each target, and its pruned walks against
+    walking them all."""
+    beta = neg_exp.beta
     if kind is EstimatorKind.BIASED:
         t = np.concatenate((keys, anchors, anchors + 1))
     else:

@@ -107,17 +107,25 @@ def test_sensitivity_oracle_output_matches_recorded_golden(ci_graph_file, node, 
 
 @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
 def test_sensitivity_oracle_over_its_cap_is_a_usage_error(ci_graph_file, estimator, capsys):
-    # node 54's instance is over the oracle's 12-edge cap: the command used
-    # to print three lines and then fail with a traceback
+    # node 54 (14 triangles) is within the oracle's work bound, and the
+    # oracle agrees with the kernel
+    assert _sensitivity(ci_graph_file, 54, estimator, "--oracle") == 0
+    out = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert out["assigned_triangles"] == "14"
+    assert math.isclose(float(out["oracle"]), float(out["smooth_sensitivity"]), rel_tol=1e-9)
+    # a threshold of 10^9 (the last --lambda counts) puts a billion targets
+    # between the sums and the initial targets: the command used to print
+    # three lines and then fail with a traceback
+    far = ("--lambda", str(10**9))
     with pytest.raises(SystemExit) as exc:
-        _sensitivity(ci_graph_file, 54, estimator, "--oracle")
+        _sensitivity(ci_graph_file, 54, estimator, *far, "--oracle")
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "lwdp-triangles sensitivity: error:" in captured.err
-    assert "capped at degree 12" in captured.err
+    assert "target and shift-count pairs" in captured.err
     # without the oracle the node runs
-    assert _sensitivity(ci_graph_file, 54, estimator) == 0
+    assert _sensitivity(ci_graph_file, 54, estimator, *far) == 0
     assert "assigned_triangles: 14\n" in capsys.readouterr().out
 
 

@@ -13,6 +13,7 @@ from lwdp_triangles.assignment import (
     greedy_assign,
 )
 from lwdp_triangles.estimators import EstimatorKind, unbiased_correction
+from lwdp_triangles.experiments import generate_synthetic
 from lwdp_triangles.graph import canonical_edge
 from lwdp_triangles.mechanisms import PrivacyBudget, RandomSource
 from lwdp_triangles.protocol import Mechanism, local_step2, release_step1
@@ -140,10 +141,26 @@ def test_kind_dispatch_guards():
     assert smooth_sensitivity(unbiased) > smooth_sensitivity(biased)
 
 
-def test_bruteforce_size_cap():
-    views = tuple(EdgeLocalView(0, (0,)) for _ in range(13))
+def test_bruteforce_size_cap(monkeypatch):
+    # degree is not capped: 13 edges of 13 sums each are scored
+    views = tuple(EdgeLocalView(0, tuple(range(13))) for _ in range(13))
+    for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, 0.5)):
+        inst = SmoothSensInstance(0, 0, 0.5, kind, p, views)
+        work = sensitivity._brute_work(inst)
+        # per edge, windows of 18 and 17 targets (theta = -1 and 0) times
+        # 14 shift counts, or 14^2
+        assert work == 13 * 35 * (14 if p is None else 14**2)
+        assert smooth_sensitivity_bruteforce(inst) == smooth_sensitivity(inst)
+        # refused exactly past the bound
+        monkeypatch.setattr(sensitivity, "_BRUTE_WORK_LIMIT", work - 1)
+        with pytest.raises(InstanceTooLargeError, match="target and shift-count pairs"):
+            smooth_sensitivity_bruteforce(inst)
+        monkeypatch.undo()
+    # two sums far apart put a single edge past the bound, whatever its degree
+    limit = sensitivity._BRUTE_WORK_LIMIT
+    views = (EdgeLocalView(0, (0, limit)),)
     inst = SmoothSensInstance(0, 0, 0.5, EstimatorKind.BIASED, None, views)
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(InstanceTooLargeError, match="target and shift-count pairs"):
         smooth_sensitivity_bruteforce(inst)
 
 
@@ -193,6 +210,29 @@ def test_fast_matches_oracle_unbiased_sweep():
     _assert_matches_oracle(
         [random_local_instance(rnd, EstimatorKind.UNBIASED, p=PS[i % 3]) for i in range(150)]
     )
+
+
+# the benchmark's weight distribution (perfbench/bench.py)
+BENCH_WEIGHTS = {"weight_values": (0, 1, 2, 3, 8), "weight_probs": (0.55, 0.2, 0.12, 0.08, 0.05)}
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_kernel_matches_oracle_on_every_node_of_a_dense_graph(kind):
+    # n = 60, p = 0.5 with the benchmark's weights and threshold: node degrees
+    # and segment lengths past 12, where ties, walks and the per-call (on, adj)
+    # table all meet; the step-2 call over every node and the oracle agree
+    g = generate_synthetic(60, 0.5, seed=5, **BENCH_WEIGHTS)
+    a = greedy_assign(g)
+    budget = PrivacyBudget.even_split(2.0)
+    noisy = release_step1(g, budget.epsilon_1, RandomSource(5).subsource(0, 0))
+    sens = local_step2(a, g.weight_array, noisy, 9, kind, Mechanism.SMOOTH, budget)[1]
+    longest = 0
+    for v in range(60):
+        inst = build_instance(a, noisy, v, 9, budget.beta, kind, p=budget.p)
+        oracle = smooth_sensitivity_bruteforce(inst)
+        assert math.isclose(sens[v], oracle, rel_tol=1e-12, abs_tol=1e-12), v
+        longest = max(longest, len(inst.edges), *(len(e.partial_sums) for e in inst.edges))
+    assert longest > 12
 
 
 def test_smooth_dominates_local_sensitivity_and_respects_global_cap():
@@ -526,6 +566,45 @@ def test_segment_kernel_equals_the_per_value_reference(monkeypatch, flush):
             assert values.count((0.0).hex()) < 25
 
 
+@pytest.mark.parametrize("flush", [24, sensitivity.SENSITIVITY_FLUSH_SIZE])
+def test_count_table_and_direct_scores_give_the_same_values(monkeypatch, flush):
+    # Where the (on, adj) grid has no more cells than the call has sums, each
+    # target gathers its candidate and walk bound from a per-call table; one
+    # long segment of an extra owner makes the grid too large, so every target
+    # is scored itself.  An owner's value reads its own segments only, so every
+    # other owner keeps its value bit for bit, and both equal the reference.
+    monkeypatch.setattr(sensitivity, "SENSITIVITY_FLUSH_SIZE", flush)
+    tabled = []
+    init = sensitivity._CountScores.__init__
+
+    def recording(counts, *args):
+        init(counts, *args)
+        tabled.append(counts.grid is not None)
+
+    monkeypatch.setattr(sensitivity._CountScores, "__init__", recording)
+    kernel = sensitivity._segment_maxima
+    rnd = random.Random(7007)
+    for span in (3, 1000, 10**6):
+        segments = _wide_segments(rnd, 30, span)
+        sums, lengths, anchors, owner = segments
+        long = [rnd.randint(0, span - 1) for _ in range(math.isqrt(len(sums)) + 1)]
+        extended = (
+            np.append(sums, long), np.append(lengths, len(long)),
+            np.append(anchors, long[0]), np.append(owner, 30),
+        )
+        for kind, beta, p in WIDE_PARAMETERS:
+            tabled.clear()
+            values = _kernel_hexes(segments, 30, kind, beta, p)
+            alongside = _kernel_hexes(extended, 31, kind, beta, p)
+            # the biased table has one cell per count on the target
+            assert tabled == [True, kind is EstimatorKind.BIASED], (span, kind)
+            assert alongside[:30] == values, (span, kind, beta)
+            monkeypatch.setattr(sensitivity, "_segment_maxima", reference_segment_maxima)
+            assert _kernel_hexes(extended, 31, kind, beta, p) == alongside, (span, kind, beta)
+            monkeypatch.setattr(sensitivity, "_segment_maxima", kernel)
+            assert values.count((0.0).hex()) < 30
+
+
 BETA_GRID = (5e-324, 1e-300, 1e-9, 0.01, 1 / 6, 0.5, 3.0, 50.0, 800.0)
 
 
@@ -598,12 +677,13 @@ def test_every_walk_scores_at_most_its_bound(monkeypatch, beta):
     # estimator's two states) is at most the kernel's own bound, up to the
     # relative margin the kernel skips by, and some walks reach it, so a
     # smaller bound or a shorter table would skip them.
-    walk_bound, outer_walk = sensitivity._walk_bound, sensitivity._outer_walk
+    target_scores, outer_walk = sensitivity._CountScores.__call__, sensitivity._outer_walk
     bounds, walks = [], []
 
     def infinite_bound(*args):
-        bounds.append(walk_bound(*args))
-        return np.full(len(bounds[-1]), np.inf)
+        cand, bound = target_scores(*args)
+        bounds.append(bound)
+        return cand, np.full(len(bound), np.inf)
 
     def recorded_walk(*args):
         scores = outer_walk(*args)
@@ -619,11 +699,11 @@ def test_every_walk_scores_at_most_its_bound(monkeypatch, beta):
             walks.clear()
             pruned = _kernel_hexes(segments, 25, kind, beta, p)
             walked = sum(map(len, walks))
-            monkeypatch.setattr(sensitivity, "_walk_bound", infinite_bound)
+            monkeypatch.setattr(sensitivity._CountScores, "__call__", infinite_bound)
             bounds.clear(), walks.clear()
             with np.errstate(invalid="ignore"):  # inf times a discount of 0
                 assert _kernel_hexes(segments, 25, kind, beta, p) == pruned, (span, kind)
-            monkeypatch.setattr(sensitivity, "_walk_bound", walk_bound)
+            monkeypatch.setattr(sensitivity._CountScores, "__call__", target_scores)
             assert walked <= sum(map(len, walks)) == sum(map(len, bounds))
             skipped += sum(map(len, walks)) - walked
             for walk, bound in zip(walks, bounds):
