@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 from collections import Counter
 
 from .assignment import Assignment, count_c4_instances, greedy_assign
@@ -50,8 +49,7 @@ def _cmd_sensitivity(args) -> int:
     budget = _usage_checked(args, PrivacyBudget, args.eps1, 1.0)
     graph = _usage_checked(args, parse_edge_list, args.graph)
     if not (0 <= args.node < graph.node_count):
-        print(f"node {args.node} out of range", file=sys.stderr)
-        return 2
+        args.parser.error(f"--node {args.node} is not in [0, {graph.node_count})")
     kind = EstimatorKind(args.estimator)
     assignment = greedy_assign(graph)
     noisy = release_step1(graph, args.eps1, RandomSource(args.seed))

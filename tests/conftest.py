@@ -1,6 +1,6 @@
-"""Shared builders for graphs and local sensitivity instances, a per-value
-reference for the smooth-sensitivity kernel, and a per-node reference for
-the protocol's step 2."""
+"""Shared builders for graphs and local sensitivity instances, recorders of
+the smooth-sensitivity kernel's chunks, a per-value reference for the
+kernel, and a per-node reference for the protocol's step 2."""
 
 from __future__ import annotations
 
@@ -101,6 +101,21 @@ def record_chunks(monkeypatch):
     return chunks
 
 
+def record_count_paths(monkeypatch):
+    """Make the smooth-sensitivity kernel record, for each chunk it scores,
+    whether its targets were counted from a histogram (True) or from its
+    sorted keys; returns the list they are appended to."""
+    paths = []
+    target_counts = sensitivity._target_counts
+
+    def recording(keys, hist, *args):
+        paths.append(hist is not None)
+        return target_counts(keys, hist, *args)
+
+    monkeypatch.setattr(sensitivity, "_target_counts", recording)
+    return paths
+
+
 def _reference_walk(keys, t, lo, hi, start, end, shift, k, cost, gain, neg_exp):
     # one value per round for every target still walking, nearest first (the
     # left one on a tie), at distance |v - t| - shift, while
@@ -140,16 +155,17 @@ def _reference_stationary(a, n, slope, inv_beta, neg_exp):
 def reference_segment_maxima(
     keys, bounds, anchors, owners, best, span, kind, x, reach, neg_exp, counts
 ):
-    """A per-value reference for ``sensitivity._segment_maxima``: searchsorted
-    over every partial sum for the counts at and next to each candidate
-    target, a separate walk of every target for each of the unbiased
-    estimator's two terms, and the count-ratio rule evaluated as
-    k/(k+1) < e^{-beta d} at every step.  ``reach`` and the per-call
+    """A per-value reference for ``sensitivity._segment_maxima``: the chunk's
+    keys sorted, searchsorted over every partial sum for the counts at and
+    next to each candidate target, a separate walk of every target for each
+    of the unbiased estimator's two terms, and the count-ratio rule evaluated
+    as k/(k+1) < e^{-beta d} at every step.  ``reach`` and the per-call
     ``counts`` (candidates and walk bounds by count) are ignored, so the
     kernel's acceptance table is checked against the rule itself, its
     candidates against scoring each target, and its pruned walks against
     walking them all."""
     beta = neg_exp.beta
+    keys = np.sort(keys)
     if kind is EstimatorKind.BIASED:
         t = np.concatenate((keys, anchors, anchors + 1))
     else:

@@ -105,6 +105,19 @@ def test_sensitivity_oracle_output_matches_recorded_golden(ci_graph_file, node, 
     )
 
 
+@pytest.mark.parametrize("node", ["500", "14", "-1"])
+def test_sensitivity_of_a_node_outside_the_graph_is_a_usage_error(graph_file, node, capsys):
+    # it used to print a bare message and exit 2 without a usage line
+    with pytest.raises(SystemExit) as exc:
+        main(["sensitivity", "--graph", graph_file, "--node", node, "--beta", "0.25",
+              "--estimator", "biased", "--lambda", "6"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lwdp-triangles sensitivity")
+    assert f"lwdp-triangles sensitivity: error: --node {node} is not in [0, 14)" in captured.err
+
+
 @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
 def test_sensitivity_oracle_over_its_cap_is_a_usage_error(ci_graph_file, estimator, capsys):
     # node 54 (14 triangles) is within the oracle's work bound, and the

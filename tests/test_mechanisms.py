@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from lwdp_triangles import mechanisms
 from lwdp_triangles.mechanisms import (
     _geometric_search,
     PrivacyBudget,
@@ -133,6 +134,41 @@ def test_smooth_noise_batched_quantile_equals_one_at_a_time():
     batched = smooth_noise_inverse_cdf(u)
     for x, z in zip(u, batched):
         assert float(z).hex() == float(smooth_noise_inverse_cdf(np.array([x]))[0]).hex()
+
+
+def _bisect_80_rounds(u):
+    # the inverse CDF's bisection without its early stop
+    tail = np.minimum(u, 1.0 - u)
+    hi = np.cbrt(math.sqrt(2.0) / (3.0 * math.pi * np.maximum(tail, 1e-300))) + 2.0
+    lo = -hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = smooth_noise_cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_smooth_noise_bisection_stops_early_with_the_same_bits(monkeypatch):
+    # uniforms at and next to 0.5 need all 80 rounds (their bracket halves
+    # towards 0), as does 1e-300, below the node uniforms' 2^-53
+    edges = [2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53, 1e-300]
+    drawn = RandomSource(778).stream(2).random(100_000)
+    u = np.concatenate((edges, drawn))
+    assert smooth_noise_inverse_cdf(u).tobytes() == _bisect_80_rounds(u).tobytes()
+    for x in edges:
+        once = smooth_noise_inverse_cdf(np.array([x]))[0]
+        assert once.hex() == _bisect_80_rounds(np.array([x]))[0].hex(), x
+    rounds = []
+    cdf = mechanisms.smooth_noise_cdf
+
+    def counted(z):
+        rounds.append(len(z))
+        return cdf(z)
+
+    monkeypatch.setattr(mechanisms, "smooth_noise_cdf", counted)
+    assert smooth_noise_inverse_cdf(drawn).tobytes() == _bisect_80_rounds(drawn).tobytes()
+    assert len(rounds) < 80
 
 
 def test_smooth_noise_sample_draws_one_uniform_per_stream_in_order():

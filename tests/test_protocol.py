@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import statistics
@@ -36,7 +37,9 @@ from lwdp_triangles.protocol import (
 )
 from lwdp_triangles.sensitivity import SENSITIVITY_FLUSH_SIZE
 
-from conftest import complete_graph, random_graph, record_chunks, reference_step2
+from conftest import (
+    complete_graph, random_graph, record_chunks, record_count_paths, reference_step2,
+)
 
 import random
 
@@ -276,6 +279,37 @@ def test_run_methods_below_ln_1_5_match_recorded_hex():
         reports = run_methods(assignment, 5, methods, RandomSource(seed))
         for name, rep in zip(METHODS, reports):
             assert rep.estimate.hex() == _GOLDEN_EPS_06[(name, seed)], (name, seed)
+
+
+# sha256 over every per_node_sensitivity hex of both smooth methods at
+# lam 3, 9 and 20, total epsilon 0.5, 2 and 6 and master seeds 0 to 2, on
+# G(n, p) with the benchmark's weights, recorded before the kernel counted
+# targets by histogram.  The dense graph takes that path in most chunks, the
+# sparse one, with few sums per segment, never.
+_GOLDEN_SMOOTH_SENSITIVITY = {
+    (60, 0.8): "1b46810330d61fb1b678273a1717b682e21535a89955edbd73a508ac7fd11e40",
+    (400, 0.03): "147a6e18f92b1604f49406a4096b1ef08499122b1696bba56d4c1943665a7016",
+}
+
+
+@pytest.mark.parametrize("graph", sorted(_GOLDEN_SMOOTH_SENSITIVITY))
+def test_smooth_sensitivities_match_recorded_digest(monkeypatch, graph):
+    paths = record_count_paths(monkeypatch)
+    n, density = graph
+    g = generate_synthetic(n, density, seed=5, weight_values=(0, 1, 2, 3, 8),
+                           weight_probs=(0.55, 0.2, 0.12, 0.08, 0.05))
+    assignment = greedy_assign(g)
+    digest = hashlib.sha256()
+    for lam in (3, 9, 20):
+        for epsilon in (0.5, 2.0, 6.0):
+            methods = [TwoStep(PrivacyBudget.even_split(epsilon), kind, Mechanism.SMOOTH)
+                       for kind in EstimatorKind]
+            for seed in range(3):
+                for rep in run_methods(assignment, lam, methods, RandomSource(seed)):
+                    hexes = " ".join(float(s).hex() for s in rep.per_node_sensitivity)
+                    digest.update(hexes.encode())
+    assert digest.hexdigest() == _GOLDEN_SMOOTH_SENSITIVITY[graph]
+    assert paths.count(True) > paths.count(False) if density > 0.5 else not any(paths)
 
 
 def test_step2_isolation_from_other_nodes():

@@ -32,6 +32,7 @@ from conftest import (
     random_graph,
     random_local_instance,
     record_chunks,
+    record_count_paths,
     reference_segment_maxima,
 )
 
@@ -603,6 +604,42 @@ def test_count_table_and_direct_scores_give_the_same_values(monkeypatch, flush):
             assert _kernel_hexes(extended, 31, kind, beta, p) == alongside, (span, kind, beta)
             monkeypatch.setattr(sensitivity, "_segment_maxima", kernel)
             assert values.count((0.0).hex()) < 30
+
+
+def _path_bound_segment(width):
+    """One segment of 5 sums spanning ``width``: the kernel's span is width + 5
+    cells, 4 per sum at width 15.  At beta = 0.05 its biased value comes
+    from the initial target anchor + 1 = 3, which no key is on or next to;
+    other targets tie it only up to the last bit."""
+    sums = [0, width, 11, 5, 8]
+    return tuple(np.array(a, dtype=np.int64) for a in (sums, [5], [2], [0]))
+
+
+@pytest.mark.parametrize("flush", [24, sensitivity.SENSITIVITY_FLUSH_SIZE])
+def test_histogram_and_sorted_counts_equal_the_per_value_reference(monkeypatch, flush):
+    # A chunk with at most 4 cells (segments times span) per partial sum
+    # takes its targets and counts from a histogram of its keys, a wider one
+    # from its sorted keys.  The inputs pick the path: narrow spans and a
+    # segment at the bound take the histogram, wide spans and a segment one
+    # cell wider the sorted keys (at span 30 a small chunk of short segments
+    # may too).  Every value equals the reference bit for bit.
+    monkeypatch.setattr(sensitivity, "SENSITIVITY_FLUSH_SIZE", flush)
+    paths = record_count_paths(monkeypatch)
+    kernel = sensitivity._segment_maxima
+    rnd = random.Random(7008)
+    # the paths each input may take, True for the histogram
+    by_span = {3: {True}, 30: {True, False}, 1000: {False}, 10**6: {False}}
+    cases = [(_wide_segments(rnd, 25, span), 25, by_span[span]) for span in by_span]
+    cases += [(_path_bound_segment(15), 1, {True}), (_path_bound_segment(16), 1, {False})]
+    for segments, count, expected in cases:
+        for kind, beta, p in WIDE_PARAMETERS:
+            paths.clear()
+            values = _kernel_hexes(segments, count, kind, beta, p)
+            assert set(paths) <= expected and (True in paths) == (True in expected), paths
+            monkeypatch.setattr(sensitivity, "_segment_maxima", reference_segment_maxima)
+            assert _kernel_hexes(segments, count, kind, beta, p) == values, (expected, kind, beta)
+            monkeypatch.setattr(sensitivity, "_segment_maxima", kernel)
+            assert values.count((0.0).hex()) < count
 
 
 BETA_GRID = (5e-324, 1e-300, 1e-9, 0.01, 1 / 6, 0.5, 3.0, 50.0, 800.0)
