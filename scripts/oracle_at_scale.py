@@ -4,9 +4,10 @@ node of a benchmark-sized graph, and report how much faster the kernel is.
 The graph is the ``scale-smooth`` benchmark's: G(n, 0.5) with the benchmark's
 weights, threshold 9 and epsilon 2 split evenly, step 1 released as in trial 0.
 For each estimator, one ``segment_smooth_sensitivities`` call scores every
-node (the best of five timed calls is kept), then the oracle scores
-each node's instance on its own.  Every value must agree to rel 1e-12; the
-script prints the kernel-to-oracle time ratio and exits 1 on any mismatch.
+node (the best of five timed calls is kept), then the oracle, which takes
+the kernel's arguments, scores each node on its own from the segments of its
+span.  Every value must agree to rel 1e-12; the script prints the
+kernel-to-oracle time ratio and exits 1 on any mismatch.
 
     PYTHONPATH=src python scripts/oracle_at_scale.py [--nodes 180] [--seed 5]
 """
@@ -18,15 +19,13 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from lwdp_triangles import enumerate_triangles, generate_synthetic, greedy_assign
 from lwdp_triangles.estimators import EstimatorKind
 from lwdp_triangles.mechanisms import PrivacyBudget, RandomSource
 from lwdp_triangles.protocol import release_step1
-from lwdp_triangles.sensitivity import (
-    build_instance,
-    segment_smooth_sensitivities,
-    smooth_sensitivity_bruteforce,
-)
+from lwdp_triangles.sensitivity import segment_smooth_sensitivities, smooth_sensitivity_bruteforce
 
 # the scale-smooth benchmark's parameters (perfbench/bench.py)
 LAM = 9
@@ -56,6 +55,12 @@ def main(argv=None) -> int:
         slice(0, len(assignment.rows)), graph.weight_array, noisy
     )
     n = graph.node_count
+    # every node's segments (lengths k, incident weights w, sums c), gathered
+    # over its own span, as a one-node call
+    nodes = []
+    for v in range(n):
+        k, w, c = segments.gather(assignment.span(v), graph.weight_array, noisy)
+        nodes.append((c, k, LAM - 1 - w, np.zeros_like(k), 1))
     print(f"graph: n={n} p={DENSITY} seed={args.seed}, {len(triangles)} triangles, "
           f"{len(lengths)} segments, longest {int(lengths.max(initial=0))} sums")
 
@@ -68,12 +73,11 @@ def main(argv=None) -> int:
                 sums, lengths, LAM - 1 - incident, segments.owner, n, kind, budget.beta, budget.p
             )
             kernel_s = min(kernel_s, time.perf_counter() - start)
-        instances = [
-            build_instance(assignment, noisy, v, LAM, budget.beta, kind, p=budget.p)
-            for v in range(n)
-        ]
         start = time.perf_counter()
-        oracle = [smooth_sensitivity_bruteforce(inst) for inst in instances]
+        oracle = [
+            float(smooth_sensitivity_bruteforce(*node, kind, budget.beta, budget.p)[0])
+            for node in nodes
+        ]
         oracle_s = time.perf_counter() - start
         worst, bad = 0.0, []
         for v, (fast, slow) in enumerate(zip(values.tolist(), oracle)):

@@ -29,12 +29,7 @@ from .estimators import (
     expected_biased,
     h_value,
 )
-from .sensitivity import (
-    SmoothSensInstance,
-    build_instance,
-    smooth_sensitivity,
-    smooth_sensitivity_bruteforce,
-)
+from .sensitivity import segment_smooth_sensitivities, smooth_sensitivity_bruteforce
 from .protocol import (
     Baseline,
     Mechanism,

@@ -25,6 +25,7 @@ from .graph import (
     WeightedGraph,
     edge_id_sums,
     enumerate_triangles,
+    integral,
     triangle_edge_ids,
 )
 
@@ -76,8 +77,9 @@ class Assignment:
         return dict(zip(map(tuple, edges.tolist()), counts.tolist()))
 
     def span(self, node: int) -> slice:
-        """Where ``node``'s rows lie in ``rows`` and ``edge_ids``; a node
-        outside [0, n) raises ``ValueError``."""
+        """Where ``node``'s rows lie in ``rows`` and ``edge_ids``; a node id
+        that is not an integer or lies outside [0, n) raises ``ValueError``."""
+        node = integral(node, "node id")
         if not 0 <= node < self.graph.node_count:
             raise ValueError(f"node {node} is not in [0, {self.graph.node_count})")
         lo, hi = np.searchsorted(self.rows[:, 0], (node, node + 1))

@@ -6,6 +6,8 @@ import argparse
 import os
 from collections import Counter
 
+import numpy as np
+
 from .assignment import Assignment, count_c4_instances, greedy_assign
 from .estimators import EstimatorKind
 from .experiments import (
@@ -17,7 +19,7 @@ from .experiments import (
 from .graph import check_threshold, enumerate_triangles
 from .mechanisms import PrivacyBudget, RandomSource
 from .protocol import Baseline, Mechanism, TwoStep, local_step2, release_step1, run_methods
-from .sensitivity import build_instance, smooth_sensitivity, smooth_sensitivity_bruteforce
+from .sensitivity import segment_smooth_sensitivities, smooth_sensitivity_bruteforce
 
 
 def _cmd_assign(args) -> int:
@@ -50,18 +52,23 @@ def _cmd_sensitivity(args) -> int:
     graph = _usage_checked(args, parse_edge_list, args.graph)
     if not (0 <= args.node < graph.node_count):
         args.parser.error(f"--node {args.node} is not in [0, {graph.node_count})")
+    lam = _usage_checked(args, check_threshold, args.lam)
     kind = EstimatorKind(args.estimator)
     assignment = greedy_assign(graph)
     noisy = release_step1(graph, args.eps1, RandomSource(args.seed))
-    inst = _usage_checked(
-        args, build_instance,
-        assignment, noisy, args.node, args.lam, args.beta, kind, p=budget.p,
+    lengths, incident, sums = assignment.segments.gather(
+        assignment.span(args.node), graph.weight_array, noisy
+    )
+    # the node's segments, each owned by node 0 of a one-node call
+    segments = (
+        sums, lengths, lam - 1 - incident, np.zeros_like(lengths), 1, kind, args.beta, budget.p
     )
     gs = local_step2(
-        assignment, graph.weight_array, noisy, args.lam, kind, Mechanism.GLOBAL_LAPLACE, budget
+        assignment, graph.weight_array, noisy, lam, kind, Mechanism.GLOBAL_LAPLACE, budget
     )[1][args.node]
-    fast = _usage_checked(args, smooth_sensitivity, inst)
-    oracle = _usage_checked(args, smooth_sensitivity_bruteforce, inst) if args.oracle else None
+    fast = _usage_checked(args, segment_smooth_sensitivities, *segments)[0]
+    if args.oracle:
+        oracle = _usage_checked(args, smooth_sensitivity_bruteforce, *segments)[0]
     print(f"assigned_triangles: {len(assignment.triangles_of(args.node))}")
     print(f"global_sensitivity: {gs:.12g}")
     print(f"smooth_sensitivity: {fast:.12g}")

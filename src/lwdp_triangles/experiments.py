@@ -278,6 +278,7 @@ def generate_synthetic(
     if not (0.0 <= density <= 1.0):
         raise ValueError("density must lie in [0,1]")
     draw = _weight_draw(weight_range, weight_values, weight_probs)
+    seed = integral(seed, "seed")
     bit_generator = np.random.default_rng(np.random.SeedSequence(seed)).bit_generator
     walk = _RawWalk(bit_generator, density, node_count * (node_count - 1) // 2)
     keys = array("q")  # row-major pair index of every edge, as int64
@@ -312,7 +313,7 @@ def sample_induced_subgraph(graph: WeightedGraph, node_count: int, seed: int) ->
     """Uniformly sampled vertex subset of fixed size, then the induced subgraph."""
     if not (0 <= node_count <= graph.node_count):
         raise ValueError("subgraph size out of range")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(integral(seed, "seed")))
     kept = rng.choice(graph.node_count, size=node_count, replace=False)
     return induced_subgraph(graph, (int(v) for v in kept))
 

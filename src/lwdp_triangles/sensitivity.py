@@ -44,91 +44,68 @@ both are scored once per call over every (on, adj) cell, (longest + 1)^2
 cells (longest + 1 for the biased estimator), and each target gathers its
 cell; where that grid would have more cells than the call has partial sums,
 each target is scored itself by the same function, with the same result bit
-for bit.  A node's floor and value read its own segments only: step 2
-scores all an ``Assignment``'s ``segments`` in one call, ``build_instance``
-cuts one node's segments into edge views, and ``smooth_sensitivity`` is one
-call over one instance's views.
+for bit.  A node's floor and value read its own segments only, so step 2
+scores all an ``Assignment``'s ``segments`` in one call, and one node is
+scored from the segments of its span alone.
 
-``smooth_sensitivity_bruteforce`` is an independent oracle: it scans every
-integer target within 2 of the values and the initial targets, past which no
-score grows, and exhausts all shift counts instead of using the selection
-rules, so fast-path and oracle share no algorithmic machinery.  Its cost is
-polynomial, so it is capped by work, not degree: an instance whose scan
-would try more than ``_BRUTE_WORK_LIMIT`` (target, shift count) pairs is
-refused.
+``smooth_sensitivity_bruteforce`` is an independent oracle with the kernel's
+arguments and result: it scans every integer target within 2 of a segment's
+values and initial targets, past which no score grows, and exhausts all
+shift counts instead of using the selection rules, so fast path and oracle
+share no algorithmic machinery, only the check of their arguments.  Its cost
+is polynomial, so it is capped by work, not degree: a call whose scan would
+try more than ``_BRUTE_WORK_LIMIT`` (target, shift count) pairs is refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
-from .assignment import Assignment, InstanceTooLargeError
+from .assignment import InstanceTooLargeError
 from .estimators import EstimatorKind, unbiased_correction
-from .graph import check_threshold
-
-
-# -- per-node local view ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgeLocalView:
-    """One incident edge of the responsible node: its true weight and the
-    partial sums c_j (other incident weight + noisy non-incident weight)
-    of every assigned triangle containing it."""
-
-    weight: int
-    partial_sums: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SmoothSensInstance:
-    node: int
-    lam: int
-    beta: float
-    kind: EstimatorKind
-    p: float | None
-    edges: tuple[EdgeLocalView, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", EstimatorKind(self.kind))
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and positive, got {self.beta}")
-        object.__setattr__(self, "lam", check_threshold(self.lam))
-        if self.kind is EstimatorKind.UNBIASED and not (
-            self.p is not None and 0.0 <= self.p < 1.0
-        ):
-            raise ValueError("the unbiased estimator needs p in [0,1)")
-
-
-def build_instance(
-    assignment: Assignment,
-    noisy_weights: np.ndarray,
-    node: int,
-    lam: int,
-    beta: float,
-    kind: EstimatorKind,
-    p: float | None = None,
-) -> SmoothSensInstance:
-    """``node``'s instance from exactly the data it holds in step 2: its
-    incident weights, its assigned rows, and the step-1 release
-    ``noisy_weights`` (indexed by edge id) at the edges opposite it, read
-    through the assignment's segments; one view per segment."""
-    lengths, incident, sums = assignment.segments.gather(
-        assignment.span(node), assignment.graph.weight_array, noisy_weights
-    )
-    sums = iter(sums.tolist())
-    cuts = zip(incident.tolist(), lengths.tolist())
-    views = tuple(EdgeLocalView(w, tuple(islice(sums, k))) for w, k in cuts)
-    return SmoothSensInstance(node, lam, beta, kind, p, views)
+from .graph import integral
 
 
 # -- smooth sensitivity over segments ------------------------------------------
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _checked_arguments(sums, lengths, anchors, owners, count, kind, beta, p):
+    # The kernel's and the oracle's arguments, checked alike: returns the
+    # arrays as int64, ``count`` as an int and ``kind`` as an EstimatorKind.
+    kind = EstimatorKind(kind)
+    count = integral(count, "node count")
+    if count < 0:
+        raise ValueError(f"the node count must be non-negative, got {count}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and positive, got {beta}")
+    if kind is EstimatorKind.UNBIASED and not (p is not None and 0.0 <= p < 1.0):
+        raise ValueError("the unbiased estimator needs p in [0,1)")
+    arrays = {"sums": sums, "lengths": lengths, "anchors": anchors, "owners": owners}
+    for name, array in arrays.items():
+        array = np.asarray(array)
+        if array.dtype.kind not in "iu" or not np.can_cast(array.dtype, np.int64):
+            raise ValueError(f"{name} must be an integer array within int64, got {array.dtype}")
+        arrays[name] = array.astype(np.int64, copy=False)
+    sums, lengths, anchors, owners = arrays.values()
+    if not len(lengths) == len(anchors) == len(owners):
+        raise ValueError(
+            f"expected one length, anchor and owner per segment, got "
+            f"{len(lengths)}, {len(anchors)} and {len(owners)}"
+        )
+    if len(lengths) and lengths.min() < 1:
+        raise ValueError("every segment needs at least one partial sum")
+    if lengths.sum() != len(sums):
+        raise ValueError(f"the segments hold {lengths.sum()} partial sums, got {len(sums)}")
+    if len(owners) and not (0 <= owners.min() and owners.max() < count):
+        raise ValueError(f"owner ids must lie in [0, {count})")
+    if len(anchors) and anchors.max() == _INT64_MAX:  # anchors + 1 is a target too
+        raise ValueError(f"anchors must lie below {_INT64_MAX}")
+    return sums, lengths, anchors, owners, count, kind
+
 
 # A chunk of segments closes once its partial sums reach this many, or sooner
 # if its keys would leave int64; a longer segment is a chunk by itself.  A
@@ -417,42 +394,23 @@ def segment_smooth_sensitivities(
 ) -> np.ndarray:
     """beta-smooth sensitivity of ``count`` nodes from their segments, in one pass.
 
-    A segment is the int64 partial sums of one (node, incident edge): segment
-    i holds the next ``lengths[i]`` (at least one) values of ``sums``, its
+    A segment is the partial sums of one (node, incident edge): segment i
+    holds the next ``lengths[i]`` (at least one) values of ``sums``, its
     initial target for a +1 step is ``anchors[i]`` (lam - 1 - the edge's
     weight) and it belongs to node ``owners[i]`` in [0, count); the segments
-    may come in any order.  Node v's value is its largest segment score, 0
-    without segments.  The segments are scored in chunks of whole segments
-    (see ``SENSITIVITY_FLUSH_SIZE``): a chunk's sums become one int64 key
-    array, one span of cells per segment.  Where the chunk has at most 4
-    cells per key, one histogram of the keys gives the candidate targets and
-    the counts at and next to each, and the keys are sorted only if some
-    target walks; otherwise the sorted keys' distinct values give them.  The
-    counts give each target's cheap exact candidates; they raise a running
-    best per node, which persists across chunks.  A target's
-    outward walk runs, as masked rounds, only where a bound on its scores
-    exceeds its node's best so far, and the values equal those of walking
-    every target bit for bit.  A target's candidates and walk bound, before
-    its discount, are gathered from one per-call table over its counts
-    (on, adj) of values on and next to it, each at most ``lengths.max()``;
-    the table is built only where it has no more cells than ``sums`` has
-    values, and otherwise each target is scored itself, to the same values.
-    A node's value and its best so far read its own segments only, whichever
-    chunks they fall in.  Mismatched inputs
-    raise ValueError.  ``kind`` may be an ``EstimatorKind`` or its name.
+    may come in any order.  ``kind`` is an ``EstimatorKind`` or its name, and
+    the unbiased estimator needs ``p`` in [0, 1).  Returns one float per node:
+    its largest segment score, 0 without segments.  A node's value reads its
+    own segments only and is bit-identical however the segments are ordered
+    or grouped with other nodes'.  Arrays that are not integer or do not
+    match, a count that is not a non-negative integer, an anchor at the int64
+    maximum, a beta that is not finite and positive, and sums too spread for
+    int64 keys raise ValueError.  The method is described in the module
+    docstring.
     """
-    kind = EstimatorKind(kind)
-    if not len(lengths) == len(anchors) == len(owners):
-        raise ValueError(
-            f"expected one length, anchor and owner per segment, got "
-            f"{len(lengths)}, {len(anchors)} and {len(owners)}"
-        )
-    if len(lengths) and lengths.min() < 1:
-        raise ValueError("every segment needs at least one partial sum")
-    if lengths.sum() != len(sums):
-        raise ValueError(f"the segments hold {lengths.sum()} partial sums, got {len(sums)}")
-    if len(owners) and not (0 <= owners.min() and owners.max() < count):
-        raise ValueError(f"owner ids must lie in [0, {count})")
+    sums, lengths, anchors, owners, count, kind = _checked_arguments(
+        sums, lengths, anchors, owners, count, kind, beta, p
+    )
     best = np.zeros(count)
     if not len(lengths):
         return best
@@ -492,25 +450,6 @@ def segment_smooth_sensitivities(
         )
         a = b
     return best
-
-
-def smooth_sensitivity(inst: SmoothSensInstance) -> float:
-    """beta-smooth sensitivity of one instance: ``segment_smooth_sensitivities``
-    over its non-empty views, one segment each, all owned by one node."""
-    views = [view for view in inst.edges if view.partial_sums]
-    lengths = np.fromiter((len(view.partial_sums) for view in views), np.int64, len(views))
-    try:
-        sums = np.fromiter(
-            chain.from_iterable(view.partial_sums for view in views), np.int64,
-            int(lengths.sum()),
-        )
-        anchors = np.array([inst.lam - 1 - view.weight for view in views], dtype=np.int64)
-    except OverflowError:
-        raise ValueError("partial sums and thresholds must fit in int64") from None
-    owners = np.zeros(len(views), dtype=np.int64)
-    return float(segment_smooth_sensitivities(
-        sums, lengths, anchors, owners, 1, inst.kind, inst.beta, inst.p
-    )[0])
 
 
 # -- brute-force oracle --------------------------------------------------------
@@ -570,57 +509,66 @@ def _brute_unbiased_value(c: list[int], t: int, theta: int, x: float, beta: floa
     return best
 
 
-# The oracle refuses an instance whose scan may try more (target, shift count)
+# The oracle refuses a call whose scan may try more (target, shift count)
 # pairs than this (``_brute_work``).  Every node of a 180-node p = 0.5 graph
 # with the benchmark's weights needs at most 9.1M.  The oracle gets through
 # about 2M counted pairs a second (biased) and 5M (unbiased) on a 2-vCPU host
-# under CPython 3.11, so an instance at the limit takes some 6 to 15 s.
+# under CPython 3.11, so a call at the limit takes some 6 to 15 s.
 _BRUTE_WORK_LIMIT = 3 * 10**7
 
 
-def _brute_work(inst: SmoothSensInstance) -> int:
+def _brute_work(sums, lengths, anchors, kind) -> int:
     # An upper bound on the (target, shift count) pairs the oracle tries: per
     # segment of L sums and initial target theta, its window of targets times
     # L + 1 shift counts (biased) or (L + 1)^2, which bounds the unbiased
     # estimator's two grids (on + 1)(P + 1) + (adj + 1)(P + 1), P = L - on - adj.
+    if not len(lengths):
+        return 0
+    heads = np.cumsum(lengths) - lengths
+    lows = np.minimum.reduceat(sums, heads).tolist()
+    highs = np.maximum.reduceat(sums, heads).tolist()
     work = 0
-    for view in inst.edges:
-        c = view.partial_sums
-        if not c:
-            continue
-        grid = len(c) + 1 if inst.kind is EstimatorKind.BIASED else (len(c) + 1) ** 2
-        lo, hi = min(c), max(c)
-        for theta in (inst.lam - 1 - view.weight, inst.lam - view.weight):
+    for lo, hi, length, anchor in zip(lows, highs, lengths.tolist(), anchors.tolist()):
+        grid = length + 1 if kind is EstimatorKind.BIASED else (length + 1) ** 2
+        for theta in (anchor, anchor + 1):
             work += (max(hi, theta) - min(lo, theta) + 5) * grid
     return work
 
 
-def smooth_sensitivity_bruteforce(inst: SmoothSensInstance) -> float:
-    """Exact smooth sensitivity by exhaustive target scan.
+def smooth_sensitivity_bruteforce(
+    sums: np.ndarray, lengths: np.ndarray, anchors: np.ndarray, owners: np.ndarray,
+    count: int, kind: EstimatorKind, beta: float, p: float | None,
+) -> np.ndarray:
+    """Exact smooth sensitivity by exhaustive target scan, with the arguments
+    and result of ``segment_smooth_sensitivities``.
 
-    Independent of the fast algorithms: every integer target within 2 of
-    the values and the initial target (see ``_brute_anchor``) is evaluated,
-    and all shift-count combinations are enumerated outright.  An instance
-    past ``_BRUTE_WORK_LIMIT`` such pairs raises ``InstanceTooLargeError``.
+    Independent of the fast algorithms: for each segment, read as its sorted
+    sums, every integer target within 2 of the values and the initial targets
+    ``anchors[i]`` and ``anchors[i] + 1`` (see ``_brute_anchor``) is
+    evaluated, and all shift-count combinations are enumerated outright.  A
+    call past ``_BRUTE_WORK_LIMIT`` such pairs over all its segments raises
+    ``InstanceTooLargeError``.
     """
-    work = _brute_work(inst)
+    sums, lengths, anchors, owners, count, kind = _checked_arguments(
+        sums, lengths, anchors, owners, count, kind, beta, p
+    )
+    work = _brute_work(sums, lengths, anchors, kind)
     if work > _BRUTE_WORK_LIMIT:
         raise InstanceTooLargeError(
             f"brute-force oracle is capped at {_BRUTE_WORK_LIMIT:,} target and "
             f"shift-count pairs, this instance needs {work:,}"
         )
-    x = unbiased_correction(inst.p) if inst.kind is EstimatorKind.UNBIASED else 0.0
-    beta = inst.beta
-    best = 0.0
-    for view in inst.edges:
-        if not view.partial_sums:
-            continue
-        c = sorted(view.partial_sums)
+    x = unbiased_correction(p) if kind is EstimatorKind.UNBIASED else 0.0
+    best = [0.0] * count
+    ends = np.cumsum(lengths).tolist()
+    segments = zip(ends, lengths.tolist(), anchors.tolist(), owners.tolist())
+    for end, length, anchor, owner in segments:
+        c = sorted(sums[end - length:end].tolist())
         # the initial targets of a +1 step on this edge and of a -1 step
-        for theta in (inst.lam - 1 - view.weight, inst.lam - view.weight):
-            if inst.kind is EstimatorKind.BIASED:
+        for theta in (anchor, anchor + 1):
+            if kind is EstimatorKind.BIASED:
                 value = lambda t: _brute_biased_value(c, t, theta, beta)
             else:
                 value = lambda t: _brute_unbiased_value(c, t, theta, x, beta)
-            best = max(best, _brute_anchor(c, theta, value))
-    return best
+            best[owner] = max(best[owner], _brute_anchor(c, theta, value))
+    return np.array(best, dtype=float)

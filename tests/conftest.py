@@ -1,10 +1,11 @@
-"""Shared builders for graphs and local sensitivity instances, recorders of
-the smooth-sensitivity kernel's chunks, a per-value reference for the
-kernel, and a per-node reference for the protocol's step 2."""
+"""Shared builders for graphs and for one node's smooth-sensitivity
+arguments, recorders of the smooth-sensitivity kernel's chunks, a per-value
+reference for the kernel, and a per-node reference for the protocol's step 2."""
 
 from __future__ import annotations
 
 import random
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from lwdp_triangles import WeightedGraph, sensitivity
 from lwdp_triangles.estimators import EstimatorKind, estimate, estimator_step_bound
 from lwdp_triangles.graph import canonical_edge
 from lwdp_triangles.protocol import Mechanism
-from lwdp_triangles.sensitivity import EdgeLocalView, SmoothSensInstance, smooth_sensitivity
+from lwdp_triangles.sensitivity import segment_smooth_sensitivities, smooth_sensitivity_bruteforce
 
 
 def complete_graph(n: int, weight: int = 1) -> WeightedGraph:
@@ -37,6 +38,52 @@ def random_graph(rnd: random.Random, n: int, p: float, wlo: int, whi: int) -> We
     return WeightedGraph(n, edges)
 
 
+class KernelArgs(NamedTuple):
+    """The arguments of ``segment_smooth_sensitivities`` and of the oracle, in order."""
+
+    sums: np.ndarray
+    lengths: np.ndarray
+    anchors: np.ndarray
+    owners: np.ndarray
+    count: int
+    kind: EstimatorKind
+    beta: float
+    p: float | None
+
+
+def node_arguments(
+    edges: Iterable[tuple[int, list[int]]], kind, beta, p=None
+) -> KernelArgs:
+    """One node's arguments from its incident edges as (anchor, partial sums)
+    pairs, anchor = lam - 1 - the edge's weight: one segment per edge with
+    sums, every segment owned by node 0 of a one-node call."""
+    edges = [(anchor, sums) for anchor, sums in edges if sums]
+    sums = np.array([value for _, c in edges for value in c], dtype=np.int64)
+    lengths = np.array([len(c) for _, c in edges], dtype=np.int64)
+    anchors = np.array([anchor for anchor, _ in edges], dtype=np.int64)
+    return KernelArgs(sums, lengths, anchors, np.zeros_like(lengths), 1, kind, beta, p)
+
+
+def kernel_value(args: KernelArgs) -> float:
+    """The kernel's value of the one node of ``node_arguments``."""
+    return float(segment_smooth_sensitivities(*args)[0])
+
+
+def oracle_value(args: KernelArgs) -> float:
+    """The oracle's value of the one node of ``node_arguments``."""
+    return float(smooth_sensitivity_bruteforce(*args)[0])
+
+
+def gathered_arguments(assignment, noisy, node, lam, beta, kind, p=None) -> KernelArgs:
+    """``node``'s arguments from exactly the data it holds in step 2, its
+    segments gathered over its span of the assignment's rows from the true
+    weights and the step-1 release ``noisy`` (indexed by edge id)."""
+    lengths, incident, sums = assignment.segments.gather(
+        assignment.span(node), assignment.graph.weight_array, noisy
+    )
+    return KernelArgs(sums, lengths, lam - 1 - incident, np.zeros_like(lengths), 1, kind, beta, p)
+
+
 def random_local_instance(
     rnd: random.Random,
     kind: EstimatorKind,
@@ -46,11 +93,12 @@ def random_local_instance(
     weight_span: int = 10,
     lam_span: int = 5,
     betas: tuple[float, ...] = (0.1, 0.5, 1.0),
-) -> SmoothSensInstance:
+) -> KernelArgs:
     """A node's local view with a random star of incident edges and triangles.
 
     Every triangle couples two incident edges through one shared noisy
-    non-incident weight, exactly as the protocol would deliver it.
+    non-incident weight, exactly as the protocol would deliver it; an edge
+    without triangles has no segment.
     """
     d = rnd.randint(2, max_degree)
     lam = rnd.randint(-lam_span, lam_span)
@@ -66,25 +114,22 @@ def random_local_instance(
         shared_noisy = rnd.randint(-weight_span, weight_span)
         sums[i].append(weights[j] + shared_noisy)
         sums[j].append(weights[i] + shared_noisy)
-    views = tuple(EdgeLocalView(weights[i], tuple(sums[i])) for i in range(d))
-    return SmoothSensInstance(0, lam, beta, kind, p, views)
+    return node_arguments(((lam - 1 - weights[i], sums[i]) for i in range(d)), kind, beta, p)
 
 
 def instance_from_node_data(node, incident, assigned, received, lam, beta, kind, p):
-    """Node ``node``'s smooth-sensitivity instance from plain dicts: its
+    """Node ``node``'s smooth-sensitivity arguments from plain dicts: its
     incident weights and the noisy weights it received, by canonical edge,
-    and its assigned triangles as ascending node triples."""
+    and its assigned triangles as ascending node triples; one segment per
+    incident edge with triangles, in neighbour order."""
     sums: dict[int, list[int]] = {}
     for t in assigned:
         y, z = (u for u in t if u != node)
         w_prime = received[(y, z)]
         sums.setdefault(y, []).append(incident[canonical_edge(node, z)] + w_prime)
         sums.setdefault(z, []).append(incident[canonical_edge(node, y)] + w_prime)
-    views = tuple(
-        EdgeLocalView(incident[canonical_edge(node, u)], tuple(c))
-        for u, c in sorted(sums.items())
-    )
-    return SmoothSensInstance(node, lam, beta, kind, p, views)
+    edges = ((lam - 1 - incident[canonical_edge(node, u)], c) for u, c in sorted(sums.items()))
+    return node_arguments(edges, kind, beta, p)
 
 
 def record_chunks(monkeypatch):
@@ -211,8 +256,7 @@ def reference_step2(graph, assignment, noisy, lam, kind, mechanism, budget):
     opposite it in its assigned triangles (``noisy`` is the step-1 release,
     indexed by edge id); f'_v is a per-triangle ``estimate`` loop and S_v the
     smooth sensitivity of ``instance_from_node_data``.  Under Laplace noise
-    it is GS_v: the estimator step bound times the instance's longest list
-    of partial sums.
+    it is GS_v: the estimator step bound times its longest segment.
     """
     noisy = dict(zip(graph.edges(), noisy.tolist()))
     owned: dict[int, list[tuple[int, int, int]]] = {}
@@ -236,8 +280,8 @@ def reference_step2(graph, assignment, noisy, lam, kind, mechanism, budget):
             v, incident, assigned, received, lam, budget.beta, kind, p=budget.p
         )
         if mechanism is Mechanism.SMOOTH:
-            sens.append(smooth_sensitivity(inst))
+            sens.append(kernel_value(inst))
         else:
-            longest = max((len(view.partial_sums) for view in inst.edges), default=0)
+            longest = int(inst.lengths.max(initial=0))
             sens.append(estimator_step_bound(kind, budget.p) * longest)
     return counts, sens

@@ -18,6 +18,7 @@ from lwdp_triangles.assignment import (
     InstanceTooLargeError,
     brute_force_optimal_assign,
 )
+from lwdp_triangles.experiments import generate_synthetic
 from lwdp_triangles.graph import triangle_edge_ids
 
 from conftest import book_graph, complete_graph, random_graph
@@ -179,6 +180,18 @@ def test_rows_list_each_owners_triangles_in_order():
         a.rows[0, 0] = 1  # read-only
     assert Assignment(g, EMPTY).rows.shape == (0, 3)
     assert Assignment(g, EMPTY).triangles_of(0).shape == (0, 3)
+
+
+def test_span_takes_integral_node_ids_only():
+    # span(2.5) used to return node 3's rows, and so did triangles_of(2.5)
+    a = greedy_assign(generate_synthetic(20, 0.5, seed=1))
+    for node in (2.5, "2", None):
+        with pytest.raises(ValueError, match="integer node id"):
+            a.span(node)
+        with pytest.raises(ValueError, match="integer node id"):
+            a.triangles_of(node)
+    assert a.span(2.0) == a.span(np.int64(2)) == a.span(2) != a.span(3)
+    assert (a.triangles_of(2.0)[:, 0] == 2).all()
 
 
 def test_assignment_rows_take_any_order_and_reject_malformed_rows():

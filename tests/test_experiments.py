@@ -255,6 +255,18 @@ def test_generate_synthetic_rejects_bad_inputs_up_front(node_count, kwargs, mess
         generate_synthetic(node_count, 0.0, **kwargs)
 
 
+def test_seeds_must_be_integers():
+    # a fractional seed used to fail inside numpy's SeedSequence with a TypeError
+    g = generate_synthetic(20, 0.5, seed=1)
+    for seed in (1.5, "1", None):
+        with pytest.raises(ValueError, match="integer seed"):
+            generate_synthetic(20, 0.5, seed=seed)
+        with pytest.raises(ValueError, match="integer seed"):
+            sample_induced_subgraph(g, 5, seed=seed)
+    assert generate_synthetic(20, 0.5, seed=1.0) == generate_synthetic(20, 0.5, seed=np.int64(1)) == g
+    assert sample_induced_subgraph(g, 5, seed=2.0) == sample_induced_subgraph(g, 5, seed=2)
+
+
 def test_generate_synthetic_accepts_probs_within_numpy_tolerance():
     # Generator.choice accepts a sum within sqrt(eps) of 1, and so does the walk
     probs = [0.3, 0.7 + 1e-9]

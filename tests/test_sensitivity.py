@@ -1,6 +1,6 @@
-import dataclasses
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -12,23 +12,22 @@ from lwdp_triangles.assignment import (
     InstanceTooLargeError,
     greedy_assign,
 )
+from lwdp_triangles.cli import main
 from lwdp_triangles.estimators import EstimatorKind, unbiased_correction
-from lwdp_triangles.experiments import generate_synthetic
+from lwdp_triangles.experiments import generate_synthetic, write_edge_list
 from lwdp_triangles.graph import canonical_edge
 from lwdp_triangles.mechanisms import PrivacyBudget, RandomSource
 from lwdp_triangles.protocol import Mechanism, local_step2, release_step1
 from lwdp_triangles import sensitivity
-from lwdp_triangles.sensitivity import (
-    EdgeLocalView,
-    SmoothSensInstance,
-    build_instance,
-    segment_smooth_sensitivities,
-    smooth_sensitivity,
-    smooth_sensitivity_bruteforce,
-)
+from lwdp_triangles.sensitivity import segment_smooth_sensitivities, smooth_sensitivity_bruteforce
 
 from conftest import (
+    complete_graph,
+    gathered_arguments,
     instance_from_node_data,
+    kernel_value,
+    node_arguments,
+    oracle_value,
     random_graph,
     random_local_instance,
     record_chunks,
@@ -53,11 +52,16 @@ def star_of_triangles(k):
 
 
 def single_triangle_instance(kind, lam, w1, w2, w_prime, beta, p=None):
-    views = (
-        EdgeLocalView(w1, (w2 + w_prime,)),
-        EdgeLocalView(w2, (w1 + w_prime,)),
-    )
-    return SmoothSensInstance(0, lam, beta, kind, p, views)
+    edges = ((lam - 1 - w1, [w2 + w_prime]), (lam - 1 - w2, [w1 + w_prime]))
+    return node_arguments(edges, kind, beta, p)
+
+
+def segments_of(args):
+    """Each segment of one node's ``args`` as (anchor, its sums in order), the
+    form ``node_arguments`` takes."""
+    ends = np.cumsum(args.lengths).tolist()
+    pieces = zip(ends, args.lengths.tolist(), args.anchors.tolist())
+    return [(anchor, args.sums[end - k:end].tolist()) for end, k, anchor in pieces]
 
 
 # -- global sensitivity -------------------------------------------------------
@@ -87,23 +91,22 @@ def test_global_sensitivity_empty():
 
 def test_biased_single_triangle_at_boundary():
     inst = single_triangle_instance(EstimatorKind.BIASED, lam=5, w1=1, w2=1, w_prime=2, beta=0.5)
-    assert smooth_sensitivity(inst) == pytest.approx(1.0)
-    assert smooth_sensitivity_bruteforce(inst) == pytest.approx(1.0)
+    assert kernel_value(inst) == pytest.approx(1.0)
+    assert oracle_value(inst) == pytest.approx(1.0)
 
 
 def test_biased_single_triangle_above_threshold():
     beta = 0.3
     inst = single_triangle_instance(EstimatorKind.BIASED, lam=5, w1=1, w2=2, w_prime=7, beta=beta)
-    assert smooth_sensitivity(inst) == pytest.approx(math.exp(-5 * beta), rel=1e-12)
-    assert smooth_sensitivity_bruteforce(inst) == pytest.approx(math.exp(-5 * beta), rel=1e-12)
+    assert kernel_value(inst) == pytest.approx(math.exp(-5 * beta), rel=1e-12)
+    assert oracle_value(inst) == pytest.approx(math.exp(-5 * beta), rel=1e-12)
 
 
 def test_biased_two_triangles_meeting_target():
     lam, w0 = 5, 0
-    views = (EdgeLocalView(w0, (lam - 1 - w0, lam - 1 - w0)),)
-    inst = SmoothSensInstance(0, lam, 0.5, EstimatorKind.BIASED, None, views)
-    assert smooth_sensitivity(inst) == pytest.approx(2.0)
-    assert smooth_sensitivity_bruteforce(inst) == pytest.approx(2.0)
+    inst = node_arguments([(lam - 1 - w0, [lam - 1 - w0] * 2)], EstimatorKind.BIASED, 0.5)
+    assert kernel_value(inst) == pytest.approx(2.0)
+    assert oracle_value(inst) == pytest.approx(2.0)
 
 
 def test_unbiased_single_triangle_on_threshold():
@@ -112,8 +115,8 @@ def test_unbiased_single_triangle_on_threshold():
     inst = single_triangle_instance(
         EstimatorKind.UNBIASED, lam=5, w1=2, w2=1, w_prime=2, beta=0.4, p=p
     )  # effective triangle weight = lam
-    assert smooth_sensitivity(inst) == pytest.approx(1 + 2 * x)
-    assert smooth_sensitivity_bruteforce(inst) == pytest.approx(1 + 2 * x)
+    assert kernel_value(inst) == pytest.approx(1 + 2 * x)
+    assert oracle_value(inst) == pytest.approx(1 + 2 * x)
 
 
 def test_unbiased_single_triangle_below_threshold():
@@ -123,46 +126,45 @@ def test_unbiased_single_triangle_below_threshold():
         EstimatorKind.UNBIASED, lam=5, w1=2, w2=1, w_prime=1, beta=0.4, p=p
     )  # effective triangle weight = lam - 1
     # the +1 step flips h across the threshold: |y| = 1 + 2x at z = 0
-    assert smooth_sensitivity(inst) == pytest.approx(1 + 2 * x)
-    assert smooth_sensitivity_bruteforce(inst) == pytest.approx(1 + 2 * x)
+    assert kernel_value(inst) == pytest.approx(1 + 2 * x)
+    assert oracle_value(inst) == pytest.approx(1 + 2 * x)
 
 
 def test_empty_instance_is_zero():
-    inst = SmoothSensInstance(0, 3, 0.5, EstimatorKind.UNBIASED, 0.5, ())
-    assert smooth_sensitivity(inst) == 0.0
-    assert smooth_sensitivity_bruteforce(inst) == 0.0
+    inst = node_arguments((), EstimatorKind.UNBIASED, 0.5, 0.5)
+    assert kernel_value(inst) == 0.0
+    assert oracle_value(inst) == 0.0
 
 
 def test_kind_dispatch_guards():
     # the same views give the estimator's own value under each kind
     biased = single_triangle_instance(EstimatorKind.BIASED, 5, 1, 1, 2, 0.5)
-    unbiased = SmoothSensInstance(0, 5, 0.5, EstimatorKind.UNBIASED, 0.5, biased.edges)
-    assert smooth_sensitivity(biased) == pytest.approx(1.0)
-    assert smooth_sensitivity(unbiased) == pytest.approx(smooth_sensitivity_bruteforce(unbiased))
-    assert smooth_sensitivity(unbiased) > smooth_sensitivity(biased)
+    unbiased = biased._replace(kind=EstimatorKind.UNBIASED, p=0.5)
+    assert kernel_value(biased) == pytest.approx(1.0)
+    assert kernel_value(unbiased) == pytest.approx(oracle_value(unbiased))
+    assert kernel_value(unbiased) > kernel_value(biased)
 
 
 def test_bruteforce_size_cap(monkeypatch):
     # degree is not capped: 13 edges of 13 sums each are scored
-    views = tuple(EdgeLocalView(0, tuple(range(13))) for _ in range(13))
+    edges = [(-1, list(range(13)))] * 13
     for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, 0.5)):
-        inst = SmoothSensInstance(0, 0, 0.5, kind, p, views)
-        work = sensitivity._brute_work(inst)
+        inst = node_arguments(edges, kind, 0.5, p)
+        work = sensitivity._brute_work(inst.sums, inst.lengths, inst.anchors, kind)
         # per edge, windows of 18 and 17 targets (theta = -1 and 0) times
         # 14 shift counts, or 14^2
         assert work == 13 * 35 * (14 if p is None else 14**2)
-        assert smooth_sensitivity_bruteforce(inst) == smooth_sensitivity(inst)
+        assert oracle_value(inst) == kernel_value(inst)
         # refused exactly past the bound
         monkeypatch.setattr(sensitivity, "_BRUTE_WORK_LIMIT", work - 1)
         with pytest.raises(InstanceTooLargeError, match="target and shift-count pairs"):
-            smooth_sensitivity_bruteforce(inst)
+            oracle_value(inst)
         monkeypatch.undo()
     # two sums far apart put a single edge past the bound, whatever its degree
     limit = sensitivity._BRUTE_WORK_LIMIT
-    views = (EdgeLocalView(0, (0, limit)),)
-    inst = SmoothSensInstance(0, 0, 0.5, EstimatorKind.BIASED, None, views)
+    inst = node_arguments([(-1, [0, limit])], EstimatorKind.BIASED, 0.5)
     with pytest.raises(InstanceTooLargeError, match="target and shift-count pairs"):
-        smooth_sensitivity_bruteforce(inst)
+        oracle_value(inst)
 
 
 def test_oracle_target_window_holds_the_best_target():
@@ -175,11 +177,9 @@ def test_oracle_target_window_holds_the_best_target():
         p = None if kind is EstimatorKind.BIASED else PS[i % 3]
         inst = random_local_instance(rnd, kind, p=p, betas=betas)
         x = 0.0 if p is None else unbiased_correction(p)
-        for view in inst.edges:
-            c = sorted(view.partial_sums)
-            if not c:
-                continue
-            for theta in (inst.lam - 1 - view.weight, inst.lam - view.weight):
+        for anchor, c in segments_of(inst):
+            c = sorted(c)
+            for theta in (anchor, anchor + 1):
                 if kind is EstimatorKind.BIASED:
                     value = lambda t: sensitivity._brute_biased_value(c, t, theta, inst.beta)
                 else:
@@ -194,8 +194,8 @@ def test_oracle_target_window_holds_the_best_target():
 
 def _assert_matches_oracle(instances):
     for inst in instances:
-        fast = smooth_sensitivity(inst)
-        oracle = smooth_sensitivity_bruteforce(inst)
+        fast = kernel_value(inst)
+        oracle = oracle_value(inst)
         assert math.isclose(fast, oracle, rel_tol=1e-12, abs_tol=1e-12), inst
 
 
@@ -221,19 +221,25 @@ BENCH_WEIGHTS = {"weight_values": (0, 1, 2, 3, 8), "weight_probs": (0.55, 0.2, 0
 def test_kernel_matches_oracle_on_every_node_of_a_dense_graph(kind):
     # n = 60, p = 0.5 with the benchmark's weights and threshold: node degrees
     # and segment lengths past 12, where ties, walks and the per-call (on, adj)
-    # table all meet; the step-2 call over every node and the oracle agree
+    # table all meet.  One oracle call over every node's segments, shuffled,
+    # equals the kernel's values, which are step 2's bit for bit; an owner
+    # without segments (node 60) reads 0 in both.
     g = generate_synthetic(60, 0.5, seed=5, **BENCH_WEIGHTS)
     a = greedy_assign(g)
     budget = PrivacyBudget.even_split(2.0)
     noisy = release_step1(g, budget.epsilon_1, RandomSource(5).subsource(0, 0))
     sens = local_step2(a, g.weight_array, noisy, 9, kind, Mechanism.SMOOTH, budget)[1]
-    longest = 0
-    for v in range(60):
-        inst = build_instance(a, noisy, v, 9, budget.beta, kind, p=budget.p)
-        oracle = smooth_sensitivity_bruteforce(inst)
-        assert math.isclose(sens[v], oracle, rel_tol=1e-12, abs_tol=1e-12), v
-        longest = max(longest, len(inst.edges), *(len(e.partial_sums) for e in inst.edges))
-    assert longest > 12
+    lengths, incident, sums = a.segments.gather(slice(0, len(a.rows)), g.weight_array, noisy)
+    segments = (sums, lengths, 9 - 1 - incident, a.segments.owner)
+    order = random.Random(5).sample(range(len(lengths)), len(lengths))
+    shuffled = _take(segments, order) + (61, kind, budget.beta, budget.p)
+    kernel = segment_smooth_sensitivities(*shuffled)
+    oracle = smooth_sensitivity_bruteforce(*shuffled)
+    assert _hexes(kernel[:60]) == _hexes(sens)
+    for v in range(61):
+        assert math.isclose(kernel[v], oracle[v], rel_tol=1e-12, abs_tol=1e-12), v
+    assert kernel[60] == oracle[60] == 0.0
+    assert lengths.max() > 12 and np.bincount(a.segments.owner).max() > 12
 
 
 def test_smooth_dominates_local_sensitivity_and_respects_global_cap():
@@ -242,12 +248,12 @@ def test_smooth_dominates_local_sensitivity_and_respects_global_cap():
         kind = EstimatorKind.BIASED if i % 2 else EstimatorKind.UNBIASED
         p = None if kind is EstimatorKind.BIASED else PS[i % 3]
         inst = random_local_instance(rnd, kind, p=p)
-        fast = smooth_sensitivity(inst)
+        fast = kernel_value(inst)
         # at beta = 50 every term at distance z >= 1 is below e^{-50}: the
         # local sensitivity
-        assert fast >= smooth_sensitivity(dataclasses.replace(inst, beta=50.0)) - 1e-12
+        assert fast >= kernel_value(inst._replace(beta=50.0)) - 1e-12
         step = 1.0 if kind is EstimatorKind.BIASED else 1.0 + 2.0 * unbiased_correction(p)
-        cap = step * max((len(v.partial_sums) for v in inst.edges), default=0)
+        cap = step * int(inst.lengths.max(initial=0))
         assert fast <= cap + 1e-9
 
 
@@ -259,8 +265,7 @@ def test_beta_monotonicity():
         base = random_local_instance(rnd, kind, p=p, betas=(0.1,))
         prev = math.inf
         for beta in (0.1, 0.3, 0.8, 1.5):
-            inst = SmoothSensInstance(0, base.lam, beta, kind, p, base.edges)
-            val = smooth_sensitivity(inst)
+            val = kernel_value(base._replace(beta=beta))
             assert val <= prev + 1e-12
             prev = val
 
@@ -291,7 +296,7 @@ def test_local_sensitivity_matches_raw_estimator_differences():
         lam = rnd.randint(-3, 6)
         for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, math.exp(-1))):
             for v in range(g.node_count):
-                inst = build_instance(assignment, release, v, lam, 0.5, kind, p=p)
+                inst = gathered_arguments(assignment, release, v, lam, 0.5, kind, p=p)
                 base_w = {
                     canonical_edge(v, u): g.weight(v, u) for u in g.neighbors(v)
                 }
@@ -307,8 +312,8 @@ def test_local_sensitivity_matches_raw_estimator_differences():
                             g, assigned, v, bumped, noisy, lam, kind, p_eff
                         )
                         worst = max(worst, abs(f1 - f0))
-                assert smooth_sensitivity(inst) >= worst - 1e-12
-                local = smooth_sensitivity(dataclasses.replace(inst, beta=50.0))
+                assert kernel_value(inst) >= worst - 1e-12
+                local = kernel_value(inst._replace(beta=50.0))
                 assert local == pytest.approx(worst, abs=1e-9)
 
 
@@ -701,9 +706,11 @@ def test_segment_kernel_rejects_mismatched_segments():
         ((sums, lengths, anchors, np.array([-1, 1]), 2), r"owner ids must lie in \[0, 2\)"),
         ((sums, lengths, anchors, owners, 1), r"owner ids must lie in \[0, 1\)"),
     )
+    # the oracle takes the same arguments and raises the same errors
     for args, message in cases:
-        with pytest.raises(ValueError, match=message):
-            segment_smooth_sensitivities(*args, EstimatorKind.BIASED, 0.5, None)
+        args += (EstimatorKind.BIASED, 0.5, None)
+        raised = _raised_by_both(args)
+        assert raised[0] == raised[1] and re.search(message, raised[0]), (message, raised)
     assert _kernel_hexes((sums, lengths, anchors, owners), 3, "biased", 0.5, None)[2] == "0x0.0p+0"
 
 
@@ -752,58 +759,43 @@ def test_every_walk_scores_at_most_its_bound(monkeypatch, beta):
 
 
 def _shifted(inst, shift):
-    views = tuple(
-        EdgeLocalView(v.weight, tuple(c + shift for c in v.partial_sums)) for v in inst.edges
-    )
-    return SmoothSensInstance(inst.node, inst.lam + shift, inst.beta, inst.kind, inst.p, views)
+    return inst._replace(sums=inst.sums + shift, anchors=inst.anchors + shift)
 
 
 def test_shifting_sums_and_threshold_keeps_value_bit_identical():
     # the smooth sensitivity depends only on differences c - (lam - w)
     instances = _mixed_instances(random.Random(7003), 80)
-    base = [smooth_sensitivity(inst).hex() for inst in instances]
+    base = [kernel_value(inst).hex() for inst in instances]
     for shift in (2**50, -(2**50)):
-        assert [smooth_sensitivity(_shifted(inst, shift)).hex() for inst in instances] == base
+        assert [kernel_value(_shifted(inst, shift)).hex() for inst in instances] == base
 
 
 def test_batch_splits_segments_whose_keys_overflow_int64(monkeypatch):
     # one sum per edge 2^58 above the rest widens every segment to ~2^58, so
-    # at most 31 segments fit one int64 key array and the instance's segments
+    # at most 31 segments fit one int64 key array and the node's segments
     # fall in several chunks; the far sum is out of reach of every walk and
     # discount, so the value equals the unpadded one
     chunks = record_chunks(monkeypatch)
     far = 2**58
     for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, PS[1])):
         inst = _dense_instance(40, 60, seed=7004, kind=kind, p=p)
-        padded = dataclasses.replace(inst, edges=tuple(
-            EdgeLocalView(v.weight, v.partial_sums + (max(v.partial_sums) + far,))
-            if v.partial_sums else v
-            for v in inst.edges
-        ))
-        assert sum(1 for v in padded.edges if v.partial_sums) > 31
+        padded = node_arguments(
+            [(anchor, c + [max(c) + far]) for anchor, c in segments_of(inst)], kind, inst.beta, p
+        )
+        assert len(padded.lengths) > 31
         chunks.clear()
-        value = smooth_sensitivity(padded)
+        value = kernel_value(padded)
         assert len(chunks) > 1
-        assert value.hex() == smooth_sensitivity(inst).hex() != (0.0).hex()
+        assert value.hex() == kernel_value(inst).hex() != (0.0).hex()
 
 
 def test_segment_spread_beyond_int64_is_rejected():
-    inst = SmoothSensInstance(
-        0, 0, 0.5, EstimatorKind.BIASED, None, (EdgeLocalView(0, (-(2**62), 2**62)),)
-    )
+    inst = node_arguments([(-1, [-(2**62), 2**62])], EstimatorKind.BIASED, 0.5)
     with pytest.raises(ValueError, match="int64"):
-        smooth_sensitivity(inst)
-    far_sum = SmoothSensInstance(
-        0, 0, 0.5, EstimatorKind.BIASED, None, (EdgeLocalView(0, (1, 2**64)),)
-    )
-    with pytest.raises(ValueError, match="int64"):
-        smooth_sensitivity(far_sum)
-    # a threshold outside the range is rejected when the instance is built
-    with pytest.raises(ValueError, match="int64"):
-        SmoothSensInstance(0, 10**30, 0.5, EstimatorKind.BIASED, None, (EdgeLocalView(0, (1, 2)),))
+        kernel_value(inst)
 
 
-# -- instance construction from protocol data ----------------------------------
+# -- one node's arguments from protocol data -----------------------------------
 
 
 def test_node_outside_the_graph_is_rejected():
@@ -812,37 +804,34 @@ def test_node_outside_the_graph_is_rejected():
     release = release_step1(g, 1.0, RandomSource(1))
     for node in (-1, 20, 10**6):
         with pytest.raises(ValueError, match="not in"):
-            build_instance(a, release, node, 6, 0.25, EstimatorKind.BIASED)
+            gathered_arguments(a, release, node, 6, 0.25, EstimatorKind.BIASED)
         with pytest.raises(ValueError, match="not in"):
             a.triangles_of(node)
     # the first and the last node are inside
     for node in (0, 19):
-        assert build_instance(a, release, node, 6, 0.25, EstimatorKind.BIASED).node == node
+        inst = gathered_arguments(a, release, node, 6, 0.25, EstimatorKind.BIASED)
+        assert inst.lengths.sum() == 2 * len(a.triangles_of(node))
         assert (a.triangles_of(node)[:, 0] == node).all()
 
 
-def test_build_instance_partial_sums():
+def test_gathered_partial_sums_of_a_node():
     g = WeightedGraph(4, [(0, 1, 2), (0, 2, 3), (1, 2, 10), (0, 3, 4), (1, 3, 20)])
     tris = enumerate_triangles(g)  # {0,1,2} and {0,1,3}
     a = Assignment(g, tris)  # node 0 owns both
     # the release is indexed by edge id: (0,1) (0,2) (0,3) (1,2) (1,3)
     release = np.array([-50, -50, -50, 11, 19])
-    inst = build_instance(a, release, 0, lam=9, beta=0.5, kind=EstimatorKind.BIASED)
-    by_weight = {v.weight: sorted(v.partial_sums) for v in inst.edges}
-    # edge (0,1) participates in both triangles: c = w_02 + w'_12 and w_03 + w'_13
-    assert by_weight[2] == sorted([3 + 11, 4 + 19])
-    assert by_weight[3] == [2 + 11]
-    assert by_weight[4] == [2 + 19]
-    assert inst == SmoothSensInstance(
-        0, 9, 0.5, EstimatorKind.BIASED, None,
-        (EdgeLocalView(2, (14, 23)), EdgeLocalView(3, (13,)), EdgeLocalView(4, (21,))),
-    )
+    inst = gathered_arguments(a, release, 0, lam=9, beta=0.5, kind=EstimatorKind.BIASED)
+    # edge (0,1), weight 2 and anchor 9 - 1 - 2 = 6, is in both triangles:
+    # c = w_02 + w'_12 and w_03 + w'_13; edge (0,2) has c = w_01 + w'_12, and
+    # edge (0,3) c = w_01 + w'_13
+    assert segments_of(inst) == [(6, [3 + 11, 4 + 19]), (5, [2 + 11]), (4, [2 + 19])]
+    assert inst.owners.tolist() == [0, 0, 0] and inst[4:] == (1, EstimatorKind.BIASED, 0.5, None)
+    assert all(array.dtype == np.int64 for array in inst[:4])
 
 
-
-def test_build_instance_equals_the_per_node_reference_on_every_node():
+def test_gathered_arguments_equal_the_per_node_reference_on_every_node():
     # nodes with no assigned triangles, negative weights and both estimators:
-    # the views, their order and the order of every view's sums are exact
+    # the segments, their order and the order of every segment's sums are exact
     rnd = random.Random(77)
     seen_empty = 0
     for trial in range(24):
@@ -860,47 +849,88 @@ def test_build_instance_equals_the_per_node_reference_on_every_node():
                 received[(y, z)] = noisy[(y, z)]
             seen_empty += not assigned
             for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, 0.4)):
-                got = build_instance(assignment, release, v, lam, 0.3, kind, p=p)
+                got = gathered_arguments(assignment, release, v, lam, 0.3, kind, p=p)
                 want = instance_from_node_data(v, incident, assigned, received, lam, 0.3, kind, p)
-                assert got == want, (trial, v, kind)
+                assert [a.tolist() for a in got[:4]] == [a.tolist() for a in want[:4]]
+                assert got[4:] == want[4:], (trial, v, kind)
     assert seen_empty > 0
 
 
+# -- argument checks, shared by the kernel and the oracle ----------------------
+
+
+def _raised_by_both(args):
+    """The ValueError messages of the kernel and of the oracle on ``args``."""
+    messages = []
+    for function in (segment_smooth_sensitivities, smooth_sensitivity_bruteforce):
+        with pytest.raises(ValueError) as error:
+            function(*args)
+        messages.append(str(error.value))
+    return messages
+
+
 def test_instance_validation():
-    with pytest.raises(ValueError):
-        SmoothSensInstance(0, 0, 0.0, EstimatorKind.BIASED, None, ())
-    with pytest.raises(ValueError):
-        SmoothSensInstance(0, 0, 0.5, EstimatorKind.UNBIASED, None, ())
-    with pytest.raises(ValueError, match="not a valid EstimatorKind"):
-        SmoothSensInstance(0, 0, 0.5, "bogus", None, ())
-    # the estimator's name is the estimator: a string used to score as biased
+    # the estimator's name is the estimator, for the kernel and the oracle
+    # alike: a string used to score as biased
     inst = single_triangle_instance(EstimatorKind.UNBIASED, 5, 1, 1, 2, 0.5, p=0.4)
-    by_name = dataclasses.replace(inst, kind="unbiased")
-    assert by_name.kind is EstimatorKind.UNBIASED
-    assert smooth_sensitivity(by_name) == smooth_sensitivity(inst)
-    assert smooth_sensitivity(inst) != smooth_sensitivity(
-        dataclasses.replace(inst, kind=EstimatorKind.BIASED)
-    )
+    for value in (kernel_value, oracle_value):
+        with pytest.raises(ValueError, match="not a valid EstimatorKind"):
+            value(inst._replace(kind="bogus"))
+        assert value(inst._replace(kind="unbiased")) == value(inst)
+        assert value(inst) != value(inst._replace(kind=EstimatorKind.BIASED))
+
+
+@pytest.mark.parametrize("lam", [10**30, -(10**30), 2**63, 2**62 + 1])
+def test_instance_rejects_threshold_outside_int64_range(lam, tmp_path, capsys):
+    # The smooth-sensitivity functions take anchors lam - 1 - w, not lam: the
+    # sensitivity probe checks its threshold before it gathers a node's
+    # segments, and the end of the range is accepted.
+    path = tmp_path / "k4.txt"
+    write_edge_list(complete_graph(4), path)
+    probe = ["sensitivity", "--graph", str(path), "--node", "3", "--beta", "0.25",
+             "--estimator", "unbiased", "--lambda"]
+    with pytest.raises(SystemExit) as exc:
+        main(probe + [str(lam)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "outside the int64 range" in captured.err
+    assert main(probe + [str(-(2**62))]) == 0
+    assert capsys.readouterr().out.startswith("assigned_triangles: 2\n")
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf])
 def test_instance_rejects_non_finite_beta(beta):
     # a NaN beta used to pass and give a smooth sensitivity of 0, hence no noise
-    with pytest.raises(ValueError, match="beta"):
-        SmoothSensInstance(0, 0, beta, EstimatorKind.BIASED, None, ())
+    inst = single_triangle_instance(EstimatorKind.BIASED, 5, 1, 1, 2, beta)
+    assert _raised_by_both(inst) == [f"beta must be finite and positive, got {beta}"] * 2
 
 
-def test_instance_rejects_fractional_threshold():
-    with pytest.raises(ValueError, match="integer threshold"):
-        SmoothSensInstance(0, 7.5, 0.5, EstimatorKind.BIASED, None, ())
-    assert SmoothSensInstance(0, 7.0, 0.5, EstimatorKind.BIASED, None, ()).lam == 7
-
-
-@pytest.mark.parametrize("lam", [10**30, -(10**30), 2**63, 2**62 + 1])
-def test_instance_rejects_threshold_outside_int64_range(lam):
-    with pytest.raises(ValueError, match="int64"):
-        SmoothSensInstance(0, lam, 0.5, EstimatorKind.BIASED, None, ())
-    assert SmoothSensInstance(0, -(2**62), 0.5, EstimatorKind.BIASED, None, ()).lam == -(2**62)
+def test_kernel_and_oracle_reject_the_same_bad_arguments():
+    # The kernel used to return 163.79 at beta = -1 and NaN at beta = inf, and
+    # to fail inside at beta = 0 (ZeroDivisionError), at p = None and on float
+    # sums (TypeError).  Kernel and oracle now raise the same ValueError.
+    inst = _dense_instance(12, 30, seed=7009, kind=EstimatorKind.UNBIASED, p=0.5)
+    cases = [({"beta": beta}, "beta must be finite and positive") for beta in (0.0, -1.0)]
+    cases += [({"p": p}, r"needs p in \[0,1\)") for p in (None, 1.0, -0.1)]
+    cases += [
+        ({"sums": inst.sums.astype(float)}, "sums must be an integer array"),
+        ({"anchors": inst.anchors + 0.5}, "anchors must be an integer array"),
+        ({"lengths": inst.lengths.astype(np.uint64)}, "lengths must be an integer array"),
+        ({"owners": inst.owners.astype(bool)}, "owners must be an integer array"),
+        # a fractional count used to raise a different TypeError in each
+        ({"count": 2.5}, "expected an integer node count, got 2.5"),
+        ({"count": -1}, "the node count must be non-negative, got -1"),
+        # the initial target of a -1 step, one above the anchor, used to wrap
+        ({"anchors": inst.anchors - inst.anchors.max() + (2**63 - 1)},
+         "anchors must lie below 9223372036854775807"),
+    ]
+    for change, message in cases:
+        raised = _raised_by_both(inst._replace(**change))
+        assert raised[0] == raised[1] and re.search(message, raised[0]), (change, raised)
+    # the biased estimator reads no p, and narrower integer arrays are widened
+    biased = inst._replace(kind=EstimatorKind.BIASED, p=math.nan)
+    narrow = biased._replace(sums=biased.sums.astype(np.int32), owners=biased.owners.astype("u1"))
+    assert kernel_value(narrow) == kernel_value(biased) == pytest.approx(oracle_value(narrow))
 
 
 # -- runtime envelope -----------------------------------------------------------
@@ -915,8 +945,7 @@ def _dense_instance(d, triangles, seed, kind, p):
         shared = rnd.randint(-50, 50)
         sums[i].append(weights[j] + shared)
         sums[j].append(weights[i] + shared)
-    views = tuple(EdgeLocalView(weights[i], tuple(sums[i])) for i in range(d))
-    return SmoothSensInstance(0, 0, 0.25, kind, p, views)
+    return node_arguments(((-1 - weights[i], sums[i]) for i in range(d)), kind, 0.25, p)
 
 
 def _best_time(fn, reps=3):
@@ -933,6 +962,6 @@ def test_biased_runtime_grows_subquadratically():
     for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, math.exp(-1.0))):
         small = _dense_instance(250, 4 * 250, seed=1, kind=kind, p=p)
         large = _dense_instance(500, 4 * 500, seed=2, kind=kind, p=p)
-        t_small = _best_time(lambda: smooth_sensitivity(small))
-        t_large = _best_time(lambda: smooth_sensitivity(large))
+        t_small = _best_time(lambda: kernel_value(small))
+        t_large = _best_time(lambda: kernel_value(large))
         assert t_large <= 5.0 * max(t_small, 1e-4), (kind, t_small, t_large)
