@@ -19,8 +19,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from lwdp_triangles import enumerate_triangles, generate_synthetic, greedy_assign
 from lwdp_triangles.estimators import EstimatorKind
 from lwdp_triangles.mechanisms import PrivacyBudget, RandomSource
@@ -50,17 +48,11 @@ def main(argv=None) -> int:
     assignment = greedy_assign(graph, triangles)
     budget = PrivacyBudget.even_split(EPSILON)
     noisy = release_step1(graph, budget.epsilon_1, RandomSource(args.seed).subsource(0, 0))
-    segments = assignment.segments
-    lengths, incident, sums = segments.gather(
-        slice(0, len(assignment.rows)), graph.weight_array, noisy
-    )
-    n = graph.node_count
-    # every node's segments (lengths k, incident weights w, sums c), gathered
-    # over its own span, as a one-node call
-    nodes = []
-    for v in range(n):
-        k, w, c = segments.gather(assignment.span(v), graph.weight_array, noisy)
-        nodes.append((c, k, LAM - 1 - w, np.zeros_like(k), 1))
+    gather, n = assignment.segments.gather, graph.node_count
+    segments = gather(slice(0, len(assignment.rows)), graph.weight_array, noisy, LAM)
+    # every node's segments, gathered over its own span
+    nodes = [gather(assignment.span(v), graph.weight_array, noisy, LAM) for v in range(n)]
+    lengths = segments[1]
     print(f"graph: n={n} p={DENSITY} seed={args.seed}, {len(triangles)} triangles, "
           f"{len(lengths)} segments, longest {int(lengths.max(initial=0))} sums")
 
@@ -69,14 +61,12 @@ def main(argv=None) -> int:
         kernel_s = math.inf
         for _ in range(REPEATS):
             start = time.perf_counter()
-            values = segment_smooth_sensitivities(
-                sums, lengths, LAM - 1 - incident, segments.owner, n, kind, budget.beta, budget.p
-            )
+            values = segment_smooth_sensitivities(*segments, n, kind, budget.beta, budget.p)
             kernel_s = min(kernel_s, time.perf_counter() - start)
         start = time.perf_counter()
         oracle = [
-            float(smooth_sensitivity_bruteforce(*node, kind, budget.beta, budget.p)[0])
-            for node in nodes
+            float(smooth_sensitivity_bruteforce(*node, n, kind, budget.beta, budget.p)[v])
+            for v, node in enumerate(nodes)
         ]
         oracle_s = time.perf_counter() - start
         worst, bad = 0.0, []

@@ -111,9 +111,10 @@ class Segments:
     w'(y, z): the edge (v, y) carries the sum w(v, z) + w'(y, z), and the edge
     (v, z) carries w(v, y) + w'(y, z).  The 2T sums run in (owner, neighbour)
     order, each segment's in row order, so v's are [2 * span.start, 2 * span.stop).
-    No weight enters, and every array is read-only: per sum, the int32 edge ids
+    Every array is read-only and free of weights: per sum, the int32 edge ids
     ``other`` and ``received`` of its terms; per segment, its ``heads`` (first
-    sum), ``owner``, ``lengths`` and ``incident`` edge id.
+    sum), ``owner``, ``lengths`` and ``incident`` edge id.  The weights enter in
+    ``gather``, which returns the smooth kernel's segment arguments.
     """
 
     def __init__(self, assignment: Assignment):
@@ -135,15 +136,16 @@ class Segments:
         for array in vars(self).values():
             array.flags.writeable = False
 
-    def gather(self, rows: slice, weights: np.ndarray, noisy: np.ndarray):
-        """(lengths, incident weights, partial sums) of the segments of the rows
-        ``rows`` (whole nodes), in segment order, from the edge-indexed int64
-        true weights and step-1 release."""
+    def gather(self, rows: slice, weights: np.ndarray, noisy: np.ndarray, lam: int):
+        """The smooth kernel's and its oracle's (sums, lengths, anchors, owners)
+        for the segments of the rows ``rows`` (whole nodes) from the edge-indexed
+        int64 true weights and step-1 release: anchors lam - 1 - w(incident edge)
+        and the real owner ids, so callers pass the graph's node count."""
         span = slice(2 * rows.start, 2 * rows.stop)
         a, b = np.searchsorted(self.heads, (span.start, span.stop))
         sums = weights[self.other[span]]
         sums += noisy[self.received[span]]
-        return self.lengths[a:b], weights[self.incident[a:b]], sums
+        return sums, self.lengths[a:b], lam - 1 - weights[self.incident[a:b]], self.owner[a:b]
 
 
 def count_c4_instances(assignment: Assignment) -> int:

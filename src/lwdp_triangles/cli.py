@@ -6,8 +6,6 @@ import argparse
 import os
 from collections import Counter
 
-import numpy as np
-
 from .assignment import Assignment, count_c4_instances, greedy_assign
 from .estimators import EstimatorKind
 from .experiments import (
@@ -56,19 +54,16 @@ def _cmd_sensitivity(args) -> int:
     kind = EstimatorKind(args.estimator)
     assignment = greedy_assign(graph)
     noisy = release_step1(graph, args.eps1, RandomSource(args.seed))
-    lengths, incident, sums = assignment.segments.gather(
-        assignment.span(args.node), graph.weight_array, noisy
+    segments = assignment.segments.gather(
+        assignment.span(args.node), graph.weight_array, noisy, lam
     )
-    # the node's segments, each owned by node 0 of a one-node call
-    segments = (
-        sums, lengths, lam - 1 - incident, np.zeros_like(lengths), 1, kind, args.beta, budget.p
-    )
+    arguments = (*segments, graph.node_count, kind, args.beta, budget.p)
     gs = local_step2(
         assignment, graph.weight_array, noisy, lam, kind, Mechanism.GLOBAL_LAPLACE, budget
     )[1][args.node]
-    fast = _usage_checked(args, segment_smooth_sensitivities, *segments)[0]
+    fast = _usage_checked(args, segment_smooth_sensitivities, *arguments)[args.node]
     if args.oracle:
-        oracle = _usage_checked(args, smooth_sensitivity_bruteforce, *segments)[0]
+        oracle = _usage_checked(args, smooth_sensitivity_bruteforce, *arguments)[args.node]
     print(f"assigned_triangles: {len(assignment.triangles_of(args.node))}")
     print(f"global_sensitivity: {gs:.12g}")
     print(f"smooth_sensitivity: {fast:.12g}")

@@ -48,8 +48,9 @@ def parse_edge_list(path) -> WeightedGraph:
     """Read whitespace-separated ``u v w`` lines into a graph with dense ids.
 
     Lines starting with ``#`` and blank lines are ignored.  External node
-    ids may be sparse; they are relabeled in sorted order.  Self-loops and
-    duplicate edges are rejected with their line numbers.
+    ids may be sparse; they are relabeled in sorted order.  Self-loops,
+    weights past |w| <= 2^31 and duplicate edges are rejected with their line
+    numbers.
     """
     raw: list[tuple[int, int, int, int]] = []
     ids: set[int] = set()
@@ -67,6 +68,10 @@ def parse_edge_list(path) -> WeightedGraph:
                 raise EdgeListParseError(f"line {lineno}: non-integer field in {text!r}") from None
             if u == v:
                 raise EdgeListParseError(f"line {lineno}: self-loop at node {u}")
+            if abs(w) > MAX_ABS_WEIGHT:
+                raise EdgeListParseError(
+                    f"line {lineno}: weight {w} exceeds the bound |w| <= 2^31"
+                )
             raw.append((lineno, u, v, w))
             ids.add(u)
             ids.add(v)

@@ -48,15 +48,21 @@ class GraphStructureError(ValueError):
     weights, or references to missing edges."""
 
 
+_BOOLS = (bool, np.bool_)
+
+
 def integral(value, what: str, error: type[ValueError] = ValueError) -> int:
     """``value`` as an int if it is integral-valued (3.0 gives 3), else ``error``.
 
     Truncating instead would silently change the data: a weight of 2.7
     would be stored as 2, and a fractional threshold breaks the estimators'
-    boundary cases.
+    boundary cases.  A bool (Python's or numpy's) is not an integer here,
+    though it compares equal to 0 or 1: True as a seed or a node id is a slip.
     """
+    if type(value) is int:  # the common case, and never a bool
+        return value
     try:
-        result = int(value)
+        result = None if isinstance(value, _BOOLS) else int(value)
     except (TypeError, ValueError, OverflowError):
         result = None
     if result is None or result != value:
@@ -66,10 +72,11 @@ def integral(value, what: str, error: type[ValueError] = ValueError) -> int:
 
 def integral_array(values, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
     """``values`` as an integer array: by its dtype alone if that is an
-    integer one, else once ``integral`` accepts every entry, as int64 if each
-    lies inside int64 and as uint64 if each lies inside uint64.  Input that
-    is not an array is read entry by entry, so numpy's float64 reading of a
-    list such as [2**53 + 1, 1.0] or [2**63, 1] rounds no id."""
+    integer one (a boolean one is not), else once ``integral`` accepts every
+    entry, as int64 if each lies inside int64 and as uint64 if each lies
+    inside uint64.  Input that is not an array is read entry by entry, so
+    numpy's float64 reading of a list such as [2**53 + 1, 1.0] or [2**63, 1]
+    rounds no id."""
     array = np.asarray(values)
     if array.dtype.kind in "iu":
         return array

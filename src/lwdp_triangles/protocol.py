@@ -102,6 +102,21 @@ def release_step1(graph: WeightedGraph, epsilon_1: float, rng: RandomSource) -> 
     return released
 
 
+def _edge_array(array, name: str, m: int) -> np.ndarray:
+    # an edge-indexed input of step 2 as int64, which its sums of three
+    # weights need; a float release would count silently under Laplace noise
+    if not (
+        isinstance(array, np.ndarray) and array.shape == (m,)
+        and array.dtype.kind in "iu" and np.can_cast(array.dtype, np.int64)
+    ):
+        got = array.dtype if isinstance(array, np.ndarray) else type(array).__name__
+        raise ValueError(
+            f"{name} must be an integer array of shape ({m},) within int64, "
+            f"got {got} of shape {np.shape(array)}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
 def local_step2(
     assignment: Assignment,
     weights: np.ndarray,
@@ -113,22 +128,26 @@ def local_step2(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every node's local count f'_v and sensitivity S_v (GS_v under Laplace noise).
 
-    ``weights`` and ``noisy`` are edge-indexed: the true weights, of which
-    node v reads only its incident ones, and the step-1 release, of which v
-    reads only the edges opposite it in its assigned triangles, both read
-    through the assignment's edge ids.  f'_v is ``np.bincount`` of the
-    per-triangle estimates over the owner-sorted rows, which adds in triangle
-    order like a per-node loop.  S_v (GS_v) is v's largest score over its
-    ``segments``, one per (v, incident edge), and 0 for a node without any.
-    Under smooth noise one ``segment_smooth_sensitivities`` call over all the
-    segments and ``segments.owner`` returns every S_v: each target's cheap
+    ``weights`` and ``noisy`` are edge-indexed integer arrays of shape (m,)
+    within int64, and ``lam`` passes ``check_threshold``, else ValueError.
+    They are the true weights, of which node v reads only its incident ones,
+    and the step-1 release, of which v reads only the edges opposite it in its
+    assigned triangles, both read through the assignment's edge ids.  f'_v is
+    ``np.bincount`` of the per-triangle estimates over the owner-sorted rows,
+    which adds in triangle order like a per-node loop.  S_v (GS_v) is v's
+    largest score over its ``segments``, one per (v, incident edge), and 0 for
+    a node without any.  Under smooth noise one
+    ``segment_smooth_sensitivities`` call over all the segments, as
+    ``segments.gather`` returns them, gives every S_v: each target's cheap
     candidates raise a running best per node, and a target's walk runs only
     where its bound exceeds that best, so S_v reads v's segments only and
     equals walking every target bit for bit.  Under Laplace noise a segment's
     score is the step bound times its length.
     """
     kind, mechanism = EstimatorKind(kind), Mechanism(mechanism)
-    n = assignment.graph.node_count
+    n, m = assignment.graph.node_count, assignment.graph.edge_count
+    weights, noisy = _edge_array(weights, "weights", m), _edge_array(noisy, "noisy", m)
+    lam = check_threshold(lam)
     rows, segments, p = assignment.rows, assignment.segments, budget.p
     vy, vz, yz = assignment.edge_ids.T
     counts = np.bincount(
@@ -140,12 +159,13 @@ def local_step2(
         sens = np.zeros(n)
         np.maximum.at(sens, segments.owner, estimator_step_bound(kind, p) * segments.lengths)
     else:
-        lengths, incident, sums = segments.gather(slice(0, len(rows)), weights, noisy)
+        arguments = segments.gather(slice(0, len(rows)), weights, noisy, lam)
+        # lam, both arrays and the budget are checked, so for weights within the
+        # graph's bound the kernel can fail only its int64 bound, past which a
+        # far lam and a tiny beta go
         try:
-            sens = segment_smooth_sensitivities(
-                sums, lengths, lam - 1 - incident, segments.owner, n, kind, budget.beta, p
-            )
-        except ValueError as err:  # its int64 bound, past which a far lam and a tiny beta go
+            sens = segment_smooth_sensitivities(*arguments, n, kind, budget.beta, p)
+        except ValueError as err:
             raise ValueError(
                 f"epsilon_2 = {budget.epsilon_2} is too small for lam = {lam}: {err}"
             ) from None

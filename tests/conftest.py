@@ -64,24 +64,25 @@ def node_arguments(
     return KernelArgs(sums, lengths, anchors, np.zeros_like(lengths), 1, kind, beta, p)
 
 
-def kernel_value(args: KernelArgs) -> float:
-    """The kernel's value of the one node of ``node_arguments``."""
-    return float(segment_smooth_sensitivities(*args)[0])
+def kernel_value(args: KernelArgs, node: int = 0) -> float:
+    """The kernel's value of ``node``, by default the one node of ``node_arguments``."""
+    return float(segment_smooth_sensitivities(*args)[node])
 
 
-def oracle_value(args: KernelArgs) -> float:
-    """The oracle's value of the one node of ``node_arguments``."""
-    return float(smooth_sensitivity_bruteforce(*args)[0])
+def oracle_value(args: KernelArgs, node: int = 0) -> float:
+    """The oracle's value of ``node``, by default the one node of ``node_arguments``."""
+    return float(smooth_sensitivity_bruteforce(*args)[node])
 
 
 def gathered_arguments(assignment, noisy, node, lam, beta, kind, p=None) -> KernelArgs:
     """``node``'s arguments from exactly the data it holds in step 2, its
     segments gathered over its span of the assignment's rows from the true
-    weights and the step-1 release ``noisy`` (indexed by edge id)."""
-    lengths, incident, sums = assignment.segments.gather(
-        assignment.span(node), assignment.graph.weight_array, noisy
+    weights and the step-1 release ``noisy`` (indexed by edge id); they carry
+    the real owner id and the graph's node count, so read the value at ``node``."""
+    segments = assignment.segments.gather(
+        assignment.span(node), assignment.graph.weight_array, noisy, lam
     )
-    return KernelArgs(sums, lengths, lam - 1 - incident, np.zeros_like(lengths), 1, kind, beta, p)
+    return KernelArgs(*segments, assignment.graph.node_count, kind, beta, p)
 
 
 def random_local_instance(

@@ -301,8 +301,14 @@ def test_unreadable_or_malformed_graph_is_a_usage_error(tmp_path, command, capsy
         command = command + ["--out", str(out_path)]
     malformed = tmp_path / "malformed.txt"
     malformed.write_text("0 1 3\n1 2 x\n")
+    heavy = tmp_path / "heavy.txt"
+    heavy.write_text("10 20 1\n20 30 4294967296\n")
     missing = tmp_path / "missing.txt"
-    for path, message in ((malformed, "line 2: non-integer field"), (missing, str(missing))):
+    for path, message in (
+        (malformed, "line 2: non-integer field"),
+        (heavy, "line 2: weight 4294967296 exceeds the bound |w| <= 2^31"),
+        (missing, str(missing)),
+    ):
         with pytest.raises(SystemExit) as exc:
             main(command + ["--graph", str(path)])
         assert exc.value.code == 2

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -52,6 +53,17 @@ def test_parse_rejects_self_loop_with_line_number(tmp_path):
     path.write_text("0 1 2\n0 0 1\n")
     with pytest.raises(EdgeListParseError, match="line 2"):
         parse_edge_list(path)
+
+
+def test_parse_rejects_an_out_of_range_weight_with_its_line(tmp_path):
+    # the graph used to reject it under the relabelled ids, as edge (1, 2)
+    path = tmp_path / "g.txt"
+    path.write_text("10 20 1\n20 30 4294967296\n")
+    message = "line 2: weight 4294967296 exceeds the bound |w| <= 2^31"
+    with pytest.raises(EdgeListParseError, match=re.escape(message)):
+        parse_edge_list(path)
+    path.write_text(f"10 20 {-(2**31)}\n20 30 {2**31}\n")
+    assert parse_edge_list(path).weight_array.tolist() == [-(2**31), 2**31]
 
 
 def test_parse_rejects_duplicates_and_malformed(tmp_path):

@@ -14,7 +14,10 @@ from lwdp_triangles import (
     greedy_assign,
     triangle_weights,
 )
-from lwdp_triangles.graph import COUNT_CHUNK, triangle_edge_ids
+from lwdp_triangles.experiments import generate_synthetic
+from lwdp_triangles.graph import COUNT_CHUNK, check_threshold, triangle_edge_ids
+from lwdp_triangles.mechanisms import RandomSource, node_uniforms
+from lwdp_triangles.protocol import Baseline, run_methods
 
 from conftest import complete_graph, random_graph
 
@@ -129,12 +132,37 @@ def test_non_integral_node_id_is_rejected(edge):
         WeightedGraph(3, [edge])
 
 
-@pytest.mark.parametrize("u, v", [(1.0, 2), (np.int64(1), 2.0), (True, np.int32(2))])
+@pytest.mark.parametrize("u, v", [(1.0, 2), (np.int64(1), 2.0), (np.int8(1), np.int32(2))])
 def test_integral_node_ids_are_the_same_nodes(u, v):
-    # the weights' integer rule: 1.0, numpy integers and True are the integer 1
+    # the weights' integer rule: 1.0 and numpy integers are the integer 1
     g = WeightedGraph(3, [(u, v, 3.0), (0, 1, 4)])
     assert g == WeightedGraph(3, [(0, 1, 4), (1, 2, 3)])
     assert g.edge_weights() == {(0, 1): 4, (1, 2): 3}
+
+
+def _flag_entry_points():
+    g = complete_graph(4)
+    a, rng = greedy_assign(g), RandomSource(1)
+    return {
+        "WeightedGraph node id": lambda flag: WeightedGraph(3, [(flag, 2, 1)]),
+        "WeightedGraph weight": lambda flag: WeightedGraph(3, [(0, 2, flag)]),
+        "check_threshold": check_threshold,
+        "RandomSource seed": RandomSource,
+        "generate_synthetic seed": lambda flag: generate_synthetic(5, 0.5, seed=flag),
+        "run_methods threshold": lambda flag: run_methods(a, flag, [Baseline(2.0)], rng),
+        "Assignment.span": a.span,
+        "node_uniforms ids": lambda flag: node_uniforms(rng, np.array([flag]), 2),
+        "triangle_edge_ids rows": lambda flag: triangle_edge_ids(g, np.full((1, 3), flag)),
+    }
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
+@pytest.mark.parametrize("entry", list(_flag_entry_points()))
+def test_booleans_are_not_integers(entry, flag):
+    # a bool equals 0 or 1, so it used to pass as that integer: span(True)
+    # was node 1's rows and RandomSource(True) the seed 1
+    with pytest.raises(ValueError, match="expected an integer"):
+        _flag_entry_points()[entry](flag)
 
 
 def test_non_integral_weight_is_rejected():

@@ -559,6 +559,41 @@ def test_local_step2_reads_estimator_and_mechanism_by_name():
 
 @pytest.mark.parametrize("mechanism", list(Mechanism))
 @pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_local_step2_checks_its_arrays_and_threshold_where_they_enter(kind, mechanism):
+    # a float release used to give counts under Laplace noise and fail in a
+    # gather under smooth noise; a short weight array failed with an IndexError
+    g = generate_synthetic(20, 0.5, seed=1)
+    assignment = greedy_assign(g)
+    budget = PrivacyBudget(1.0, 1.0)
+    noisy = release_step1(g, budget.epsilon_1, RandomSource(1))
+    m = g.edge_count
+    bad = [
+        ("noisy", g.weight_array, noisy + 0.5),
+        ("weights", g.weight_array[:-1], noisy),
+        ("noisy", g.weight_array, noisy.astype(np.uint64)),
+        ("noisy", g.weight_array, noisy.tolist()),
+        ("weights", g.weight_array.astype(bool), noisy),
+    ]
+    for name, weights, release in bad:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer array of shape \({m},"):
+            local_step2(assignment, weights, release, 9, kind, mechanism, budget)
+    # so is the threshold: 5.5 used to count under Laplace noise, and to be
+    # reported as an epsilon_2 too small for it under smooth noise
+    for lam, message in ((5.5, "integer threshold"), (10**30, "outside the int64 range")):
+        with pytest.raises(ValueError, match=message):
+            local_step2(assignment, g.weight_array, noisy, lam, kind, mechanism, budget)
+    # narrower integer arrays are widened: int32 weights at the bound 2^31 - 1
+    # sum past int32, and give the values of the int64 ones
+    weights = np.full(m, 2**31 - 1)
+    wide, narrow = (
+        local_step2(assignment, weights.astype(dtype), noisy, 9, kind, mechanism, budget)
+        for dtype in (np.int64, np.int32)
+    )
+    assert [a.tolist() for a in wide] == [a.tolist() for a in narrow]
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism))
+@pytest.mark.parametrize("kind", list(EstimatorKind))
 def test_epsilon_2_whose_release_overflows_is_rejected(kind, mechanism):
     # the budget itself is valid, but scale * S_v overflows, so every
     # estimate used to come out NaN

@@ -1,7 +1,9 @@
+import importlib.util
 import math
 import random
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,8 +231,8 @@ def test_kernel_matches_oracle_on_every_node_of_a_dense_graph(kind):
     budget = PrivacyBudget.even_split(2.0)
     noisy = release_step1(g, budget.epsilon_1, RandomSource(5).subsource(0, 0))
     sens = local_step2(a, g.weight_array, noisy, 9, kind, Mechanism.SMOOTH, budget)[1]
-    lengths, incident, sums = a.segments.gather(slice(0, len(a.rows)), g.weight_array, noisy)
-    segments = (sums, lengths, 9 - 1 - incident, a.segments.owner)
+    segments = a.segments.gather(slice(0, len(a.rows)), g.weight_array, noisy, 9)
+    lengths = segments[1]
     order = random.Random(5).sample(range(len(lengths)), len(lengths))
     shuffled = _take(segments, order) + (61, kind, budget.beta, budget.p)
     kernel = segment_smooth_sensitivities(*shuffled)
@@ -240,6 +242,18 @@ def test_kernel_matches_oracle_on_every_node_of_a_dense_graph(kind):
         assert math.isclose(kernel[v], oracle[v], rel_tol=1e-12, abs_tol=1e-12), v
     assert kernel[60] == oracle[60] == 0.0
     assert lengths.max() > 12 and np.bincount(a.segments.owner).max() > 12
+
+
+def test_oracle_at_scale_script_agrees_on_a_small_graph(capsys):
+    # the script is not part of the package, so a library rename could break it
+    # unseen; run it on a graph small enough for every node's oracle
+    path = Path(__file__).resolve().parent.parent / "scripts" / "oracle_at_scale.py"
+    spec = importlib.util.spec_from_file_location("oracle_at_scale", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--nodes", "24", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("graph: n=24 ") and out.count("largest relative difference") == 2
 
 
 def test_smooth_dominates_local_sensitivity_and_respects_global_cap():
@@ -312,8 +326,8 @@ def test_local_sensitivity_matches_raw_estimator_differences():
                             g, assigned, v, bumped, noisy, lam, kind, p_eff
                         )
                         worst = max(worst, abs(f1 - f0))
-                assert kernel_value(inst) >= worst - 1e-12
-                local = kernel_value(inst._replace(beta=50.0))
+                assert kernel_value(inst, v) >= worst - 1e-12
+                local = kernel_value(inst._replace(beta=50.0), v)
                 assert local == pytest.approx(worst, abs=1e-9)
 
 
@@ -811,6 +825,7 @@ def test_node_outside_the_graph_is_rejected():
     for node in (0, 19):
         inst = gathered_arguments(a, release, node, 6, 0.25, EstimatorKind.BIASED)
         assert inst.lengths.sum() == 2 * len(a.triangles_of(node))
+        assert (inst.owners == node).all() and inst.count == 20
         assert (a.triangles_of(node)[:, 0] == node).all()
 
 
@@ -825,7 +840,7 @@ def test_gathered_partial_sums_of_a_node():
     # c = w_02 + w'_12 and w_03 + w'_13; edge (0,2) has c = w_01 + w'_12, and
     # edge (0,3) c = w_01 + w'_13
     assert segments_of(inst) == [(6, [3 + 11, 4 + 19]), (5, [2 + 11]), (4, [2 + 19])]
-    assert inst.owners.tolist() == [0, 0, 0] and inst[4:] == (1, EstimatorKind.BIASED, 0.5, None)
+    assert inst.owners.tolist() == [0, 0, 0] and inst[4:] == (4, EstimatorKind.BIASED, 0.5, None)
     assert all(array.dtype == np.int64 for array in inst[:4])
 
 
@@ -851,8 +866,10 @@ def test_gathered_arguments_equal_the_per_node_reference_on_every_node():
             for kind, p in ((EstimatorKind.BIASED, None), (EstimatorKind.UNBIASED, 0.4)):
                 got = gathered_arguments(assignment, release, v, lam, 0.3, kind, p=p)
                 want = instance_from_node_data(v, incident, assigned, received, lam, 0.3, kind, p)
-                assert [a.tolist() for a in got[:4]] == [a.tolist() for a in want[:4]]
-                assert got[4:] == want[4:], (trial, v, kind)
+                assert [a.tolist() for a in got[:3]] == [a.tolist() for a in want[:3]]
+                # the reference is a one-node call; the gathered segments carry v
+                assert got.owners.tolist() == [v] * len(want.owners)
+                assert got.count == g.node_count and got[5:] == want[5:], (trial, v, kind)
     assert seen_empty > 0
 
 
